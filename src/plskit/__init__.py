@@ -13,6 +13,7 @@ from .krylov import (
     KrylovOptions,
     KrylovStats,
     NotConverged,
+    cg_solve,
     qmr_solve,
 )
 from .matprops import (
@@ -26,11 +27,10 @@ from .numkit import (
     ELLIPTIC,
     PARABOLIC,
     DimensionError,
-    MaskedOperator,
     SparseMatrix,
     csr_from_triplets,
     load_matrix_market,
-    masked_matvec,
+    principal_submatrix,
     spmv,
 )
 from .obstacle import (
@@ -72,6 +72,7 @@ __all__ = [
     "KrylovOptions",
     "KrylovStats",
     "NotConverged",
+    "cg_solve",
     "qmr_solve",
     "MatrixClassReport",
     "Solvability",
@@ -81,11 +82,10 @@ __all__ = [
     "ELLIPTIC",
     "PARABOLIC",
     "DimensionError",
-    "MaskedOperator",
     "SparseMatrix",
     "csr_from_triplets",
     "load_matrix_market",
-    "masked_matvec",
+    "principal_submatrix",
     "spmv",
     "GridError",
     "ObstacleSpec",

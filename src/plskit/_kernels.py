@@ -1,8 +1,8 @@
-"""Compute kernels for CSR and masked matrix-vector products.
+"""Compute kernel for the CSR matrix-vector product.
 
-Two interchangeable backends: numba-compiled loops (default when numba is
-importable) and vectorized numpy. Set PLSKIT_NUMPY=1 to force the numpy
-backend. The *_py functions are always available so the backends can be
+Two interchangeable backends: a numba-compiled loop (default when numba
+is importable) and vectorized numpy. Set PLSKIT_NUMPY=1 to force the
+numpy backend. csr_matvec_py is always available so the backends can be
 compared directly in tests and benchmarks.
 """
 
@@ -33,67 +33,6 @@ def _csr_matvec(values, col_indices, row_offsets, x):
     return out
 
 
-def _masked_matvec_elliptic(values, col_indices, row_offsets, mask, z):
-    # out = (I - P) z + T (P z), P = diag(mask)
-    n = row_offsets.size - 1
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for k in range(row_offsets[i], row_offsets[i + 1]):
-            j = col_indices[k]
-            if mask[j]:
-                acc += values[k] * z[j]
-        if mask[i]:
-            out[i] = acc
-        else:
-            out[i] = z[i] + acc
-    return out
-
-
-def _masked_matvec_parabolic(values, col_indices, row_offsets, mask, z):
-    # out = z + T (P z)
-    n = row_offsets.size - 1
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for k in range(row_offsets[i], row_offsets[i + 1]):
-            j = col_indices[k]
-            if mask[j]:
-                acc += values[k] * z[j]
-        out[i] = z[i] + acc
-    return out
-
-
-def _masked_rmatvec_elliptic(t_values, t_col_indices, t_row_offsets, mask, z):
-    # out = (I - P) z + P (T^T z); caller passes T^T in CSR form
-    n = t_row_offsets.size - 1
-    out = np.zeros(n)
-    for i in range(n):
-        if mask[i]:
-            acc = 0.0
-            for k in range(t_row_offsets[i], t_row_offsets[i + 1]):
-                acc += t_values[k] * z[t_col_indices[k]]
-            out[i] = acc
-        else:
-            out[i] = z[i]
-    return out
-
-
-def _masked_rmatvec_parabolic(t_values, t_col_indices, t_row_offsets, mask, z):
-    # out = z + P (T^T z); caller passes T^T in CSR form
-    n = t_row_offsets.size - 1
-    out = np.zeros(n)
-    for i in range(n):
-        if mask[i]:
-            acc = 0.0
-            for k in range(t_row_offsets[i], t_row_offsets[i + 1]):
-                acc += t_values[k] * z[t_col_indices[k]]
-            out[i] = z[i] + acc
-        else:
-            out[i] = z[i]
-    return out
-
-
 def _row_sums(prod, row_offsets):
     # segment sums that stay exact for empty rows
     n = row_offsets.size - 1
@@ -109,39 +48,9 @@ def csr_matvec_py(values, col_indices, row_offsets, x):
     return _row_sums(values * x[col_indices], row_offsets)
 
 
-def masked_matvec_elliptic_py(values, col_indices, row_offsets, mask, z):
-    mz = np.where(mask, z, 0.0)
-    out = _row_sums(values * mz[col_indices], row_offsets)
-    out += np.where(mask, 0.0, z)
-    return out
-
-
-def masked_matvec_parabolic_py(values, col_indices, row_offsets, mask, z):
-    mz = np.where(mask, z, 0.0)
-    return z + _row_sums(values * mz[col_indices], row_offsets)
-
-
-def masked_rmatvec_elliptic_py(t_values, t_col_indices, t_row_offsets, mask, z):
-    tz = _row_sums(t_values * z[t_col_indices], t_row_offsets)
-    return np.where(mask, tz, z)
-
-
-def masked_rmatvec_parabolic_py(t_values, t_col_indices, t_row_offsets, mask, z):
-    tz = _row_sums(t_values * z[t_col_indices], t_row_offsets)
-    return z + np.where(mask, tz, 0.0)
-
-
 if HAVE_NUMBA:
     csr_matvec = njit(cache=True)(_csr_matvec)
-    masked_matvec_elliptic = njit(cache=True)(_masked_matvec_elliptic)
-    masked_matvec_parabolic = njit(cache=True)(_masked_matvec_parabolic)
-    masked_rmatvec_elliptic = njit(cache=True)(_masked_rmatvec_elliptic)
-    masked_rmatvec_parabolic = njit(cache=True)(_masked_rmatvec_parabolic)
 else:
     csr_matvec = csr_matvec_py
-    masked_matvec_elliptic = masked_matvec_elliptic_py
-    masked_matvec_parabolic = masked_matvec_parabolic_py
-    masked_rmatvec_elliptic = masked_rmatvec_elliptic_py
-    masked_rmatvec_parabolic = masked_rmatvec_parabolic_py
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"

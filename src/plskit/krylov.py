@@ -1,9 +1,12 @@
-"""QMR inner solver for the sparse nonsymmetric systems of each outer step.
+"""Krylov inner solvers for the sparse systems of each outer step.
 
-Coupled two-term Lanczos biorthogonalization without look-ahead. The
-operator only needs matvec and rmatvec (and diagonal() when Jacobi
-preconditioning is requested). Convergence is always confirmed on the
-recomputed true residual, never on the recurrence estimate alone.
+`cg_solve` is conjugate gradients for symmetric positive (semi)definite
+systems; `qmr_solve` is QMR by coupled two-term Lanczos
+biorthogonalization without look-ahead, for nonsymmetric ones. The
+operator needs matvec (QMR also rmatvec), and diagonal() when Jacobi
+preconditioning is requested. Both share KrylovOptions and KrylovStats,
+and both confirm convergence on the recomputed true residual, never on
+the recurrence estimate alone.
 """
 
 import math
@@ -51,7 +54,8 @@ class NotConverged(RuntimeError):
 
 
 class Breakdown(RuntimeError):
-    """Unrecoverable Lanczos breakdown; carries the best iterate found."""
+    """Unrecoverable breakdown (a collapsed Lanczos pivot or nonpositive
+    CG curvature); carries the best iterate found."""
 
     def __init__(self, message, x, stats):
         super().__init__(message)
@@ -204,3 +208,66 @@ def qmr_solve(op, b, x0=None, opts=None):
             x,
             stats,
         )
+
+
+def cg_solve(op, b, x0=None, opts=None):
+    """Solve op x = b by conjugate gradients; returns (x, KrylovStats).
+
+    For symmetric positive (semi)definite operators, with Jacobi
+    preconditioning when requested. The recurrence residual only says when
+    to look: convergence is confirmed on the true residual, and when the
+    two disagree the iteration restarts from the true residual. A
+    nonpositive curvature p^T A p (or r^T D^-1 r under Jacobi) raises
+    Breakdown and a spent iteration budget raises NotConverged, both
+    carrying the best iterate and its stats.
+    """
+    opts = opts or KrylovOptions()
+    b = np.asarray(b, dtype=np.float64)
+    n = b.size
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    tol = opts.rel_tol * float(np.linalg.norm(b)) + opts.abs_tol
+    budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
+    inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
+
+    r = b - op.matvec(x)
+    res = float(np.linalg.norm(r))
+    x_best, res_best = x.copy(), res
+    used = 0
+    while res > tol:
+        if used >= budget:
+            raise NotConverged(
+                f"no convergence within {budget} iterations",
+                x_best,
+                KrylovStats(used, res_best, False, False),
+            )
+        z = r * inv_d if inv_d is not None else r
+        p = z.copy()
+        rz = float(r @ z)
+        broke = False
+        while used < budget:
+            q = op.matvec(p)
+            curvature = float(p @ q)
+            if not (curvature > 0.0 and rz > 0.0):
+                broke = True
+                break
+            alpha = rz / curvature
+            x += alpha * p
+            r -= alpha * q
+            used += 1
+            if float(np.linalg.norm(r)) <= tol:
+                break
+            z = r * inv_d if inv_d is not None else r
+            rz_next = float(r @ z)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+        r = b - op.matvec(x)  # re-sync on the true residual
+        res = float(np.linalg.norm(r))
+        if res < res_best:
+            x_best, res_best = x.copy(), res
+        if broke and res > tol:
+            raise Breakdown(
+                "nonpositive curvature; the operator is not positive definite",
+                x_best,
+                KrylovStats(used, res_best, False, True),
+            )
+    return x, KrylovStats(used, res, True, False)

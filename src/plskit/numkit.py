@@ -1,8 +1,8 @@
-"""Sparse CSR matrices, validated vectors, and implicitly masked operators.
+"""Sparse CSR matrices and validated vectors.
 
-The masked operators apply (I - P + T P) or (I + T P) without assembling
-them; P is a boolean diagonal that changes every outer solver step while T
-never does.
+Each outer solver step needs the principal submatrix of T on the active
+set (with a unit shift on its diagonal for the parabolic form);
+`principal_submatrix` slices it in one pass over the stored entries.
 """
 
 import numpy as np
@@ -43,6 +43,7 @@ class SparseMatrix:
         self.col_indices = np.ascontiguousarray(col_indices, dtype=_INDEX_DTYPE)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._transpose = None
+        self._symmetric = None
 
     @property
     def shape(self):
@@ -60,19 +61,38 @@ class SparseMatrix:
 
     def transpose(self):
         if self._transpose is None:
-            t = _csr_from_arrays(
-                self.col_indices,
-                np.repeat(
-                    np.arange(self.n_rows, dtype=_INDEX_DTYPE),
-                    np.diff(self.row_offsets),
-                ),
-                self.values,
-                self.n_cols,
-                self.n_rows,
-            )
+            t = self._transposed()
             t._transpose = self
             self._transpose = t
         return self._transpose
+
+    def _transposed(self):
+        return _csr_from_arrays(
+            self.col_indices,
+            np.repeat(
+                np.arange(self.n_rows, dtype=_INDEX_DTYPE),
+                np.diff(self.row_offsets),
+            ),
+            self.values,
+            self.n_cols,
+            self.n_rows,
+        )
+
+    def is_symmetric(self):
+        """Exact test A == A^T, made once per matrix.
+
+        Rows are canonical, so A^T must have the same arrays. A^T is built
+        outside the transpose cache, which would tie A and A^T in a
+        reference cycle that only the garbage collector frees.
+        """
+        if self._symmetric is None:
+            t = self._transposed()
+            self._symmetric = (
+                np.array_equal(t.row_offsets, self.row_offsets)
+                and np.array_equal(t.col_indices, self.col_indices)
+                and np.array_equal(t.values, self.values)
+            )
+        return self._symmetric
 
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
@@ -174,64 +194,35 @@ def spmv(matrix, x):
     )
 
 
-class MaskedOperator:
-    """Matrix-free (I - P + T P) or (I + T P) with P = diag(mask).
+def principal_submatrix(matrix, mask, shift=0.0):
+    """Return A[mask][:, mask] + shift I in O(nnz).
 
-    The transpose product needs T^T, which is built once per base matrix
-    and shared across mask updates.
+    Rows and columns keep their relative order, so the slice is already
+    sorted and duplicate-free. The shift lands on the stored diagonal; a
+    missing or cancelled diagonal entry falls back to add_diagonal.
     """
-
-    def __init__(self, base, mask, kind):
-        if base.n_rows != base.n_cols:
-            raise DimensionError("masked operators need a square base matrix")
-        if kind not in (ELLIPTIC, PARABOLIC):
-            raise ValueError(f"unknown operator kind {kind!r}")
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (base.n_rows,):
-            raise DimensionError("mask length must equal the matrix dimension")
-        self.base = base
-        self.mask = mask
-        self.kind = kind
-
-    @property
-    def n(self):
-        return self.base.n_rows
-
-    def matvec(self, z):
-        return masked_matvec(self, z)
-
-    def rmatvec(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.n,):
-            raise DimensionError("vector length must equal the operator dimension")
-        t = self.base.transpose()
-        kernel = (
-            _kernels.masked_rmatvec_elliptic
-            if self.kind == ELLIPTIC
-            else _kernels.masked_rmatvec_parabolic
-        )
-        return kernel(t.values, t.col_indices, t.row_offsets, self.mask, z)
-
-    def diagonal(self):
-        d = self.base.diagonal()
-        if self.kind == ELLIPTIC:
-            return np.where(self.mask, d, 1.0)
-        return 1.0 + np.where(self.mask, d, 0.0)
-
-
-def masked_matvec(op, z):
-    """Apply the masked operator without assembling it."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (op.n,):
-        raise DimensionError("vector length must equal the operator dimension")
-    kernel = (
-        _kernels.masked_matvec_elliptic
-        if op.kind == ELLIPTIC
-        else _kernels.masked_matvec_parabolic
+    mask = np.asarray(mask, dtype=bool)
+    if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
+        raise DimensionError("need a square matrix and a mask of its dimension")
+    rows = np.repeat(
+        np.arange(matrix.n_rows, dtype=_INDEX_DTYPE), np.diff(matrix.row_offsets)
     )
-    return kernel(
-        op.base.values, op.base.col_indices, op.base.row_offsets, op.mask, z
-    )
+    keep = mask[rows] & mask[matrix.col_indices]
+    new_index = np.cumsum(mask, dtype=_INDEX_DTYPE) - 1
+    rows = new_index[rows[keep]]
+    cols = new_index[matrix.col_indices[keep]]
+    vals = matrix.values[keep]
+    k = int(mask.sum())
+    row_offsets = np.zeros(k + 1, dtype=_INDEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=k), out=row_offsets[1:])
+    sub = SparseMatrix(k, k, row_offsets, cols, vals)
+    if shift == 0.0:
+        return sub
+    on_diag = rows == cols
+    if np.count_nonzero(on_diag) < k or np.any(vals[on_diag] == -shift):
+        return sub.add_diagonal(shift)
+    vals[on_diag] += shift
+    return sub
 
 
 def load_matrix_market(path):

@@ -41,3 +41,15 @@ def random_t1(rng, n):
     row = -a.sum(axis=1)
     np.fill_diagonal(a, row + rng.random(n) + 0.1)
     return csr_from_dense(a)
+
+
+def random_symmetric_t1(rng, n):
+    """Random symmetric irreducibly diagonally dominant M-matrix (T1)."""
+    a = -rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    a = np.triu(a, 1)
+    for i in range(n - 1):
+        if a[i, i + 1] == 0.0:
+            a[i, i + 1] = -0.5
+    a = a + a.T
+    np.fill_diagonal(a, -a.sum(axis=1) + rng.random(n) + 0.1)
+    return csr_from_dense(a)

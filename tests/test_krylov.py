@@ -3,13 +3,16 @@ import pytest
 from helpers import csr_from_dense, path_laplacian
 
 from plskit import (
+    ELLIPTIC,
     JACOBI,
+    PARABOLIC,
     Breakdown,
     KrylovOptions,
-    MaskedOperator,
     NotConverged,
+    cg_solve,
     qmr_solve,
 )
+from plskit.pls import _step
 
 
 def test_identity_converges_within_one_iteration():
@@ -69,7 +72,7 @@ def test_jacobi_handles_badly_scaled_columns():
     rng = np.random.default_rng(8)
     n = 30
     a = rng.normal(size=(n, n)) + n * np.eye(n)
-    a[:, : n // 2] *= 1.0e6  # column scale spread similar to masked operators
+    a[:, : n // 2] *= 1.0e6  # column scale spread like that of (I - P + T P)
     b = rng.normal(size=n)
     opts = KrylovOptions(preconditioner=JACOBI)
     x, stats = qmr_solve(csr_from_dense(a), b, opts=opts)
@@ -90,19 +93,95 @@ def test_not_converged_carries_best_iterate_and_stats():
     assert err.value.stats.final_residual_norm >= 0.0
 
 
-def test_masked_operator_solve_matches_dense():
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+@pytest.mark.parametrize("kind", [ELLIPTIC, PARABOLIC])
+def test_reduced_step_matches_dense_solve(kind, symmetric):
+    # one outer step solved on the active set equals the dense solve of
+    # (I - P + T P) x = b or (I + T P) x = b over all n unknowns
     rng = np.random.default_rng(10)
     n = 20
-    a = rng.normal(size=(n, n)) + n * np.eye(n)
-    mask = rng.random(n) < 0.5
-    op = MaskedOperator(csr_from_dense(a), mask, "elliptic")
-    dense = np.eye(n) - np.diag(mask.astype(float)) + a @ np.diag(
-        mask.astype(float)
-    )
-    b = rng.normal(size=n)
-    x, stats = qmr_solve(op, b)
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3)
+    if symmetric:
+        a = a + a.T
+    a += 2.0 * n * np.eye(n)
+    t = csr_from_dense(a)
+    assert t.is_symmetric() == symmetric
+    inner = cg_solve if symmetric else qmr_solve
+    opts = KrylovOptions(abs_tol=1e-12 * np.sqrt(n), preconditioner=JACOBI)
+    masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+    masks += [rng.random(n) < q for q in (0.2, 0.5, 0.8)]
+    for mask in masks:
+        p = np.diag(mask.astype(float))
+        dense = np.eye(n) + a @ p
+        if kind == ELLIPTIC:
+            dense -= p
+        b = rng.normal(size=n)
+        x, stats = _step(t, b, kind, mask, rng.normal(size=n), inner, opts)
+        assert stats.converged
+        assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+        if not mask.any():
+            assert np.array_equal(x, b)
+
+
+def test_cg_matches_dense_solve_on_spd_laplacian():
+    n = 50
+    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    b = np.random.default_rng(11).normal(size=n)
+    for precond in (None, JACOBI):
+        opts = KrylovOptions(preconditioner=precond)
+        x, stats = cg_solve(csr_from_dense(a), b, opts=opts)
+        assert stats.converged and not stats.breakdown
+        assert stats.final_residual_norm <= opts.rel_tol * np.linalg.norm(b)
+        assert np.linalg.norm(b - a @ x) <= opts.rel_tol * np.linalg.norm(b)
+        assert np.allclose(x, np.linalg.solve(a, b))
+
+
+def test_cg_confirms_convergence_on_the_true_residual():
+    # at this tolerance the recurrence residual drops below tol before the
+    # true residual does; the solver must restart rather than stop there
+    n = 100
+    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    b = np.random.default_rng(0).normal(size=n)
+    opts = KrylovOptions(rel_tol=1e-13)
+    x, stats = cg_solve(csr_from_dense(a), b, opts=opts)
+    true_res = np.linalg.norm(b - csr_from_dense(a).matvec(x))
     assert stats.converged
-    assert np.allclose(x, np.linalg.solve(dense, b))
+    assert stats.final_residual_norm == true_res
+    assert true_res <= opts.rel_tol * np.linalg.norm(b)
+
+
+def test_cg_warm_start_at_the_solution_costs_nothing():
+    op = csr_from_dense(np.array([[4.0, -1.0], [-1.0, 2.0]]))
+    x, stats = cg_solve(op, np.array([3.0, 1.0]), x0=np.array([1.0, 1.0]))
+    assert stats.iterations == 0
+    assert stats.converged
+    assert np.array_equal(x, [1.0, 1.0])
+
+
+def test_cg_spent_budget_carries_best_iterate():
+    n = 40
+    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    b = np.ones(n)
+    with pytest.raises(NotConverged) as err:
+        cg_solve(csr_from_dense(a), b, opts=KrylovOptions(max_iters=3))
+    stats = err.value.stats
+    assert err.value.x.shape == (n,)
+    assert stats.iterations == 3
+    assert not stats.converged
+    # the carried iterate is the best one checked, and its residual is true
+    assert np.linalg.norm(b - a @ err.value.x) == pytest.approx(
+        stats.final_residual_norm
+    )
+    assert stats.final_residual_norm <= np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("precond", [None, JACOBI])
+def test_cg_indefinite_operator_raises_breakdown(precond):
+    op = csr_from_dense(np.diag([1.0, -1.0]))
+    with pytest.raises(Breakdown) as err:
+        cg_solve(op, np.array([1.0, 1.0]), opts=KrylovOptions(preconditioner=precond))
+    assert err.value.stats.breakdown
+    assert err.value.x.shape == (2,)
 
 
 def test_singular_consistent_system_converges():

@@ -4,10 +4,9 @@ from helpers import csr_from_dense
 
 from plskit import (
     DimensionError,
-    MaskedOperator,
     csr_from_triplets,
     load_matrix_market,
-    masked_matvec,
+    principal_submatrix,
     spmv,
 )
 from plskit import _kernels
@@ -93,35 +92,48 @@ def test_as_vector_rejects_bad_input():
 
 
 @pytest.mark.parametrize("kind", ["elliptic", "parabolic"])
-def test_masked_operator_matches_dense_forms(kind):
+def test_principal_submatrix_matches_dense_forms(kind):
+    # the active block of (I - P + T P) is T_AA, that of (I + T P) is I + T_AA
     rng = np.random.default_rng(3)
     n = 8
-    a = rng.normal(size=(n, n))
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(a, [0.0, 0.0, 0.0, 0.0, 2.0, -1.0, 3.0, 4.0])
     m = csr_from_dense(a)
-    for trial in range(5):
-        mask = rng.random(n) < 0.5
+    shift = 0.0 if kind == "elliptic" else 1.0
+    # rows 0-3 store no diagonal; the unit shift cancels entry (5, 5)
+    masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) >= 4]
+    masks += [(np.arange(n) >= 4) & (np.arange(n) != 5)]
+    masks += [rng.random(n) < 0.5 for _ in range(5)]
+    for mask in masks:
         p = np.diag(mask.astype(float))
-        dense = np.eye(n) - p + a @ p if kind == "elliptic" else np.eye(n) + a @ p
-        op = MaskedOperator(m, mask, kind)
-        z = rng.normal(size=n)
-        assert np.allclose(op.matvec(z), dense @ z)
-        assert np.allclose(op.rmatvec(z), dense.T @ z)
-        assert np.allclose(masked_matvec(op, z), dense @ z)
-        want = np.where(mask, a.diagonal(), 1.0)
-        if kind == "parabolic":
-            want = 1.0 + np.where(mask, a.diagonal(), 0.0)
-        assert np.allclose(op.diagonal(), want)
+        full = np.eye(n) - p + a @ p if kind == "elliptic" else np.eye(n) + a @ p
+        sub = principal_submatrix(m, mask, shift)
+        assert sub.shape == (mask.sum(), mask.sum())
+        assert np.array_equal(sub.to_dense(), full[np.ix_(mask, mask)])
+        # canonical rows: sorted, duplicate-free, zero-free
+        for i in range(sub.n_rows):
+            cols = sub.col_indices[sub.row_offsets[i]:sub.row_offsets[i + 1]]
+            assert np.all(np.diff(cols) > 0)
+        assert np.all(sub.values != 0.0)
 
 
-def test_masked_operator_validates_inputs():
+def test_principal_submatrix_validates_inputs():
     m = csr_from_dense(np.eye(2))
-    with pytest.raises(ValueError):
-        MaskedOperator(m, np.zeros(2, dtype=bool), "typo")
     with pytest.raises(DimensionError):
-        MaskedOperator(m, np.zeros(3, dtype=bool), "elliptic")
+        principal_submatrix(m, np.zeros(3, dtype=bool))
     rect = csr_from_triplets([(0, 0, 1.0)], 2, 3)
     with pytest.raises(DimensionError):
-        MaskedOperator(rect, np.zeros(2, dtype=bool), "elliptic")
+        principal_submatrix(rect, np.zeros(2, dtype=bool))
+
+
+def test_is_symmetric_is_exact():
+    a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    assert csr_from_dense(a).is_symmetric()
+    a[0, 1] = -1.0 + 1e-15
+    assert not csr_from_dense(a).is_symmetric()
+    a[0, 1] = 0.0  # same values, different pattern
+    assert not csr_from_dense(a).is_symmetric()
+    assert not csr_from_triplets([(0, 0, 1.0)], 2, 3).is_symmetric()
 
 
 def test_python_kernels_agree_with_selected_backend():
@@ -130,18 +142,9 @@ def test_python_kernels_agree_with_selected_backend():
     a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.2)
     m = csr_from_dense(a)
     x = rng.normal(size=n)
-    mask = rng.random(n) < 0.5
     args = (m.values, m.col_indices, m.row_offsets)
     assert np.allclose(
         _kernels.csr_matvec(*args, x), _kernels.csr_matvec_py(*args, x)
-    )
-    assert np.allclose(
-        _kernels.masked_matvec_elliptic(*args, mask, x),
-        _kernels.masked_matvec_elliptic_py(*args, mask, x),
-    )
-    assert np.allclose(
-        _kernels.masked_matvec_parabolic(*args, mask, x),
-        _kernels.masked_matvec_parabolic_py(*args, mask, x),
     )
 
 

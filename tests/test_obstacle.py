@@ -193,6 +193,14 @@ def test_torsion_iteration_count_is_stable():
     assert sol.result.report.outer_iterations == 4
 
 
+def test_torsion_load_that_broke_full_space_qmr_converges():
+    # QMR over all n unknowns of the masked operator hit a Lanczos
+    # breakdown on this load; the reduced symmetric step does not
+    sol = obs.solve_obstacle(obs.problem_spec("torsion", c=-17.251034037566676), 50)
+    assert sol.result.status == CONVERGED
+    assert lcp_check(sol.disc.T, sol.disc.b, sol.result.y).passed
+
+
 def test_parabolic_run_shape_and_stationary_limit():
     spec = obs.problem_spec("tent")
     run = obs.run_parabolic(spec, 5, tau=1.0e4, nu=10)

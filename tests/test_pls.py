@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import csr_from_dense, path_laplacian, random_t1
+from helpers import csr_from_dense, path_laplacian, random_symmetric_t1, random_t1
 
 from plskit import (
     ELLIPTIC,
@@ -166,21 +166,27 @@ def test_shifted_complement_form():
 
 
 def test_active_counts_grow_monotonically():
+    # nonsymmetric T takes the QMR inner path, symmetric T the CG path
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        n = int(rng.integers(3, 11))
-        t = random_t1(rng, n)
-        b = rng.normal(size=n)
-        for solve, kind in (
-            (solve_elliptic_pls, ELLIPTIC),
-            (solve_parabolic_pls, PARABOLIC),
-        ):
-            sol = solve(PlsProblem(t, b, kind=kind))
-            counts = sol.report.active_counts
-            assert counts[0] == 0
-            assert all(a <= c for a, c in zip(counts, counts[1:]))
-            assert sol.report.outer_iterations <= n
-            assert lcp_check(t, b, sol.y, kind=kind).passed
+    for make_t in (random_t1, random_symmetric_t1):
+        for _ in range(10):
+            n = int(rng.integers(3, 11))
+            t = make_t(rng, n)
+            assert t.is_symmetric() == (make_t is random_symmetric_t1)
+            b = rng.normal(size=n)
+            for solve, kind in (
+                (solve_elliptic_pls, ELLIPTIC),
+                (solve_parabolic_pls, PARABOLIC),
+            ):
+                sol = solve(PlsProblem(t, b, kind=kind))
+                counts = sol.report.active_counts
+                assert counts[0] == 0
+                assert all(a <= c for a, c in zip(counts, counts[1:]))
+                # the sharp bound: n mask growths plus one confirming solve,
+                # and the run must stop on a stable mask, not on max_outer
+                assert sol.report.outer_iterations <= n + 1
+                assert sol.status != MAX_OUTER_EXCEEDED
+                assert lcp_check(t, b, sol.y, kind=kind).passed
 
 
 def test_solve_count_reaches_the_sharp_bound_n_plus_one():
@@ -219,7 +225,7 @@ def test_max_outer_cap_reports_instead_of_looping():
 
 def test_unclassified_infeasible_t2_system_fails_loudly():
     # without t2_data the solver iterates on an unsolvable system; the
-    # masked operators go singular and the inner solver gives up
+    # reduced step system goes singular and the inner solver gives up
     problem = PlsProblem(path_laplacian(4), np.ones(4))
     with pytest.raises((Breakdown, NotConverged)):
         solve_elliptic_pls(problem)
