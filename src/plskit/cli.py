@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 certified-unsolvable system, 1 runtime errors,
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -459,11 +460,18 @@ def main(argv=None):
     handler = {"solve": cmd_solve, "bench": cmd_bench,
                "check": cmd_check, "oracle": cmd_oracle}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 64
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so the flush at
+        # interpreter exit does not raise again, and leave quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TooLarge, NotConverged, Breakdown, ValueError, OSError) as exc:
         print(f"plskit: error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ JACOBI = "jacobi"
 
 _PIVOT_FLOOR = 1e-300  # below this a Lanczos pivot counts as a breakdown
 _STALL_WINDOW = 60  # sweep iterations without a new best residual
+_CG_STALLS = 2  # CG restarts in a row without a new best residual
 
 
 @dataclass
@@ -218,8 +219,10 @@ def cg_solve(op, b, x0=None, opts=None):
     to look: convergence is confirmed on the true residual, and when the
     two disagree the iteration restarts from the true residual. A
     nonpositive curvature p^T A p (or r^T D^-1 r under Jacobi) raises
-    Breakdown and a spent iteration budget raises NotConverged, both
-    carrying the best iterate and its stats.
+    Breakdown; a spent iteration budget, or two restarts in a row that
+    do not lower the best true residual (the tolerance is below the
+    attainable accuracy), raise NotConverged. Both carry the best iterate
+    and its stats.
     """
     opts = opts or KrylovOptions()
     b = np.asarray(b, dtype=np.float64)
@@ -233,10 +236,13 @@ def cg_solve(op, b, x0=None, opts=None):
     res = float(np.linalg.norm(r))
     x_best, res_best = x.copy(), res
     used = 0
+    stalls = 0  # consecutive runs that did not lower res_best
     while res > tol:
-        if used >= budget:
+        if used >= budget or stalls >= _CG_STALLS:
             raise NotConverged(
-                f"no convergence within {budget} iterations",
+                f"no convergence within {budget} iterations"
+                if used >= budget
+                else f"no convergence within {used} iterations (stalled)",
                 x_best,
                 KrylovStats(used, res_best, False, False),
             )
@@ -264,6 +270,9 @@ def cg_solve(op, b, x0=None, opts=None):
         res = float(np.linalg.norm(r))
         if res < res_best:
             x_best, res_best = x.copy(), res
+            stalls = 0
+        else:
+            stalls += 1
         if broke and res > tol:
             raise Breakdown(
                 "nonpositive curvature; the operator is not positive definite",

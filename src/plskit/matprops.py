@@ -7,7 +7,6 @@ positive left/right null spaces whose diagonal perturbations are M-matrices
 the numerics cannot separate the cases.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ NO_SOLUTION = "NoSolution"
 
 _DENSE_SOLVE_LIMIT = 1024  # dense inverse iteration below this dimension
 _SEPARATION = 1e-10  # relative spectral gap needed for a t1 verdict
+_DOMINANCE_ULPS = 16.0  # row sums within this many ulps of sum |T_kj| are zero
 
 
 class InvalidNullVector(ValueError):
@@ -64,23 +64,36 @@ def _off_diagonal_sign_ok(matrix):
 
 
 def _is_connected(matrix):
-    """Connectivity of the symmetrized sparsity pattern."""
+    """Connectivity of the symmetrized sparsity pattern.
+
+    Breadth-first search one level at a time: the next frontier is every
+    unseen column in the frontier's rows of A and of A^T, sorted so that
+    each node enters once.
+    """
     n = matrix.n_rows
     if n == 0:
         return True
     t = matrix.transpose()
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for mat in (matrix, t):
-            lo, hi = mat.row_offsets[i], mat.row_offsets[i + 1]
-            for j in mat.col_indices[lo:hi]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.concatenate([_row_columns(mat, frontier) for mat in (matrix, t)])
+        reached = np.sort(reached[~seen[reached]])
+        first = np.ones(reached.size, dtype=bool)
+        first[1:] = reached[1:] != reached[:-1]
+        frontier = reached[first]
+        seen[frontier] = True
     return bool(seen.all())
+
+
+def _row_columns(matrix, rows):
+    """Column indices stored in the given rows, row after row."""
+    starts = matrix.row_offsets[rows]
+    counts = matrix.row_offsets[rows + 1] - starts
+    # entry e of the gathered run sits at starts[r] + (e - begin of run r)
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return matrix.col_indices[np.arange(shift.size) + shift]
 
 
 def _shifted_power_bounds(matrix, alpha, max_iters):
@@ -134,8 +147,11 @@ def check_t1(matrix):
     alpha = float(diag.max())
     report.alpha = alpha
 
+    # a row sum counts as positive only above the rounding noise of the
+    # sum that formed it, or a singular Laplacian would pass as dominant
     row_sums = spmv(matrix, np.ones(matrix.n_cols))
-    if np.all(row_sums >= 0.0) and np.any(row_sums > 0.0):
+    noise = _DOMINANCE_ULPS * np.finfo(np.float64).eps * matrix.abs_row_sums()
+    if np.all(row_sums >= 0.0) and np.any(row_sums > noise):
         report.t1_verdict = PROVEN
         report.notes = ("irreducibly diagonally dominant",)
         # short power run just to report an estimate; the lower Collatz

@@ -5,6 +5,8 @@ set (with a unit shift on its diagonal for the parabolic form);
 `principal_submatrix` slices it in one pass over the stored entries.
 """
 
+import weakref
+
 import numpy as np
 
 from . import _kernels
@@ -60,11 +62,17 @@ class SparseMatrix:
         return spmv(self.transpose(), x)
 
     def transpose(self):
-        if self._transpose is None:
+        """A^T, cached. A holds A^T but A^T links back to A only weakly,
+        so the pair is no reference cycle and A is freed as soon as its
+        last user drops it."""
+        t = self._transpose
+        if isinstance(t, weakref.ref):
+            t = t()
+        if t is None:
             t = self._transposed()
-            t._transpose = self
+            t._transpose = weakref.ref(self)
             self._transpose = t
-        return self._transpose
+        return t
 
     def _transposed(self):
         return _csr_from_arrays(
@@ -82,8 +90,8 @@ class SparseMatrix:
         """Exact test A == A^T, made once per matrix.
 
         Rows are canonical, so A^T must have the same arrays. A^T is built
-        outside the transpose cache, which would tie A and A^T in a
-        reference cycle that only the garbage collector frees.
+        outside the transpose cache, so a symmetric A does not keep a
+        second copy of itself alive.
         """
         if self._symmetric is None:
             t = self._transposed()
@@ -126,12 +134,14 @@ class SparseMatrix:
             self.n_cols,
         )
 
+    def abs_row_sums(self):
+        """sum_j |A_ij| for each row i."""
+        return _kernels._row_sums(np.abs(self.values), self.row_offsets)
+
     def norm_inf(self):
         if self.nnz == 0:
             return 0.0
-        return float(
-            np.max(_kernels._row_sums(np.abs(self.values), self.row_offsets))
-        )
+        return float(np.max(self.abs_row_sums()))
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_cols))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krylov import JACOBI, KrylovOptions
-from .numkit import ELLIPTIC, PARABOLIC, SparseMatrix, csr_from_triplets, spmv
+from .numkit import ELLIPTIC, PARABOLIC, SparseMatrix, _csr_from_arrays, spmv
 from .pls import (
     PlsProblem,
     PlsSolution,
@@ -76,6 +76,15 @@ class Grid2D:
 
 @dataclass
 class ObstacleSpec:
+    """One obstacle problem on a rectangle.
+
+    `psi`, `f` and `flux` are called with numpy arrays x, y of node (or
+    boundary point) coordinates and must work elementwise, e.g. with
+    np.minimum and np.abs in place of min and abs. A scalar result is
+    broadcast to every node, so a constant lambda is fine. They are also
+    called with plain floats when the solution is written out.
+    """
+
     name: str
     domain: tuple  # (x0, x1, y0, y1)
     psi: object  # callable (x, y) -> obstacle height
@@ -87,7 +96,7 @@ class ObstacleSpec:
 
 
 def _tent_psi(x, y):
-    return min(1.0 - abs(x), 2.0 - abs(y))
+    return np.minimum(1.0 - np.abs(x), 2.0 - np.abs(y))
 
 
 def problem_spec(name, c=None):
@@ -106,7 +115,7 @@ def problem_spec(name, c=None):
             raise ValueError("the torsion load constant must be negative")
 
         def psi(x, y):
-            return -min(x, 1.0 - x, y, 1.0 - y)
+            return -np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
 
         if name == TORSION:
             return ObstacleSpec(TORSION, (0.0, 1.0, 0.0, 1.0), psi,
@@ -155,30 +164,35 @@ def assemble_elliptic(spec, n):
     cy = 1.0 / dy**2
     neumann = spec.bc_kind == NEUMANN
     size = grid.n
-    triplets = []
-    f_vec = np.empty(size)
-    psi_vec = np.empty(size)
-    for k in range(size):
-        j, i = divmod(k, n)
-        x, y = grid.node_xy(k)
-        f_vec[k] = spec.f(x, y)
-        psi_vec[k] = spec.psi(x, y)
-        diag = 2.0 * cx + 2.0 * cy
-        for di, dj, c in ((-1, 0, cx), (1, 0, cx), (0, -1, cy), (0, 1, cy)):
-            ii, jj = i + di, j + dj
-            if 0 <= ii < n and 0 <= jj < n:
-                triplets.append((k, jj * n + ii, -c))
-            elif neumann:
-                # ghost elimination u_B = u_adj + h g keeps T symmetric
-                diag -= c
-                h = dx if di else dy
-                bx = x + di * dx if di else x
-                by = y + dj * dy if dj else y
-                f_vec[k] += c * h * spec.flux(bx, by)
-            else:
-                f_vec[k] += c * spec.bc_value
-        triplets.append((k, k, diag))
-    T = csr_from_triplets(triplets, size, size)
+    k = np.arange(size, dtype=np.int64)
+    j, i = np.divmod(k, n)
+    x = x0 + (i + 1) * dx
+    y = y0 + (j + 1) * dy
+    f_vec = _on_nodes(spec.f, x, y)
+    psi_vec = _on_nodes(spec.psi, x, y)
+    diag = np.full(size, 2.0 * cx + 2.0 * cy)
+    rows, cols, vals = [], [], []
+    # one direction at a time, in this order, so diag and f_vec round as a
+    # node-by-node loop does; a Kronecker sum would round the Neumann
+    # diagonal differently, and b's exact zeros depend on those bits
+    for di, dj, c in ((-1, 0, cx), (1, 0, cx), (0, -1, cy), (0, 1, cy)):
+        ii, jj = i + di, j + dj
+        inside = (0 <= ii) & (ii < n) & (0 <= jj) & (jj < n)
+        rows.append(k[inside])
+        cols.append((jj * n + ii)[inside])
+        vals.append(np.full(rows[-1].size, -c))
+        out = ~inside
+        if neumann:
+            # ghost elimination u_B = u_adj + h g keeps T symmetric
+            diag[out] -= c
+            h = dx if di else dy
+            bx = x[out] + di * dx if di else x[out]
+            by = y[out] + dj * dy if dj else y[out]
+            f_vec[out] += c * h * _on_nodes(spec.flux, bx, by)
+        else:
+            f_vec[out] += c * spec.bc_value
+    T = _csr_from_arrays(np.concatenate(rows + [k]), np.concatenate(cols + [k]),
+                         np.concatenate(vals + [diag]), size, size)
     b = f_vec - spmv(T, psi_vec)
     scale = np.abs(f_vec) + spmv(
         SparseMatrix(size, size, T.row_offsets, T.col_indices, np.abs(T.values)),
@@ -187,6 +201,12 @@ def assemble_elliptic(spec, n):
     b[np.abs(b) <= _ZERO_ULPS * np.finfo(np.float64).eps * scale] = 0.0
     t2_data = (np.ones(size), np.ones(size)) if neumann else None
     return DiscreteObstacle(spec, grid, T, f_vec, psi_vec, b, t2_data)
+
+
+def _on_nodes(func, x, y):
+    """func evaluated on the node arrays x, y as a fresh float64 array;
+    a callable that returns a constant is broadcast to every node."""
+    return np.array(np.broadcast_to(func(x, y), x.shape), dtype=np.float64)
 
 
 def coincidence_set(u, psi, coin_tol=1e-8):

@@ -1,8 +1,12 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the per-node loops that the
+vectorized assembly and connectivity check are compared against."""
+
+from collections import deque
 
 import numpy as np
 
-from plskit import csr_from_triplets
+from plskit import SparseMatrix, csr_from_triplets, spmv
+from plskit import obstacle as obs
 
 
 def csr_from_dense(a):
@@ -53,3 +57,68 @@ def random_symmetric_t1(rng, n):
     a = a + a.T
     np.fill_diagonal(a, -a.sum(axis=1) + rng.random(n) + 0.1)
     return csr_from_dense(a)
+
+
+def loop_assembly(spec, n):
+    """Reference for obstacle.assemble_elliptic: one node at a time, the
+    four neighbours in the order -x, +x, -y, +y. Returns
+    (T, f_vec, psi_vec, b) with b's exact zeros made exact as there."""
+    x0, x1, y0, y1 = spec.domain
+    dx = (x1 - x0) / (n + 1)
+    dy = (y1 - y0) / (n + 1)
+    grid = obs.Grid2D(n, n, dx, dy, x0, y0)
+    cx = 1.0 / dx**2
+    cy = 1.0 / dy**2
+    neumann = spec.bc_kind == obs.NEUMANN
+    size = grid.n
+    triplets = []
+    f_vec = np.empty(size)
+    psi_vec = np.empty(size)
+    for k in range(size):
+        j, i = divmod(k, n)
+        x, y = grid.node_xy(k)
+        f_vec[k] = spec.f(x, y)
+        psi_vec[k] = spec.psi(x, y)
+        diag = 2.0 * cx + 2.0 * cy
+        for di, dj, c in ((-1, 0, cx), (1, 0, cx), (0, -1, cy), (0, 1, cy)):
+            ii, jj = i + di, j + dj
+            if 0 <= ii < n and 0 <= jj < n:
+                triplets.append((k, jj * n + ii, -c))
+            elif neumann:
+                diag -= c
+                h = dx if di else dy
+                bx = x + di * dx if di else x
+                by = y + dj * dy if dj else y
+                f_vec[k] += c * h * spec.flux(bx, by)
+            else:
+                f_vec[k] += c * spec.bc_value
+        triplets.append((k, k, diag))
+    T = csr_from_triplets(triplets, size, size)
+    b = f_vec - spmv(T, psi_vec)
+    scale = np.abs(f_vec) + spmv(
+        SparseMatrix(size, size, T.row_offsets, T.col_indices, np.abs(T.values)),
+        np.abs(psi_vec),
+    )
+    b[np.abs(b) <= 16.0 * np.finfo(np.float64).eps * scale] = 0.0
+    return T, f_vec, psi_vec, b
+
+
+def queue_is_connected(matrix):
+    """Reference for matprops._is_connected: breadth-first search one
+    node at a time over the rows of A and of A^T."""
+    n = matrix.n_rows
+    if n == 0:
+        return True
+    t = matrix.transpose()
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for mat in (matrix, t):
+            lo, hi = mat.row_offsets[i], mat.row_offsets[i + 1]
+            for j in mat.col_indices[lo:hi]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+    return bool(seen.all())

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import plskit
 from plskit.cli import main
 
 
@@ -133,6 +138,33 @@ def test_check_neumann_matrix_reports_solvability(capsys):
     assert float(report["left_null_min"]) > 0.0
     assert report["solvability"] == "Unique"
     assert float(report["vtb"]) < 0.0
+
+
+def test_check_tent_neumann_is_not_certified_t1(capsys):
+    # its row sums are rounding noise (about 1.4e-14), not dominance
+    rc = main(["check", "--problem", "tent-neumann", "--n", "25"])
+    assert rc == 0
+    report = kv(capsys.readouterr().out)
+    assert report["t1_verdict"] != "Proven"
+    assert report["t2_verdict"] == "Proven"
+    assert report["solvability"] == "Unique"
+    assert main(["check", "--problem", "tent", "--n", "25"]) == 0
+    assert kv(capsys.readouterr().out)["t1_verdict"] == "Proven"
+
+
+def test_closed_pipe_exits_quietly():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(plskit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "plskit.cli", "solve", "--problem", "tent",
+         "--n", "10", "--tau", "1e3", "--nu", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first line
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 def test_check_matrix_market_file(tmp_path, capsys):

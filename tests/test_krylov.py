@@ -205,3 +205,20 @@ def test_spd_laplacian_converges_with_defaults():
     x, stats = qmr_solve(csr_from_dense(a), b)
     assert stats.converged
     assert np.allclose(x, np.linalg.solve(a, b))
+
+
+def test_cg_stops_when_restarts_stall():
+    # below the attainable accuracy every restart from the true residual
+    # ends after an iteration or so without a new best residual; two such
+    # restarts in a row end the solve instead of the 10 n budget
+    n = 100
+    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    b = np.random.default_rng(0).standard_normal(n)
+    with pytest.raises(NotConverged, match="stalled") as err:
+        cg_solve(csr_from_dense(a), b, opts=KrylovOptions(rel_tol=1e-14))
+    stats = err.value.stats
+    assert stats.iterations <= 2 * n
+    assert not stats.converged
+    x = err.value.x
+    assert np.linalg.norm(b - a @ x) == pytest.approx(stats.final_residual_norm, rel=1e-12)
+    assert stats.final_residual_norm <= 1e-12 * np.linalg.norm(b)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from helpers import csr_from_dense
@@ -71,6 +74,22 @@ def test_transpose_round_trip_and_cache():
     t = m.transpose()
     assert np.allclose(t.to_dense(), a.T)
     assert t.transpose() is m  # cached back-link
+
+
+def test_transpose_cache_does_not_keep_the_matrix_alive():
+    # A -> A^T is strong and A^T -> A weak, so no cycle is left for the
+    # garbage collector: dropping A frees it at once
+    m = csr_from_dense(np.array([[2.0, -1.0], [0.0, 3.0]]))
+    t = m.transpose()
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert np.array_equal(t.to_dense(), [[2.0, 0.0], [-1.0, 3.0]])
+    assert np.array_equal(t.transpose().to_dense(), [[2.0, -1.0], [0.0, 3.0]])
 
 
 def test_diagonal_add_diagonal_scaled_norm():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import loop_assembly
 
 from plskit import check_t1, check_t2, lcp_check, spmv
 from plskit import obstacle as obs
@@ -256,14 +257,42 @@ def test_full_grid_reconstruction_neumann():
     assert fx[3, 0] == pytest.approx(inner[2, 0] + d.grid.dx)
 
 
-def test_corner_rules_differ_for_varying_flux():
-    # a flux that varies along the boundary makes the two corner paths
-    # pick up different ghost lifts; reconstruction needs no solve
-    spec = obs.ObstacleSpec(
+def _varying_flux_spec():
+    return obs.ObstacleSpec(
         "synthetic", (-1.0, 1.0, -2.0, 2.0), lambda x, y: 0.0,
         lambda x, y: 0.0, obs.NEUMANN, flux=lambda x, y: x,
     )
-    d = obs.assemble_elliptic(spec, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 25])
+def test_assembly_matches_the_node_loop_bit_for_bit(n):
+    specs = [obs.problem_spec(name) for name in obs.PROBLEM_NAMES]
+    specs += [obs.problem_spec("torsion", c=-17.251034037566676),
+              _varying_flux_spec()]
+    # nonzero loads and fluxes on a non-square cell, so the order in which
+    # the boundary terms are added to f shows in the last bits
+    for kind in (obs.DIRICHLET, obs.NEUMANN):
+        specs.append(obs.ObstacleSpec(
+            "rough", (-0.3, 1.1, -2.0, 0.7), lambda x, y: np.sin(3.0 * x) * y,
+            lambda x, y: 0.1 + x * y, kind, bc_value=0.3,
+            flux=lambda x, y: np.cos(x + 2.0 * y),
+        ))
+    for spec in specs:
+        d = obs.assemble_elliptic(spec, n)
+        T, f_vec, psi_vec, b = loop_assembly(spec, n)
+        for got, want in ((d.T.row_offsets, T.row_offsets),
+                          (d.T.col_indices, T.col_indices),
+                          (d.T.values, T.values), (d.f_vec, f_vec),
+                          (d.psi_vec, psi_vec), (d.b, b)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), spec.name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), spec.name
+
+
+def test_corner_rules_differ_for_varying_flux():
+    # a flux that varies along the boundary makes the two corner paths
+    # pick up different ghost lifts; reconstruction needs no solve
+    d = obs.assemble_elliptic(_varying_flux_spec(), 4)
     u = np.arange(16.0)
     fx = obs.full_grid_solution(d, u, obs.CORNER_XEDGE)
     fy = obs.full_grid_solution(d, u, obs.CORNER_YEDGE)
