@@ -3,13 +3,15 @@
 Each outer solver step needs the principal submatrix of T on the active
 set (with a unit shift on its diagonal for the parabolic form);
 `principal_submatrix` slices it in one pass over the stored entries.
+Products are vectorized numpy: a gather, a multiply and a segment sum
+per row.
 """
 
 import weakref
 
 import numpy as np
 
-from . import _kernels
+BACKEND = "numpy"
 
 ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
@@ -136,7 +138,7 @@ class SparseMatrix:
 
     def abs_row_sums(self):
         """sum_j |A_ij| for each row i."""
-        return _kernels._row_sums(np.abs(self.values), self.row_offsets)
+        return _row_sums(np.abs(self.values), self.row_offsets)
 
     def norm_inf(self):
         if self.nnz == 0:
@@ -199,9 +201,18 @@ def spmv(matrix, x):
         raise DimensionError(
             f"matrix is {matrix.shape}, vector has shape {x.shape}"
         )
-    return _kernels.csr_matvec(
-        matrix.values, matrix.col_indices, matrix.row_offsets, x
-    )
+    return _row_sums(matrix.values * x[matrix.col_indices], matrix.row_offsets)
+
+
+def _row_sums(prod, row_offsets):
+    # segment sums that stay exact for empty rows
+    n = row_offsets.size - 1
+    if prod.size == 0:
+        return np.zeros(n)
+    starts = np.minimum(row_offsets[:-1], prod.size - 1)
+    out = np.add.reduceat(prod, starts)
+    out[row_offsets[:-1] == row_offsets[1:]] = 0.0
+    return out
 
 
 def principal_submatrix(matrix, mask, shift=0.0):

@@ -62,8 +62,6 @@ class PlsProblem:
     T: object
     b: np.ndarray
     kind: str = ELLIPTIC
-    shift: np.ndarray | None = None
-    shift_form: str | None = None
     t2_data: tuple | None = None
 
     def __post_init__(self):
@@ -74,10 +72,6 @@ class PlsProblem:
             raise DimensionError("right-hand side length must match the matrix")
         if self.kind not in (ELLIPTIC, PARABOLIC):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if (self.shift is None) != (self.shift_form is None):
-            raise ValueError("shift and shift_form must be given together")
-        if self.shift_form not in (None, MIN_PLUS_TMAX, MAX_PLUS_TMIN):
-            raise ValueError(f"unknown shift form {self.shift_form!r}")
 
 
 @dataclass
@@ -111,18 +105,6 @@ class SolverOptions:
             raise ValueError("max_outer must be at least 1")
 
 
-def _form_residual(T, b, x, kind, complement):
-    pos = np.maximum(x, 0.0)
-    neg = np.minimum(x, 0.0)
-    if kind == PARABOLIC:
-        r = x + spmv(T, pos) - b
-    elif complement:
-        r = pos + spmv(T, neg) - b
-    else:
-        r = neg + spmv(T, pos) - b
-    return float(np.abs(r).max()) if r.size else 0.0
-
-
 def _lift(T, b, mask, x_active):
     """Full iterate from the active part: x_I = b_I - (T x~)_I, where x~
     is x_active scattered into zeros."""
@@ -145,7 +127,7 @@ def _step(T, b, kind, mask, x, inner, kopts):
 
 
 def _picard(T, b, kind, opts, complement=False):
-    """Masked Picard loop; returns the iterate, the report, and stability.
+    """Masked Picard loop; returns the PlsSolution.
 
     The operator mask starts empty and each step is rebuilt from the signs
     of the new iterate (complemented for the MaxPlusTMin form), joined with
@@ -153,7 +135,8 @@ def _picard(T, b, kind, opts, complement=False):
     repeats or flips only at exact zeros; each linear solve is warm-started
     from the previous iterate. The inner tolerance is measured against the
     full ||b|| and the default budget stays 10 n, so the reduced solve meets
-    the same residual bound as a solve over all n unknowns.
+    the same residual bound as a solve over all n unknowns. A stable mask
+    whose nonsmooth residual misses the gate raises NotConverged.
     """
     n = T.n_rows
     inner = cg_solve if T.is_symmetric() else qmr_solve
@@ -164,6 +147,8 @@ def _picard(T, b, kind, opts, complement=False):
         abs_tol=given.rel_tol * float(np.linalg.norm(b)) + given.abs_tol,
         max_iters=given.max_iters if given.max_iters is not None else 10 * max(n, 1),
     )
+    gate = _residual_gate(b, opts)
+    form = MAX_PLUS_TMIN if complement else MIN_PLUS_TMAX
     x = np.zeros(n)
     opmask = np.zeros(n, dtype=bool)
     active_counts = [0]
@@ -181,7 +166,7 @@ def _picard(T, b, kind, opts, complement=False):
         if opts.enforce_monotone_mask:
             newmask = newmask | opmask
         active_counts.append(int(newmask.sum()))
-        residual_history.append(_form_residual(T, b, x, kind, complement))
+        residual_history.append(residual_nonsmooth(T, b, x, kind, form=form))
         if np.array_equal(newmask, opmask):
             stable = True
             break
@@ -192,31 +177,27 @@ def _picard(T, b, kind, opts, complement=False):
         flipped = np.abs(x[newmask != opmask]).max()
         if (
             flipped <= 4.0 * np.finfo(np.float64).eps * np.abs(x).max()
-            and residual_history[-1] <= _residual_gate(b, opts)
+            and residual_history[-1] <= gate
         ):
             stable = True
             break
         opmask = newmask
     report = IterationReport(outer, active_counts, inner_stats, residual_history)
-    return x, report, stable
+    if not stable:
+        return PlsSolution(x, np.maximum(x, 0.0), MAX_OUTER_EXCEEDED, report)
+    if residual_history[-1] > gate:
+        raise NotConverged(
+            "mask stabilized but the nonsmooth residual misses the gate; "
+            "tighten the inner tolerance",
+            x,
+            inner_stats[-1],
+        )
+    return PlsSolution(x, np.maximum(x, 0.0), CONVERGED, report)
 
 
 def _residual_gate(b, opts):
     scale = float(np.abs(b).max()) if b.size else 0.0
     return opts.res_tol * (scale if scale > 0.0 else 1.0)
-
-
-def _finish(x, report, stable, b, opts, residual):
-    if not stable:
-        return PlsSolution(x, np.maximum(x, 0.0), MAX_OUTER_EXCEEDED, report)
-    if residual > _residual_gate(b, opts):
-        raise NotConverged(
-            "mask stabilized but the nonsmooth residual misses the gate; "
-            "tighten the inner tolerance",
-            x,
-            report.inner_stats[-1] if report.inner_stats else None,
-        )
-    return PlsSolution(x, np.maximum(x, 0.0), CONVERGED, report)
 
 
 def solve_elliptic_pls(problem, opts=None):
@@ -240,21 +221,17 @@ def solve_elliptic_pls(problem, opts=None):
             return PlsSolution(zero, zero.copy(), NO_SOLUTION_CERTIFIED, report)
         if solvability.verdict == FAMILY_ALONG_W:
             family = as_vector(w)
-    x, report, stable = _picard(problem.T, problem.b, ELLIPTIC, opts)
-    report.solvability = solvability
-    report.family_direction = family
-    residual = report.residual_history[-1] if report.residual_history else 0.0
-    return _finish(x, report, stable, problem.b, opts, residual)
+    sol = _picard(problem.T, problem.b, ELLIPTIC, opts)
+    sol.report.solvability = solvability
+    sol.report.family_direction = family
+    return sol
 
 
 def solve_parabolic_pls(problem, opts=None):
     """Solve x + T max{0,x} = b; this form always has a unique solution."""
     if problem.kind != PARABOLIC:
         raise ValueError("problem kind must be parabolic")
-    opts = opts or SolverOptions()
-    x, report, stable = _picard(problem.T, problem.b, PARABOLIC, opts)
-    residual = report.residual_history[-1] if report.residual_history else 0.0
-    return _finish(x, report, stable, problem.b, opts, residual)
+    return _picard(problem.T, problem.b, PARABOLIC, opts or SolverOptions())
 
 
 def solve_shifted(T, b, xi, form, opts=None):
@@ -263,7 +240,8 @@ def solve_shifted(T, b, xi, form, opts=None):
     MinPlusTMax: min{xi,x} + T max{xi,x} = b. MaxPlusTMin swaps min and
     max. Both reduce to the plain elliptic iteration in z = x - xi with
     right-hand side b - (I+T) xi; the second form runs on the complemented
-    mask. Returns the solution in the unshifted variable.
+    mask. The solution, and the iterate carried by NotConverged or
+    Breakdown, are in the unshifted variable x = z + xi.
     """
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
@@ -273,20 +251,13 @@ def solve_shifted(T, b, xi, form, opts=None):
     if b.size != T.n_rows or xi.size != T.n_rows:
         raise DimensionError("operand lengths must match the matrix")
     b2 = b - xi - spmv(T, xi)
-    z, report, stable = _picard(T, b2, ELLIPTIC, opts, complement=(form == MAX_PLUS_TMIN))
-    x = z + xi
-    y = np.maximum(z, 0.0)
-    if not stable:
-        return PlsSolution(x, y, MAX_OUTER_EXCEEDED, report)
-    residual = report.residual_history[-1] if report.residual_history else 0.0
-    if residual > _residual_gate(b2, opts):
-        raise NotConverged(
-            "mask stabilized but the nonsmooth residual misses the gate; "
-            "tighten the inner tolerance",
-            x,
-            report.inner_stats[-1] if report.inner_stats else None,
-        )
-    return PlsSolution(x, y, CONVERGED, report)
+    try:
+        sol = _picard(T, b2, ELLIPTIC, opts, complement=(form == MAX_PLUS_TMIN))
+    except (NotConverged, Breakdown) as exc:
+        exc.x = exc.x + xi
+        raise
+    sol.x = sol.x + xi
+    return sol
 
 
 def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):

@@ -152,19 +152,39 @@ def test_check_tent_neumann_is_not_certified_t1(capsys):
     assert kv(capsys.readouterr().out)["t1_verdict"] == "Proven"
 
 
-def test_closed_pipe_exits_quietly():
+def _src_env():
+    """Environment for a fresh interpreter that imports this plskit."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(plskit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_pipe_exits_quietly():
     proc = subprocess.Popen(
         [sys.executable, "-m", "plskit.cli", "solve", "--problem", "tent",
          "--n", "10", "--tau", "1e3", "--nu", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     proc.stdout.close()  # the reader is gone before the first line
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 1
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # a cold scipy.sparse import alone costs more than a whole CLI start,
+    # so the solve path may pull in nothing beyond numpy
+    code = (
+        "import sys; before = set(sys.modules); import plskit.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_src_env(), timeout=120, check=True,
+    ).stdout
+    assert out.split() == ["numpy", "plskit"]
 
 
 def test_check_matrix_market_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from plskit import (
     principal_submatrix,
     spmv,
 )
-from plskit import _kernels
 from plskit.numkit import as_vector
 
 
@@ -59,6 +58,11 @@ def test_spmv_matches_dense_including_empty_rows():
     m = csr_from_dense(a)
     x = rng.normal(size=4)
     assert np.allclose(spmv(m, x), a @ x)
+    rng = np.random.default_rng(4)
+    n = 30
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.2)
+    x = rng.normal(size=n)
+    assert np.allclose(spmv(csr_from_dense(a), x), a @ x)
 
 
 def test_rectangular_and_empty_matrices():
@@ -153,18 +157,6 @@ def test_is_symmetric_is_exact():
     a[0, 1] = 0.0  # same values, different pattern
     assert not csr_from_dense(a).is_symmetric()
     assert not csr_from_triplets([(0, 0, 1.0)], 2, 3).is_symmetric()
-
-
-def test_python_kernels_agree_with_selected_backend():
-    rng = np.random.default_rng(4)
-    n = 30
-    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.2)
-    m = csr_from_dense(a)
-    x = rng.normal(size=n)
-    args = (m.values, m.col_indices, m.row_offsets)
-    assert np.allclose(
-        _kernels.csr_matvec(*args, x), _kernels.csr_matvec_py(*args, x)
-    )
 
 
 def test_matrix_market_round_trip(tmp_path):

@@ -18,6 +18,7 @@ from plskit import (
     solve_elliptic_pls,
     solve_parabolic_pls,
     solve_shifted,
+    spmv,
 )
 from plskit.pls import (
     CONVERGED,
@@ -163,6 +164,41 @@ def test_shifted_complement_form():
     assert residual_nonsmooth(
         csr_from_dense(np.array([[2.0]])), [-3.0], sol.x, form=MAX_PLUS_TMIN
     ) <= 1e-10
+
+
+def test_shifted_errors_carry_the_unshifted_iterate():
+    # one inner iteration cannot solve the first nonempty active set; the
+    # failing step's iterate comes back as x = z + xi, like a solution
+    rng = np.random.default_rng(8)
+    t = random_t1(rng, 8)
+    b = rng.normal(size=8)
+    xi = rng.normal(size=8)
+    opts = SolverOptions(krylov=KrylovOptions(max_iters=1))
+    with pytest.raises((NotConverged, Breakdown)) as plain:
+        solve_elliptic_pls(PlsProblem(t, b - xi - spmv(t, xi)), opts)
+    with pytest.raises(type(plain.value)) as shifted:
+        solve_shifted(t, b, xi, MIN_PLUS_TMAX, opts)
+    assert np.array_equal(shifted.value.x, plain.value.x + xi)
+
+
+def test_residual_history_is_residual_nonsmooth():
+    rng = np.random.default_rng(9)
+    t = random_t1(rng, 8)
+    b = rng.normal(size=8)
+    for solve, kind in (
+        (solve_elliptic_pls, ELLIPTIC),
+        (solve_parabolic_pls, PARABOLIC),
+    ):
+        sol = solve(PlsProblem(t, b, kind=kind))
+        assert sol.report.residual_history[-1] == residual_nonsmooth(
+            t, b, sol.x, kind=kind
+        )
+    # a zero shift keeps x = z exactly, so the comparison stays bitwise
+    sol = solve_shifted(t, b, np.zeros(8), MAX_PLUS_TMIN)
+    assert sol.status == CONVERGED
+    assert sol.report.residual_history[-1] == residual_nonsmooth(
+        t, b, sol.x, form=MAX_PLUS_TMIN
+    )
 
 
 def test_active_counts_grow_monotonically():
