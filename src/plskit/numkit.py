@@ -7,6 +7,7 @@ Products are vectorized numpy: a gather, a multiply and a segment sum
 per row.
 """
 
+import warnings
 import weakref
 
 import numpy as np
@@ -247,7 +248,11 @@ def principal_submatrix(matrix, mask, shift=0.0):
 
 
 def load_matrix_market(path):
-    """Read a Matrix Market coordinate file (real, general)."""
+    """Read a Matrix Market coordinate file (real or integer, general).
+
+    A file whose entry count differs from its size line, or with an index
+    outside the declared shape, raises ValueError.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().lower().split()
         if (
@@ -265,12 +270,17 @@ def load_matrix_market(path):
         while line.startswith("%"):
             line = fh.readline()
         n_rows, n_cols, nnz = (int(tok) for tok in line.split())
-        rows = np.empty(nnz, dtype=_INDEX_DTYPE)
-        cols = np.empty(nnz, dtype=_INDEX_DTYPE)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            tok = fh.readline().split()
-            rows[k] = int(tok[0]) - 1
-            cols[k] = int(tok[1]) - 1
-            vals[k] = float(tok[2])
-    return _csr_from_arrays(rows, cols, vals, n_rows, n_cols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no entries
+            entries = np.loadtxt(
+                fh, dtype=[("i", _INDEX_DTYPE), ("j", _INDEX_DTYPE), ("v", np.float64)],
+                comments="%", ndmin=1,
+            )
+    if entries.size != nnz:
+        raise ValueError(f"size line declares {nnz} entries, file has {entries.size}")
+    try:
+        return _csr_from_arrays(
+            entries["i"] - 1, entries["j"] - 1, entries["v"], n_rows, n_cols
+        )
+    except IndexError as exc:
+        raise ValueError(f"entry {exc}") from exc

@@ -59,6 +59,22 @@ def random_symmetric_t1(rng, n):
     return csr_from_dense(a)
 
 
+def random_t2(rng, n):
+    """Random nonsymmetric t2 matrix T = A diag(s) with its null vector.
+
+    A is a Z-matrix with zero row sums on a random pattern that a directed
+    cycle through every node makes irreducible, and s > 0 scales its
+    columns, so T (1/s) = A 1 = 0. Returns (T, 1/s).
+    """
+    a = -rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    cycle = rng.permutation(n)
+    a[cycle, np.roll(cycle, -1)] = -(rng.random(n) + 0.1)
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, -a.sum(axis=1))
+    s = rng.uniform(0.2, 5.0, n)
+    return csr_from_dense(a * s), 1.0 / s
+
+
 def loop_assembly(spec, n):
     """Reference for obstacle.assemble_elliptic: one node at a time, the
     four neighbours in the order -x, +x, -y, +y. Returns
@@ -104,21 +120,23 @@ def loop_assembly(spec, n):
 
 
 def queue_is_connected(matrix):
-    """Reference for matprops._is_connected: breadth-first search one
-    node at a time over the rows of A and of A^T."""
+    """Reference for matprops._is_connected: node 0 reaches every node in
+    a one-node-at-a-time breadth-first search over the rows of A, and in
+    another over the rows of A^T."""
     n = matrix.n_rows
     if n == 0:
         return True
-    t = matrix.transpose()
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for mat in (matrix, t):
+    for mat in (matrix, matrix.transpose()):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
             lo, hi = mat.row_offsets[i], mat.row_offsets[i + 1]
             for j in mat.col_indices[lo:hi]:
                 if not seen[j]:
                     seen[j] = True
                     queue.append(j)
-    return bool(seen.all())
+        if not seen.all():
+            return False
+    return True

@@ -141,13 +141,16 @@ def test_check_neumann_matrix_reports_solvability(capsys):
 
 
 def test_check_tent_neumann_is_not_certified_t1(capsys):
-    # its row sums are rounding noise (about 1.4e-14), not dominance
-    rc = main(["check", "--problem", "tent-neumann", "--n", "25"])
-    assert rc == 0
-    report = kv(capsys.readouterr().out)
-    assert report["t1_verdict"] != "Proven"
-    assert report["t2_verdict"] == "Proven"
-    assert report["solvability"] == "Unique"
+    # its row sums are rounding noise (about 1.4e-14), not dominance;
+    # n = 50 puts the t2 certificate above the dense-solve limit
+    for n in ("25", "50"):
+        rc = main(["check", "--problem", "tent-neumann", "--n", n])
+        assert rc == 0
+        report = kv(capsys.readouterr().out)
+        assert report["t1_verdict"] != "Proven"
+        assert report["t2_verdict"] == "Proven"
+        assert "threshold 1e-10" in report["notes"]
+        assert report["solvability"] == "Unique"
     assert main(["check", "--problem", "tent", "--n", "25"]) == 0
     assert kv(capsys.readouterr().out)["t1_verdict"] == "Proven"
 
@@ -201,6 +204,16 @@ def test_check_matrix_market_file(tmp_path, capsys):
 
 def test_check_missing_file_fails(capsys):
     rc = main(["check", "--mm", "no-such-file.mtx"])
+    assert rc == 1
+    assert "plskit: error:" in capsys.readouterr().err
+
+
+def test_check_truncated_matrix_market_file_fails(tmp_path, capsys):
+    path = tmp_path / "short.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 2.0\n"
+    )
+    rc = main(["check", "--mm", str(path)])
     assert rc == 1
     assert "plskit: error:" in capsys.readouterr().err
 

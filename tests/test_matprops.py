@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from helpers import csr_from_dense, path_laplacian, queue_is_connected, random_t1
+from helpers import (
+    csr_from_dense, path_laplacian, queue_is_connected, random_t1, random_t2,
+)
 
 from plskit import check_t1, check_t2, classify_solvability, csr_from_triplets
 from plskit import obstacle as obs
 from plskit.matprops import (
+    _DENSE_SOLVE_LIMIT,
     DISPROVEN,
     INCONCLUSIVE,
     FAMILY_ALONG_W,
@@ -14,7 +17,7 @@ from plskit.matprops import (
     InvalidNullVector,
     _is_connected,
 )
-from plskit.numkit import DimensionError
+from plskit.numkit import DimensionError, SparseMatrix
 
 
 def five_point_laplacian(n):
@@ -106,6 +109,43 @@ def test_t2_null_vectors_are_flat_for_larger_paths():
         assert np.allclose(ratio, np.ones(8), atol=1e-7)
 
 
+def test_reducible_matrices_get_no_certificate():
+    # each pattern is weakly but not strongly connected: node 2 reaches
+    # nodes 0 and 1, but they do not reach it
+    singular = csr_from_dense(np.array([[1.0, -1, 0], [-1, 1, 0], [0, -1, 2]]))
+    assert np.linalg.det(singular.to_dense()) == 0.0
+    rep = check_t1(singular)
+    assert rep.t1_verdict == DISPROVEN
+    assert not rep.is_irreducible
+    assert rep.notes == ("matrix is reducible",)
+    rep = check_t2(csr_from_dense(np.array([[1.0, -1, 0], [-1, 1, 0], [0, -1, 1]])))
+    assert rep.t2_verdict == DISPROVEN
+    assert not rep.is_irreducible
+
+
+def test_t2_proven_on_random_nonsymmetric_family():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        t, w = random_t2(rng, int(rng.integers(2, 40)))
+        rep = check_t2(t)
+        assert rep.t2_verdict == PROVEN
+        assert np.allclose(rep.right_null, w / w.max(), rtol=1e-8, atol=0)
+        assert rep.left_null.min() > 0.0
+
+
+def test_t2_proven_on_column_scaled_neumann_matrix():
+    # nonsymmetric and above the dense limit, so QMR finds both vectors
+    t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), 33).T
+    s = np.random.default_rng(5).uniform(0.5, 2.0, t.n_cols)
+    scaled = SparseMatrix(t.n_rows, t.n_cols, t.row_offsets, t.col_indices,
+                          t.values * s[t.col_indices])
+    assert t.n_rows > _DENSE_SOLVE_LIMIT and not scaled.is_symmetric()
+    rep = check_t2(scaled)
+    assert rep.t2_verdict == PROVEN
+    assert np.allclose(rep.right_null, (1 / s) / (1 / s).max(), rtol=1e-8, atol=0)
+    assert rep.left_null.min() > 0.0
+
+
 def test_t2_disproven_on_nonsingular_matrix():
     rep = check_t2(csr_from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]])))
     assert rep.t2_verdict == DISPROVEN
@@ -158,9 +198,11 @@ def test_is_connected_matches_the_queue_search():
     for _ in range(40):
         n = int(rng.integers(2, 40))
         order = rng.permutation(n)
-        # one-way chain through every node, then with one link cut
+        # one-way chain through every node, closed into a directed cycle,
+        # then with one link cut
         chain = list(zip(order[:-1], order[1:]))
         cases.append(_pattern(n, chain))
+        cases.append(_pattern(n, chain + [(order[-1], order[0])]))
         cut = int(rng.integers(0, n - 1))
         cases.append(_pattern(n, chain[:cut] + chain[cut + 1:]))
         # two blocks: disconnected, then joined by a single one-way edge

@@ -182,6 +182,22 @@ def test_matrix_market_integer_is_accepted(tmp_path):
     assert load_matrix_market(path).to_dense()[0, 0] == 7.0
 
 
+def test_matrix_market_entry_count_and_indices_are_checked(tmp_path):
+    head = "%%MatrixMarket matrix coordinate real general\n"
+    for body in (
+        "2 2 3\n1 1 2.0\n2 2 1.0\n",  # short
+        "2 2 1\n1 1 2.0\n2 2 1.0\n",  # long
+        "2 2 2\n1 1 2.0\n3 1 1.0\n",  # row out of range
+        "2 2 2\n1 1 2.0\n1 0 1.0\n",  # column below 1
+    ):
+        path = tmp_path / "bad.mtx"
+        path.write_text(head + body)
+        with pytest.raises(ValueError):
+            load_matrix_market(path)
+    path.write_text(head + "2 2 0\n")
+    assert load_matrix_market(path).nnz == 0
+
+
 def test_matrix_market_rejects_unsupported_headers(tmp_path):
     for header in (
         "%%MatrixMarket matrix coordinate complex general",

@@ -154,6 +154,12 @@ def test_neumann_matrix_satisfies_t2_and_shifted_t1():
     assert rep.t2_verdict == "Proven"
     for vec in (rep.left_null, rep.right_null):
         assert np.allclose(vec / vec[0], np.ones(d.grid.n), atol=1e-7)
+    # every table size, on both sides of the dense-solve limit
+    for name in ("tent-neumann", "torsion-neumann"):
+        for n in (25, 50, 75, 100, 200):
+            rep = check_t2(obs.assemble_elliptic(obs.problem_spec(name), n).T)
+            assert rep.t2_verdict == "Proven", (name, n, rep.notes)
+            assert rep.left_null.min() > 0.0 and rep.right_null.min() > 0.0
     # the backward Euler matrix I + dt T is an M-matrix again
     stepped = d.T.scaled(1.0e4 / 20.0).add_diagonal(1.0)
     assert check_t1(stepped).t1_verdict == "Proven"
