@@ -133,9 +133,11 @@ def test_t2_proven_on_random_nonsymmetric_family():
         assert rep.left_null.min() > 0.0
 
 
-def test_t2_proven_on_column_scaled_neumann_matrix():
-    # nonsymmetric and above the dense limit, so QMR finds both vectors
-    t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), 33).T
+@pytest.mark.parametrize("n", [33, 200])
+def test_t2_proven_on_column_scaled_neumann_matrix(n):
+    # nonsymmetric and above the dense limit, so QMR finds both vectors,
+    # up to the largest table size
+    t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), n).T
     s = np.random.default_rng(5).uniform(0.5, 2.0, t.n_cols)
     scaled = SparseMatrix(t.n_rows, t.n_cols, t.row_offsets, t.col_indices,
                           t.values * s[t.col_indices])
