@@ -68,6 +68,12 @@ class _BreakdownSignal(Exception):
     pass
 
 
+def _norm(v):
+    # what np.linalg.norm computes for a 1-d float vector, without its
+    # argument handling
+    return math.sqrt(v @ v)
+
+
 def _jacobi_diag(op):
     d = np.asarray(op.diagonal(), dtype=np.float64)
     safe = np.where(np.abs(d) > 0.0, d, 1.0)
@@ -85,7 +91,7 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, check_every=10):
     the best pair attached when a Lanczos pivot collapses.
     """
     r = b - op.matvec(x)
-    res = float(np.linalg.norm(r))
+    res = _norm(r)
     x_best, res_best = x.copy(), res
     if res <= tol or budget <= 0:
         return x_best, res_best, 0, res <= tol
@@ -94,10 +100,10 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, check_every=10):
         return u * inv_d if inv_d is not None else u
 
     v_t = r.copy()
-    rho = float(np.linalg.norm(v_t))
+    rho = _norm(v_t)
     w_t = r.copy()
     z = precond(w_t)
-    xi = float(np.linalg.norm(z))
+    xi = _norm(z)
     gamma, eta, theta = 1.0, -1.0, 0.0
     eps = 1.0
     p = q = None
@@ -130,10 +136,10 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, check_every=10):
         if abs(beta) < _PIVOT_FLOOR:
             raise _BreakdownSignal(x_best, res_best, used)
         v_t = p_t - beta * v
-        rho_prev, rho = rho, float(np.linalg.norm(v_t))
+        rho_prev, rho = rho, _norm(v_t)
         w_t = op.rmatvec(q) - beta * w
         z = precond(w_t)
-        xi = float(np.linalg.norm(z))
+        xi = _norm(z)
         theta_prev, gamma_prev = theta, gamma
         theta = rho / (gamma * abs(beta))
         gamma = 1.0 / math.sqrt(1.0 + theta * theta)
@@ -151,10 +157,10 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, check_every=10):
         r = r - s_vec
         used += 1
 
-        estimate = float(np.linalg.norm(r))
+        estimate = _norm(r)
         if estimate <= tol or used % check_every == 0 or used == budget:
             r = b - op.matvec(x)  # re-sync on the true residual
-            res = float(np.linalg.norm(r))
+            res = _norm(r)
             if res < res_best:
                 x_best, res_best = x.copy(), res
                 last_gain = used
@@ -178,14 +184,14 @@ def qmr_solve(op, b, x0=None, opts=None):
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    tol = opts.rel_tol * float(np.linalg.norm(b)) + opts.abs_tol
+    tol = opts.rel_tol * _norm(b) + opts.abs_tol
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
     inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
 
     total = 0
     broke = False
     while True:
-        entry_res = float(np.linalg.norm(b - op.matvec(x)))
+        entry_res = _norm(b - op.matvec(x))
         try:
             x, res, used, ok = _qmr_sweep(op, b, x, inv_d, tol, budget - total)
             total += used
@@ -228,12 +234,12 @@ def cg_solve(op, b, x0=None, opts=None):
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    tol = opts.rel_tol * float(np.linalg.norm(b)) + opts.abs_tol
+    tol = opts.rel_tol * _norm(b) + opts.abs_tol
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
     inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
 
     r = b - op.matvec(x)
-    res = float(np.linalg.norm(r))
+    res = _norm(r)
     x_best, res_best = x.copy(), res
     used = 0
     stalls = 0  # consecutive runs that did not lower res_best
@@ -260,14 +266,14 @@ def cg_solve(op, b, x0=None, opts=None):
             x += alpha * p
             r -= alpha * q
             used += 1
-            if float(np.linalg.norm(r)) <= tol:
+            if _norm(r) <= tol:
                 break
             z = r * inv_d if inv_d is not None else r
             rz_next = float(r @ z)
             p = z + (rz_next / rz) * p
             rz = rz_next
         r = b - op.matvec(x)  # re-sync on the true residual
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         if res < res_best:
             x_best, res_best = x.copy(), res
             stalls = 0

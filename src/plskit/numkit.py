@@ -3,8 +3,18 @@
 Each outer solver step needs the principal submatrix of T on the active
 set (with a unit shift on its diagonal for the parabolic form);
 `principal_submatrix` slices it in one pass over the stored entries.
-Products are vectorized numpy: a gather, a multiply and a segment sum
-per row.
+
+CSR is the storage, and products are vectorized numpy. A CSR product is
+a gather, a multiply and one segmented sum (`np.add.reduceat`). The
+sliced operator that the inner Krylov solve multiplies gets a padded
+fixed-width (ELL) layout from `with_ell_layout`, and so does its
+transpose: (r, n) arrays of values and columns, r the longest row,
+padding at the end of each row. Its product is a few long vector
+operations, first entry plus the ordered sum of the rest, which is the
+order `reduceat` adds a row of at most 8 entries in. So both kernels
+give the same bits, signed zeros included. A matrix with a row longer
+than 8 stays on CSR, as do T itself, the slices matprops solves and
+every one-shot product.
 """
 
 import warnings
@@ -18,6 +28,12 @@ ELLIPTIC = "elliptic"
 PARABOLIC = "parabolic"
 
 _INDEX_DTYPE = np.int64  # must hold n up to 1e6 and nnz well beyond
+# reduceat adds a row's first entry to the sum of the rest, and that sum
+# runs in order while it has fewer than 8 terms
+_ELL_MAX_WIDTH = 8
+# what padding columns n and n+1 read: 0 * -0.0 = -0.0 leaves every sum
+# as it is, and an empty row's 0 * 0.0 = 0.0 makes it sum to 0.0
+_ELL_PAD = np.array([-0.0, 0.0])
 
 
 class DimensionError(ValueError):
@@ -49,6 +65,7 @@ class SparseMatrix:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._transpose = None
         self._symmetric = None
+        self._ell = None  # (values, columns) product layout, see with_ell_layout
 
     @property
     def shape(self):
@@ -73,6 +90,8 @@ class SparseMatrix:
             t = t()
         if t is None:
             t = self._transposed()
+            if self._ell is not None:
+                with_ell_layout(t)
             t._transpose = weakref.ref(self)
             self._transpose = t
         return t
@@ -196,24 +215,63 @@ def csr_from_triplets(triplets, n_rows, n_cols):
 
 
 def spmv(matrix, x):
-    """Sparse matrix-vector product in row order."""
+    """Sparse matrix-vector product in row order, through the ELL layout
+    when the matrix has one."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.n_cols,):
         raise DimensionError(
             f"matrix is {matrix.shape}, vector has shape {x.shape}"
         )
-    return _row_sums(matrix.values * x[matrix.col_indices], matrix.row_offsets)
+    if matrix._ell is None:
+        prod = x[matrix.col_indices]
+        prod *= matrix.values
+        return _row_sums(prod, matrix.row_offsets)
+    values, cols = matrix._ell
+    prod = np.concatenate((x, _ELL_PAD))[cols]
+    prod *= values
+    # the rest of each row in order from -0.0, then its first entry:
+    # reduceat's order for rows of at most 8 entries
+    y = np.add.reduce(prod[1:], axis=0, initial=-0.0)
+    y += prod[0]
+    return y
 
 
 def _row_sums(prod, row_offsets):
-    # segment sums that stay exact for empty rows
-    n = row_offsets.size - 1
-    if prod.size == 0:
-        return np.zeros(n)
-    starts = np.minimum(row_offsets[:-1], prod.size - 1)
-    out = np.add.reduceat(prod, starts)
-    out[row_offsets[:-1] == row_offsets[1:]] = 0.0
+    # reduceat cannot start a segment at the end of prod, and it gives an
+    # empty row the entry at its start, so empty rows are summed apart
+    starts = row_offsets[:-1]
+    nonempty = starts < row_offsets[1:]
+    if nonempty.all():
+        return np.add.reduceat(prod, starts)
+    out = np.zeros(starts.size)
+    out[nonempty] = np.add.reduceat(prod, starts[nonempty])
     return out
+
+
+def with_ell_layout(matrix):
+    """Attach the ELL product layout to matrix and return it; a
+    transpose() taken after this gets one too. A matrix with a row longer
+    than _ELL_MAX_WIDTH is left on CSR. Worth it for an operator that
+    takes many products, such as the inner solve's."""
+    n = matrix.n_rows
+    lengths = np.diff(matrix.row_offsets)
+    width = max(int(lengths.max(initial=0)), 2)  # prod[1:] is never empty
+    if width > _ELL_MAX_WIDTH:
+        return matrix
+    # the stored entries, in CSR order, are the first lengths[i] slots of
+    # row i of an (n, width) array in row-major order
+    stored = np.arange(width) < lengths[:, None]
+
+    def padded(entries, pad):
+        rows = np.full((n, width), pad, dtype=entries.dtype)
+        rows[stored] = entries
+        return np.ascontiguousarray(rows.T)
+
+    values = padded(matrix.values, 0.0)
+    cols = padded(matrix.col_indices, matrix.n_cols)
+    cols[0, lengths == 0] = matrix.n_cols + 1
+    matrix._ell = (values, cols)
+    return matrix
 
 
 def principal_submatrix(matrix, mask, shift=0.0):
@@ -248,10 +306,13 @@ def principal_submatrix(matrix, mask, shift=0.0):
 
 
 def load_matrix_market(path):
-    """Read a Matrix Market coordinate file (real or integer, general).
+    """Read a Matrix Market coordinate file (real or integer; general or
+    symmetric).
 
-    A file whose entry count differs from its size line, or with an index
-    outside the declared shape, raises ValueError.
+    A symmetric file stores the lower triangle; each entry below the
+    diagonal is mirrored above it. A file whose entry count differs from
+    its size line, with an index outside the declared shape, or with an
+    entry above the diagonal in a symmetric file raises ValueError.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().lower().split()
@@ -264,7 +325,8 @@ def load_matrix_market(path):
             raise ValueError("not a Matrix Market coordinate file")
         if header[3] not in ("real", "integer"):
             raise ValueError(f"unsupported field type {header[3]!r}")
-        if header[4] != "general":
+        symmetric = header[4] == "symmetric"
+        if header[4] != "general" and not symmetric:
             raise ValueError(f"unsupported symmetry {header[4]!r}")
         line = fh.readline()
         while line.startswith("%"):
@@ -278,9 +340,19 @@ def load_matrix_market(path):
             )
     if entries.size != nnz:
         raise ValueError(f"size line declares {nnz} entries, file has {entries.size}")
-    try:
-        return _csr_from_arrays(
-            entries["i"] - 1, entries["j"] - 1, entries["v"], n_rows, n_cols
+    rows, cols, vals = entries["i"] - 1, entries["j"] - 1, entries["v"]
+    if symmetric:
+        if n_rows != n_cols:
+            raise ValueError("a symmetric matrix must be square")
+        if np.any(cols > rows):
+            raise ValueError("a symmetric file stores only the lower triangle")
+        lower = rows > cols
+        rows, cols, vals = (
+            np.concatenate([rows, cols[lower]]),
+            np.concatenate([cols, rows[lower]]),
+            np.concatenate([vals, vals[lower]]),
         )
+    try:
+        return _csr_from_arrays(rows, cols, vals, n_rows, n_cols)
     except IndexError as exc:
         raise ValueError(f"entry {exc}") from exc

@@ -27,6 +27,7 @@ from .numkit import (
     as_vector,
     principal_submatrix,
     spmv,
+    with_ell_layout,
 )
 from .krylov import Breakdown, KrylovOptions, NotConverged, cg_solve, qmr_solve
 from .matprops import FAMILY_ALONG_W, NO_SOLUTION, classify_solvability
@@ -117,7 +118,7 @@ def _step(T, b, kind, mask, x, inner, kopts):
     """One outer step (I - P + T P) x = b or (I + T P) x = b, solved on the
     active set; an empty mask gives x = b exactly."""
     shift = 1.0 if kind == PARABOLIC else 0.0
-    sub = principal_submatrix(T, mask, shift)
+    sub = with_ell_layout(principal_submatrix(T, mask, shift))
     try:
         x_active, stats = inner(sub, b[mask], x0=x[mask], opts=kopts)
     except (NotConverged, Breakdown) as exc:

@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 from helpers import csr_from_dense
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from plskit import (
     DimensionError,
@@ -12,7 +14,8 @@ from plskit import (
     principal_submatrix,
     spmv,
 )
-from plskit.numkit import as_vector
+from plskit import obstacle as obs
+from plskit.numkit import _csr_from_arrays, _row_sums, as_vector, with_ell_layout
 
 
 def test_triplets_are_summed_sorted_and_zero_free():
@@ -57,6 +60,9 @@ def test_spmv_matches_dense_including_empty_rows():
     a[2, :] = 0.0  # forces an empty stored row
     m = csr_from_dense(a)
     x = rng.normal(size=4)
+    assert np.allclose(spmv(m, x), a @ x)
+    a[4:, :] = 0.0  # trailing empty rows end no segment
+    m = csr_from_dense(a)
     assert np.allclose(spmv(m, x), a @ x)
     rng = np.random.default_rng(4)
     n = 30
@@ -201,10 +207,157 @@ def test_matrix_market_entry_count_and_indices_are_checked(tmp_path):
 def test_matrix_market_rejects_unsupported_headers(tmp_path):
     for header in (
         "%%MatrixMarket matrix coordinate complex general",
-        "%%MatrixMarket matrix coordinate real symmetric",
+        "%%MatrixMarket matrix coordinate real skew-symmetric",
         "%%MatrixMarket matrix array real general",
     ):
         path = tmp_path / "bad.mtx"
         path.write_text(header + "\n1 1 1\n1 1 1.0\n")
         with pytest.raises(ValueError):
             load_matrix_market(path)
+
+
+def test_matrix_market_symmetric_mirrors_the_lower_triangle(tmp_path):
+    a = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, -2.5], [0.0, -2.5, 3.0]])
+    head = "%%MatrixMarket matrix coordinate real"
+    rows, cols = np.nonzero(a)
+    lines = [f"{i + 1} {j + 1} {float(a[i, j])!r}" for i, j in zip(rows, cols)]
+    general = tmp_path / "general.mtx"
+    general.write_text(f"{head} general\n3 3 {len(lines)}\n" + "\n".join(lines))
+    lower = [line for line, i, j in zip(lines, rows, cols) if i >= j]
+    symmetric = tmp_path / "symmetric.mtx"
+    symmetric.write_text(
+        f"{head} symmetric\n% lower triangle\n3 3 {len(lower)}\n" + "\n".join(lower)
+    )
+    g, m = load_matrix_market(general), load_matrix_market(symmetric)
+    assert np.array_equal(m.to_dense(), a)  # the diagonal is kept once
+    for name in ("row_offsets", "col_indices", "values"):
+        assert np.array_equal(getattr(m, name), getattr(g, name))
+    assert m.is_symmetric()
+    for body in ("3 3 2\n1 1 4.0\n1 2 -1.0\n", "2 3 1\n1 1 4.0\n"):
+        symmetric.write_text(f"{head} symmetric\n{body}")  # upper entry, not square
+        with pytest.raises(ValueError):
+            load_matrix_market(symmetric)
+
+
+# The ELL product must give the CSR kernel's bits. It relies on numpy's
+# reduceat adding a row's first entry to the in-order sum of the rest;
+# if a numpy release changes that order, these tests fail first.
+
+def _csr_product(m, x):
+    return _row_sums(m.values * x[m.col_indices], m.row_offsets)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _obstacle_matrix(name, n):
+    c = -10.0 if name.startswith("torsion") else None
+    return obs.assemble_elliptic(obs.problem_spec(name, c), n).T
+
+
+@pytest.mark.parametrize("n", [25, 50])
+@pytest.mark.parametrize("name", obs.PROBLEM_NAMES)
+def test_ell_product_matches_csr_bits_on_obstacle_matrices(name, n):
+    rng = np.random.default_rng(n)
+    T = _obstacle_matrix(name, n)
+    for p in (1.0, 0.9, 0.5, 0.05):
+        mask = rng.random(T.n_rows) < p
+        for shift in (0.0, 1.0):
+            sub = principal_submatrix(T, mask, shift)
+            assert sub._ell is None  # a slice is CSR until the solver asks
+            for m in (with_ell_layout(sub), sub.transpose()):
+                assert m._ell is not None
+                x = rng.normal(size=m.n_cols)
+                assert _same_bits(spmv(m, x), _csr_product(m, x))
+    assert T._ell is None  # T itself stays on CSR
+
+
+def _random_rows(rng, n, lengths):
+    """Square CSR matrix whose row i has lengths[i] entries."""
+    rows = np.repeat(np.arange(n), lengths)
+    cols = np.concatenate([rng.choice(n, k, replace=False) for k in lengths])
+    vals = rng.normal(size=rows.size) * 10.0 ** rng.integers(-3, 4, rows.size)
+    return _csr_from_arrays(rows, cols, vals, n, n)
+
+
+def _vector_with_zeros(rng, n):
+    x = rng.normal(size=n)
+    x[rng.random(n) < 0.2] = 0.0
+    x[rng.random(n) < 0.2] = -0.0
+    return x
+
+
+def test_ell_product_matches_csr_bits_for_rows_of_0_to_8_entries():
+    rng = np.random.default_rng(7)
+    on_ell = 0
+    for _ in range(200):
+        n = int(rng.integers(20, 40))
+        lengths = rng.integers(4, 9, n)
+        lengths[rng.choice(n - 1, 4, replace=False)] = [0, 1, 2, 3]
+        lengths[-1] = 0  # a trailing empty row
+        full = _random_rows(rng, n, lengths)
+        m = with_ell_layout(principal_submatrix(full, np.ones(n, dtype=bool)))
+        assert m._ell is not None
+        sliced = with_ell_layout(principal_submatrix(full, rng.random(n) < 0.7, 1.0))
+        for op in (m, m.transpose(), sliced):
+            on_ell += op._ell is not None
+            # products of -0.0 and 0.0 test that padding and empty rows
+            # keep the sign of a zero sum
+            x = _vector_with_zeros(rng, op.n_cols)
+            assert _same_bits(spmv(op, x), _csr_product(op, x))
+    assert on_ell > 300  # every m, and some transposes and slices
+
+
+def test_rows_of_9_stay_on_csr_and_a_dense_row_keeps_its_bits():
+    rng = np.random.default_rng(8)
+    n = 40
+    nine = with_ell_layout(_random_rows(rng, n, np.full(n, 9)))
+    for op in (nine, nine.transpose()):
+        assert op._ell is None
+        x = rng.normal(size=n)
+        assert np.allclose(spmv(op, x), op.to_dense() @ x)
+    # one row of 8 entries among rows of 1: the layout pads every row to 8
+    lengths = np.ones(n, dtype=np.int64)
+    lengths[5] = 8
+    dense_row = with_ell_layout(_random_rows(rng, n, lengths))
+    assert dense_row._ell is not None
+    x = _vector_with_zeros(rng, n)
+    assert _same_bits(spmv(dense_row, x), _csr_product(dense_row, x))
+
+
+_floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sliced_problems(draw):
+    """A square matrix of order 0..30 with 0..8 entries drawn per row
+    (duplicates sum, so rows, columns and cancelled entries can be
+    empty), a mask, a shift and a vector on the slice."""
+    n = draw(st.integers(0, 30))
+    entry = st.tuples(st.integers(0, max(n - 1, 0)), _floats)
+    triplets = [
+        (i, j, v)
+        for i in range(n)
+        for j, v in draw(st.lists(entry, max_size=8))
+    ]
+    keep = st.sampled_from([True, True, True, False])
+    mask = np.array(draw(st.lists(keep, min_size=n, max_size=n)), dtype=bool)
+    shift = draw(st.sampled_from([0.0, 1.0]))
+    size = int(mask.sum())
+    x = np.array(draw(st.lists(_floats, min_size=size, max_size=size)), np.float64)
+    return csr_from_triplets(triplets, n, n), mask, shift, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sliced_problems())
+def test_spmv_property_dense_and_csr_agree(problem):
+    full, mask, shift, x = problem
+    m = with_ell_layout(principal_submatrix(full, mask, shift))
+    a = full.to_dense()[np.ix_(mask, mask)] + shift * np.eye(m.n_rows)
+    for op, dense in ((m, a), (m.transpose(), a.T)):
+        y = spmv(op, x)
+        scale = (np.abs(dense) @ np.abs(x)).max(initial=0.0)
+        assert np.allclose(y, dense @ x, rtol=0.0, atol=1e-12 * scale)
+        assert _same_bits(y, _csr_product(op, x))
+        event("ELL" if op._ell is not None else "CSR")
