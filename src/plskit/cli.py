@@ -358,10 +358,6 @@ def _print_class_report(report):
         value = getattr(report, key)
         if value is not None:
             print(f"{key}={value}")
-    if report.alpha is not None:
-        print(f"alpha={_g(report.alpha)}")
-    if report.spectral_radius_estimate is not None:
-        print(f"spectral_radius_estimate={_g(report.spectral_radius_estimate)}")
     for name in ("left_null", "right_null"):
         vec = getattr(report, name)
         if vec is not None:

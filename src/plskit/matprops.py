@@ -6,19 +6,26 @@ positive left/right null spaces whose diagonal perturbations are M-matrices
 ("t2"). Verdicts are three-valued; Inconclusive is reported honestly when
 the numerics cannot separate the cases.
 
-The t2 certificate is a theorem (Berman & Plemmons, Nonnegative Matrices
-in the Mathematical Sciences, ch. 6): an irreducible Z-matrix T with
-T w = 0 for a w > 0 is a singular irreducible M-matrix, so its null spaces
-are 1-d and positive, its proper principal submatrices and every T + D
-(D >= 0 diagonal, nonzero) are nonsingular M-matrices. check_t2 needs
-positive w and v with residuals |T w|, |T^T v| <= 1e-10 ||T||_inf.
+Both certificates are theorems (Berman & Plemmons, Nonnegative Matrices
+in the Mathematical Sciences, ch. 6).
+
+- t1: a Z-matrix T is a nonsingular M-matrix iff T x > 0 for some x > 0
+  (T x = 1 then has a positive solution). check_t1 tries x = 1, then one
+  solve of T x = 1, and needs each (T x)_i above its rounding bound.
+- t2: an irreducible Z-matrix T with T w = 0 for a w > 0 is a singular
+  irreducible M-matrix, so its null spaces are 1-d and positive, its
+  proper principal submatrices and every T + D (D >= 0 diagonal, nonzero)
+  are nonsingular M-matrices. check_t2 needs positive w and v with
+  residuals |T w|, |T^T v| <= 1e-10 ||T||_inf.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, as_vector, principal_submatrix, spmv
+from .numkit import (
+    DimensionError, SparseMatrix, as_vector, principal_submatrix, spmv,
+)
 from .krylov import Breakdown, JACOBI, KrylovOptions, NotConverged, qmr_solve
 
 PROVEN = "Proven"
@@ -29,10 +36,12 @@ UNIQUE = "Unique"
 FAMILY_ALONG_W = "FamilyAlongW"
 NO_SOLUTION = "NoSolution"
 
-_DENSE_SOLVE_LIMIT = 1024  # dense null-vector solve up to this dimension
+_DENSE_SOLVE_LIMIT = 1024  # systems up to this dimension are solved densely
 _NULL_RESIDUAL = 1e-10  # |T w| / ||T||_inf at or below this certifies t2
-_SEPARATION = 1e-10  # relative spectral gap needed for a t1 verdict
-_DOMINANCE_ULPS = 16.0  # row sums within this many ulps of sum |T_kj| are zero
+_SINGULAR_RESIDUAL = 1e-12  # |T y| / ||T||_inf at or below this disproves t1
+_T1_SOLVE_TOL = 0.5  # |T x - 1|_2 <= 1/2 leaves T x >= 1/2 in every row
+_ROUNDING_ULPS = 16.0  # (T y)_i within this many ulps of (|T| y)_i is noise
+_SOLVE_FAILED = (NotConverged, Breakdown, np.linalg.LinAlgError)
 
 
 class InvalidNullVector(ValueError):
@@ -47,8 +56,6 @@ class MatrixClassReport:
     t2_verdict: str | None = None
     left_null: np.ndarray | None = None
     right_null: np.ndarray | None = None
-    alpha: float | None = None
-    spectral_radius_estimate: float | None = None
     notes: tuple = ()
 
 
@@ -107,106 +114,96 @@ def _row_columns(matrix, rows):
     return matrix.col_indices[np.arange(shift.size) + shift]
 
 
-def _shifted_power_bounds(matrix, alpha, max_iters):
-    """Collatz-Wielandt bounds for rho(alpha I - T) via B' = 2 alpha I - T.
-
-    Returns (lower, upper, w_estimate); the shift makes the nonnegative
-    iteration matrix aperiodic so the bounds close for irreducible patterns.
-    """
-    n = matrix.n_rows
-    w = np.ones(n)
-    lower, upper = 0.0, np.inf
-    for _ in range(max_iters):
-        bw = 2.0 * alpha * w - spmv(matrix, w)
-        if np.any(w <= 0.0) or np.any(bw <= 0.0):
-            w = np.abs(bw)
-            w /= w.max()
-            continue
-        ratios = bw / w
-        lower, upper = float(ratios.min()), float(ratios.max())
-        w = bw / bw.max()
-        if upper - lower <= _SEPARATION * alpha * 0.1:
-            break
-    return lower - alpha, upper - alpha, w
-
-
 def check_t1(matrix):
     """Decide whether T is an irreducible nonsingular M-matrix.
 
-    The cheap certificate (irreducibly diagonally dominant Z-matrix) is
-    tried first; otherwise power iteration brackets rho(alpha I - T)
-    against alpha = max diagonal entry.
-    """
+    By the theorem of the module docstring, tried on x = 1 (irreducible
+    diagonal dominance), then on one solve of T x = 1. The same products
+    disprove it: T y ~ 0 or T y < 0 for a y >= 0."""
     _require_square(matrix)
-    notes = []
-    is_z = _off_diagonal_sign_ok(matrix)
-    irreducible = _is_connected(matrix)
-    diag = matrix.diagonal()
-    report = MatrixClassReport(is_z_matrix=is_z, is_irreducible=irreducible)
-    if not is_z:
-        report.t1_verdict = DISPROVEN
-        report.notes = ("positive off-diagonal entry",)
-        return report
-    if not irreducible:
-        report.t1_verdict = DISPROVEN
-        report.notes = ("matrix is reducible",)
-        return report
-    if matrix.n_rows == 0 or diag.min() <= 0.0:
-        report.t1_verdict = DISPROVEN
-        report.notes = ("nonpositive diagonal entry",)
-        return report
-    alpha = float(diag.max())
-    report.alpha = alpha
+    report = MatrixClassReport(is_z_matrix=_off_diagonal_sign_ok(matrix),
+                               is_irreducible=_is_connected(matrix))
+    report.t1_verdict, note = _t1_verdict(matrix, report)
+    report.notes = (note,)
+    return report
+
+
+def _t1_verdict(matrix, report):
+    n = matrix.n_rows
+    if n == 0:
+        return DISPROVEN, "empty matrix"
+    if not report.is_z_matrix:
+        return DISPROVEN, "positive off-diagonal entry"
+    if not report.is_irreducible:
+        return DISPROVEN, "matrix is reducible"
+    if matrix.diagonal().min() <= 0.0:
+        return DISPROVEN, "nonpositive diagonal entry"
+    # rounding bound of (T y)_i for y >= 0: 16 ulps of (|T| y)_i, or
+    # k_i + 1 ulps for a row of k_i >= 16 entries
+    ulps = np.maximum(_ROUNDING_ULPS, np.diff(matrix.row_offsets) + 1.0)
+    ulps *= np.finfo(np.float64).eps
+    abs_sums = matrix.abs_row_sums()
+    tnorm = float(abs_sums.max())
 
     # a row sum counts as positive only above the rounding noise of the
     # sum that formed it, or a singular Laplacian would pass as dominant
-    row_sums = spmv(matrix, np.ones(matrix.n_cols))
-    noise = _DOMINANCE_ULPS * np.finfo(np.float64).eps * matrix.abs_row_sums()
+    ones = np.ones(n)
+    row_sums = spmv(matrix, ones)
+    noise = ulps * abs_sums
     if np.all(row_sums >= 0.0) and np.any(row_sums > noise):
-        report.t1_verdict = PROVEN
-        report.notes = ("irreducibly diagonally dominant",)
-        # short power run just to report an estimate; the lower Collatz
-        # bound sits below rho(B), which dominance already puts below alpha
-        lower, _, _ = _shifted_power_bounds(matrix, alpha, max_iters=50)
-        report.spectral_radius_estimate = max(lower, 0.0)
-        return report
+        return PROVEN, "irreducibly diagonally dominant"
+    disproof = _t1_disproof(row_sums, noise, tnorm)
+    if disproof:
+        return DISPROVEN, disproof
 
-    lower, upper, w = _shifted_power_bounds(
-        matrix, alpha, max_iters=500 + 2 * matrix.n_rows
-    )
-    report.spectral_radius_estimate = upper
-    tnorm = matrix.norm_inf()
-    null_resid = float(np.abs(spmv(matrix, w)).max())
-    if null_resid <= 1e-12 * tnorm * float(np.abs(w).max()):
-        report.t1_verdict = DISPROVEN
-        notes.append("singular: positive vector found in the null space")
-    elif upper <= alpha * (1.0 - _SEPARATION):
-        report.t1_verdict = PROVEN
-    elif lower >= alpha * (1.0 + _SEPARATION):
-        report.t1_verdict = DISPROVEN
-        notes.append("spectral radius exceeds the diagonal bound")
+    abs_t = SparseMatrix(n, n, matrix.row_offsets, matrix.col_indices,
+                         np.abs(matrix.values))
+    try:
+        y = _solve(matrix, ones, _T1_SOLVE_TOL)
+    except _SOLVE_FAILED:
+        try:
+            y = _positive_null_vector(matrix)
+        except _SOLVE_FAILED:
+            return INCONCLUSIVE, "solves of T x = 1 and T w = 0 failed"
     else:
-        report.t1_verdict = INCONCLUSIVE
-        notes.append("power iteration could not separate rho from alpha")
-    report.notes = tuple(notes)
-    return report
+        if y.min() > 0.0 and np.all(spmv(matrix, y) > ulps * spmv(abs_t, y)):
+            return PROVEN, "T x > 0 for the positive solution x of T x = 1"
+    y = np.abs(y) / np.abs(y).max()
+    disproof = _t1_disproof(spmv(matrix, y), ulps * spmv(abs_t, y), tnorm)
+    if disproof:
+        return DISPROVEN, disproof
+    return INCONCLUSIVE, "solution of T x = 1 neither proves nor disproves t1"
+
+
+def _t1_disproof(ty, noise, tnorm):
+    """The note of a t1 disproof by T y for a y >= 0 with max 1, or None.
+    With T = s I - B, B >= 0, T y < 0 means B y > s y, so rho(B) > s."""
+    if np.abs(ty).max() <= _SINGULAR_RESIDUAL * tnorm:
+        return "singular: positive vector found in the null space"
+    if np.all(ty < -noise):
+        return "spectral radius exceeds the diagonal bound"
+    return None
+
+
+def _solve(sub, rhs, abs_tol):
+    """sub^-1 rhs: dense up to _DENSE_SOLVE_LIMIT (QMR missed 1 of 900
+    seeded t2 tests), else Jacobi QMR from ones to |residual|_2 <= abs_tol."""
+    if sub.n_rows <= _DENSE_SOLVE_LIMIT:
+        return np.linalg.solve(sub.to_dense(), rhs)
+    opts = KrylovOptions(rel_tol=0.0, abs_tol=abs_tol, preconditioner=JACOBI)
+    return qmr_solve(sub, rhs, x0=np.ones(rhs.size), opts=opts)[0]
 
 
 def _positive_null_vector(matrix):
     """w with w_0 = 1 and T_{-0,-0} w_{-0} = -T_{-0,0}, scaled to max 1.
-    Dense up to _DENSE_SOLVE_LIMIT (QMR missed 1 of 900 seeded t2 tests), then
-    Jacobi QMR from ones (the answer if T 1 = 0) to 0.1 _NULL_RESIDUAL ||T||
-    / sqrt(n) on rows 1..n-1, as v^T T w = 0 bounds row 0 by sqrt(n) max v/v_0."""
+    A Krylov solve starts from ones (the answer if T 1 = 0) and stops at
+    0.1 _NULL_RESIDUAL ||T|| / sqrt(n) on rows 1..n-1, as v^T T w = 0
+    bounds row 0 by sqrt(n) max v/v_0."""
     n = matrix.n_rows
     sub = principal_submatrix(matrix, np.arange(n) > 0)
     rhs = -spmv(matrix, np.eye(1, n)[0])[1:]
-    if n <= _DENSE_SOLVE_LIMIT:
-        tail = np.linalg.solve(sub.to_dense(), rhs)
-    else:
-        abs_tol = 0.1 * _NULL_RESIDUAL * matrix.norm_inf() / np.sqrt(n)
-        opts = KrylovOptions(rel_tol=0.0, abs_tol=abs_tol, preconditioner=JACOBI)
-        tail, _ = qmr_solve(sub, rhs, x0=np.ones(n - 1), opts=opts)
-    w = np.concatenate([[1.0], tail])
+    abs_tol = 0.1 * _NULL_RESIDUAL * matrix.norm_inf() / np.sqrt(n)
+    w = np.concatenate([[1.0], _solve(sub, rhs, abs_tol)])
     return w / w.max()
 
 
@@ -220,9 +217,9 @@ def check_t2(matrix):
     is_z = _off_diagonal_sign_ok(matrix)
     irreducible = _is_connected(matrix)
     report = MatrixClassReport(is_z_matrix=is_z, is_irreducible=irreducible)
-    if not is_z or not irreducible or n == 0:
+    if n == 0 or not is_z or not irreducible:
         report.t2_verdict = DISPROVEN
-        report.notes = ("needs an irreducible Z-pattern",)
+        report.notes = ("empty matrix" if n == 0 else "needs an irreducible Z-pattern",)
         return report
     tnorm = matrix.norm_inf()
     if tnorm == 0.0:
@@ -233,7 +230,7 @@ def check_t2(matrix):
     try:
         w = _positive_null_vector(matrix)
         v = w if matrix.is_symmetric() else _positive_null_vector(transpose)
-    except (NotConverged, Breakdown, np.linalg.LinAlgError):
+    except _SOLVE_FAILED:
         report.t2_verdict = INCONCLUSIVE
         report.notes = ("solve for the null vectors failed",)
         return report

@@ -310,9 +310,10 @@ def load_matrix_market(path):
     symmetric).
 
     A symmetric file stores the lower triangle; each entry below the
-    diagonal is mirrored above it. A file whose entry count differs from
-    its size line, with an index outside the declared shape, or with an
-    entry above the diagonal in a symmetric file raises ValueError.
+    diagonal is mirrored above it. A file with a zero dimension, whose
+    entry count differs from its size line, with an index outside the
+    declared shape, or with an entry above the diagonal in a symmetric
+    file raises ValueError.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().lower().split()
@@ -332,6 +333,8 @@ def load_matrix_market(path):
         while line.startswith("%"):
             line = fh.readline()
         n_rows, n_cols, nnz = (int(tok) for tok in line.split())
+        if n_rows == 0 or n_cols == 0:
+            raise ValueError(f"matrix is {n_rows} x {n_cols}, with a zero dimension")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no entries
             entries = np.loadtxt(

@@ -128,6 +128,8 @@ def test_check_dirichlet_matrix(capsys):
     report = kv(capsys.readouterr().out)
     assert report["t1_verdict"] == "Proven"
     assert report["is_z_matrix"] == "True"
+    assert report["notes"] == "irreducibly diagonally dominant"
+    assert "alpha" not in report and "spectral_radius_estimate" not in report
 
 
 def test_check_neumann_matrix_reports_solvability(capsys):
@@ -200,6 +202,17 @@ def test_check_matrix_market_file(tmp_path, capsys):
     assert rc == 0
     report = kv(capsys.readouterr().out)
     assert report["t1_verdict"] == "Disproven"
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_empty_matrix_market_file_fails(tmp_path, capsys, command):
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+    rc = main([command, "--mm", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "plskit: error: matrix is 0 x 0, with a zero dimension\n"
 
 
 def test_check_missing_file_fails(capsys):

@@ -3,6 +3,8 @@ import pytest
 from helpers import (
     csr_from_dense, path_laplacian, queue_is_connected, random_t1, random_t2,
 )
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from plskit import check_t1, check_t2, classify_solvability, csr_from_triplets
 from plskit import obstacle as obs
@@ -38,16 +40,32 @@ def five_point_laplacian(n):
     return csr_from_triplets(trip, n * n, n * n)
 
 
+def grid_z_matrix(f):
+    """rho(B) f I - B for the adjacency B of the 5 x 5 grid: a Z-matrix
+    that is a nonsingular M-matrix exactly when f > 1."""
+    b = 4.0 * np.eye(25) - five_point_laplacian(5).to_dense() / 36.0
+    return f * np.linalg.eigvalsh(b).max() * np.eye(25) - b
+
+
+def column_scaled(t):
+    """T diag(s) for a seeded s in [0.5, 2]: nonsymmetric, same class."""
+    s = np.random.default_rng(5).uniform(0.5, 2.0, t.n_cols)
+    return SparseMatrix(t.n_rows, t.n_cols, t.row_offsets, t.col_indices,
+                        t.values * s[t.col_indices]), s
+
+
 def test_t1_proven_on_diagonally_dominant_z_matrix():
-    rep = check_t1(csr_from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]])))
-    assert rep.t1_verdict == PROVEN
-    assert rep.is_z_matrix and rep.is_irreducible
-    assert rep.spectral_radius_estimate < rep.alpha
+    for a in (np.array([[2.0, -1.0], [-1.0, 2.0]]), grid_z_matrix(2.0)):
+        rep = check_t1(csr_from_dense(a))
+        assert rep.t1_verdict == PROVEN
+        assert rep.is_z_matrix and rep.is_irreducible
+        assert rep.notes == ("irreducibly diagonally dominant",)
 
 
 def test_t1_disproven_on_singular_laplacian():
     rep = check_t1(csr_from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]])))
     assert rep.t1_verdict == DISPROVEN
+    assert rep.notes == ("singular: positive vector found in the null space",)
 
 
 def test_t1_proven_on_five_point_laplacian():
@@ -68,14 +86,21 @@ def test_t1_disproven_on_reducible_matrix():
 
 
 def test_t1_uses_spectral_bound_not_row_dominance():
-    # Row 1 is not diagonally dominant, yet rho(alpha I - T) < alpha.
-    rep = check_t1(csr_from_dense(np.array([[1.0, -2.0], [-0.4, 1.0]])))
-    assert rep.t1_verdict == PROVEN
+    # some rows are not diagonally dominant, yet rho(alpha I - T) < alpha,
+    # which the positive solution of T x = 1 shows
+    for a in (np.array([[1.0, -2.0], [-0.4, 1.0]]), grid_z_matrix(1.01),
+              grid_z_matrix(1.1)):
+        rep = check_t1(csr_from_dense(a))
+        assert rep.t1_verdict == PROVEN
+        assert rep.notes == ("T x > 0 for the positive solution x of T x = 1",)
 
 
 def test_t1_disproven_when_spectral_radius_exceeds_alpha():
-    rep = check_t1(csr_from_dense(np.array([[1.0, -2.0], [-2.0, 1.0]])))
-    assert rep.t1_verdict == DISPROVEN
+    for a in (np.array([[1.0, -2.0], [-2.0, 1.0]]), grid_z_matrix(0.5),
+              grid_z_matrix(0.9), grid_z_matrix(0.99)):
+        rep = check_t1(csr_from_dense(a))
+        assert rep.t1_verdict == DISPROVEN
+        assert rep.notes == ("spectral radius exceeds the diagonal bound",)
 
 
 def test_t1_rejects_rectangular_input():
@@ -90,6 +115,35 @@ def test_t1_proven_implies_nonnegative_inverse():
         t = random_t1(rng, n)
         assert check_t1(t).t1_verdict == PROVEN
         assert np.min(np.linalg.inv(t.to_dense())) >= -1e-10
+
+
+@st.composite
+def _irreducible_z_matrices(draw):
+    """An n x n Z-matrix, n = 1..6, whose pattern holds a directed cycle
+    through every node, each diagonal entry 0.5 to 1.5 times its row's
+    off-diagonal sum, so both classes and both sides of dominance occur."""
+    n = draw(st.integers(1, 6))
+    weight = st.floats(0.1, 2.0)
+    entry = st.one_of(st.just(0.0), st.just(0.0), weight)
+    a = -np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
+    for i in range(n):
+        a[i, (i + 1) % n] = -draw(weight)
+    np.fill_diagonal(a, 0.0)
+    factor = np.array([draw(st.floats(0.5, 1.5)) for _ in range(n)])
+    np.fill_diagonal(a, np.maximum(-a.sum(axis=1), 1.0) * factor)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_irreducible_z_matrices())
+def test_t1_property_agrees_with_the_dense_inverse(a):
+    # a Z-matrix is a nonsingular M-matrix iff its inverse is nonnegative;
+    # the reference is trusted only on well-conditioned matrices
+    assume(np.linalg.det(a) != 0.0 and np.linalg.cond(a) < 1e8)
+    m_matrix = bool(np.linalg.inv(a).min() >= 0.0)
+    rep = check_t1(csr_from_dense(a))
+    event(f"M-matrix {m_matrix}: {rep.t1_verdict}")
+    assert rep.t1_verdict in ((PROVEN if m_matrix else DISPROVEN), INCONCLUSIVE)
 
 
 def test_t2_proven_on_path_laplacian():
@@ -133,19 +187,47 @@ def test_t2_proven_on_random_nonsymmetric_family():
         assert rep.left_null.min() > 0.0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_t1_disproven_on_random_nonsymmetric_t2_family(seed):
+    # singular, so T x = 1 has no solution; where the dense LU of T is
+    # exactly singular, the node-deletion null vector disproves t1
+    rng = np.random.default_rng(seed)
+    exactly_singular = 0
+    for _ in range(300):
+        t, _ = random_t2(rng, int(rng.integers(2, 40)))
+        rep = check_t1(t)
+        assert rep.t1_verdict == DISPROVEN
+        assert rep.notes == ("singular: positive vector found in the null space",)
+        try:
+            np.linalg.solve(t.to_dense(), np.ones(t.n_rows))
+        except np.linalg.LinAlgError:
+            exactly_singular += 1
+    assert exactly_singular > 0
+
+
 @pytest.mark.parametrize("n", [33, 200])
 def test_t2_proven_on_column_scaled_neumann_matrix(n):
     # nonsymmetric and above the dense limit, so QMR finds both vectors,
     # up to the largest table size
-    t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), n).T
-    s = np.random.default_rng(5).uniform(0.5, 2.0, t.n_cols)
-    scaled = SparseMatrix(t.n_rows, t.n_cols, t.row_offsets, t.col_indices,
-                          t.values * s[t.col_indices])
-    assert t.n_rows > _DENSE_SOLVE_LIMIT and not scaled.is_symmetric()
+    scaled, s = column_scaled(
+        obs.assemble_elliptic(obs.problem_spec("tent-neumann"), n).T)
+    assert scaled.n_rows > _DENSE_SOLVE_LIMIT and not scaled.is_symmetric()
     rep = check_t2(scaled)
     assert rep.t2_verdict == PROVEN
     assert np.allclose(rep.right_null, (1 / s) / (1 / s).max(), rtol=1e-8, atol=0)
     assert rep.left_null.min() > 0.0
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("tent", PROVEN), ("torsion", PROVEN), ("tent-neumann", DISPROVEN),
+])
+def test_t1_on_column_scaled_matrix_above_the_dense_limit(name, verdict):
+    # nonsymmetric, with row sums of either sign, and n = 1089, so T x = 1
+    # is solved by QMR; on the singular one QMR fails and the node-deletion
+    # null vector disproves t1
+    scaled, _ = column_scaled(obs.assemble_elliptic(obs.problem_spec(name), 33).T)
+    assert scaled.n_rows > _DENSE_SOLVE_LIMIT
+    assert check_t1(scaled).t1_verdict == verdict
 
 
 def test_t2_disproven_on_nonsingular_matrix():
@@ -222,18 +304,28 @@ def test_is_connected_matches_the_queue_search():
 
 
 def test_t1_dominance_ignores_rounding_in_row_sums():
-    # row sums of the singular Neumann Laplacian are rounding noise of
-    # either sign; they must not pass as diagonal dominance
-    for n in (25, 32):
-        T = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), n).T
-        assert np.abs(T.matvec(np.ones(T.n_cols))).max() > 0.0
-        assert check_t1(T).t1_verdict in (DISPROVEN, INCONCLUSIVE)
-    for name in ("tent", "torsion"):
-        for n in (5, 25, 32):
-            T = obs.assemble_elliptic(obs.problem_spec(name), n).T
-            rep = check_t1(T)
+    # row sums of the singular Neumann Laplacians are rounding noise of
+    # either sign; they must not pass as diagonal dominance, and T 1 ~ 0
+    # disproves t1
+    for n in (5, 25, 32, 50, 100, 200):
+        for name in ("tent-neumann", "torsion-neumann"):
+            rep = check_t1(obs.assemble_elliptic(obs.problem_spec(name), n).T)
+            assert rep.t1_verdict == DISPROVEN
+            assert rep.notes == ("singular: positive vector found in the null space",)
+        for name in ("tent", "torsion"):
+            rep = check_t1(obs.assemble_elliptic(obs.problem_spec(name), n).T)
             assert rep.t1_verdict == PROVEN
-            # torsion rows sum to noise of either sign at these N, so it
-            # is proven by the power iteration instead
+            # torsion rows sum to noise of either sign at N = 25 and 32, so
+            # there it is proven by one solve of T x = 1 instead
             if name == "tent":
                 assert rep.notes == ("irreducibly diagonally dominant",)
+            else:
+                assert len(rep.notes) == 1
+
+
+def test_empty_matrix_gets_one_true_note():
+    empty = csr_from_triplets([], 0, 0)
+    rep = check_t1(empty)
+    assert (rep.t1_verdict, rep.notes) == (DISPROVEN, ("empty matrix",))
+    rep = check_t2(empty)
+    assert (rep.t2_verdict, rep.notes) == (DISPROVEN, ("empty matrix",))

@@ -195,6 +195,8 @@ def test_matrix_market_entry_count_and_indices_are_checked(tmp_path):
         "2 2 1\n1 1 2.0\n2 2 1.0\n",  # long
         "2 2 2\n1 1 2.0\n3 1 1.0\n",  # row out of range
         "2 2 2\n1 1 2.0\n1 0 1.0\n",  # column below 1
+        "0 0 0\n",  # empty
+        "2 0 0\n",  # no columns
     ):
         path = tmp_path / "bad.mtx"
         path.write_text(head + body)
