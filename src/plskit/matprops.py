@@ -16,7 +16,13 @@ in the Mathematical Sciences, ch. 6).
   irreducible M-matrix, so its null spaces are 1-d and positive, its
   proper principal submatrices and every T + D (D >= 0 diagonal, nonzero)
   are nonsingular M-matrices. check_t2 needs positive w and v with
-  residuals |T w|, |T^T v| <= 1e-10 ||T||_inf.
+  residuals |T w|, |T^T v| <= 1e-10 ||T||_inf. An irreducibly diagonally
+  dominant T (the x = 1 test of check_t1) is nonsingular, and check_t2
+  says so before any solve.
+
+Irreducibility, a strongly connected pattern, comes from
+SparseMatrix.is_irreducible, which searches once per matrix, so
+check_t1 and check_t2 on the same matrix share one search.
 """
 
 from dataclasses import dataclass
@@ -42,6 +48,7 @@ _SINGULAR_RESIDUAL = 1e-12  # |T y| / ||T||_inf at or below this disproves t1
 _T1_SOLVE_TOL = 0.5  # |T x - 1|_2 <= 1/2 leaves T x >= 1/2 in every row
 _ROUNDING_ULPS = 16.0  # (T y)_i within this many ulps of (|T| y)_i is noise
 _SOLVE_FAILED = (NotConverged, Breakdown, np.linalg.LinAlgError)
+_DOMINANT = "irreducibly diagonally dominant"
 
 
 class InvalidNullVector(ValueError):
@@ -78,42 +85,6 @@ def _off_diagonal_sign_ok(matrix):
     return bool(np.all(matrix.values[off] <= 0.0))
 
 
-def _is_connected(matrix):
-    """Irreducibility: node 0 reaches every node along the rows of A and
-    along the rows of A^T, so the directed pattern is strongly connected.
-
-    Each search is breadth-first one level at a time: the next frontier
-    is every unseen column in the frontier's rows, sorted so that each
-    node enters once.
-    """
-    n = matrix.n_rows
-    if n == 0:
-        return True
-    for mat in (matrix, matrix.transpose()):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            reached = _row_columns(mat, frontier)
-            reached = np.sort(reached[~seen[reached]])
-            first = np.ones(reached.size, dtype=bool)
-            first[1:] = reached[1:] != reached[:-1]
-            frontier = reached[first]
-            seen[frontier] = True
-        if not seen.all():
-            return False
-    return True
-
-
-def _row_columns(matrix, rows):
-    """Column indices stored in the given rows, row after row."""
-    starts = matrix.row_offsets[rows]
-    counts = matrix.row_offsets[rows + 1] - starts
-    # entry e of the gathered run sits at starts[r] + (e - begin of run r)
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return matrix.col_indices[np.arange(shift.size) + shift]
-
-
 def check_t1(matrix):
     """Decide whether T is an irreducible nonsingular M-matrix.
 
@@ -122,7 +93,7 @@ def check_t1(matrix):
     disprove it: T y ~ 0 or T y < 0 for a y >= 0."""
     _require_square(matrix)
     report = MatrixClassReport(is_z_matrix=_off_diagonal_sign_ok(matrix),
-                               is_irreducible=_is_connected(matrix))
+                               is_irreducible=matrix.is_irreducible())
     report.t1_verdict, note = _t1_verdict(matrix, report)
     report.notes = (note,)
     return report
@@ -138,28 +109,20 @@ def _t1_verdict(matrix, report):
         return DISPROVEN, "matrix is reducible"
     if matrix.diagonal().min() <= 0.0:
         return DISPROVEN, "nonpositive diagonal entry"
-    # rounding bound of (T y)_i for y >= 0: 16 ulps of (|T| y)_i, or
-    # k_i + 1 ulps for a row of k_i >= 16 entries
-    ulps = np.maximum(_ROUNDING_ULPS, np.diff(matrix.row_offsets) + 1.0)
-    ulps *= np.finfo(np.float64).eps
     abs_sums = matrix.abs_row_sums()
     tnorm = float(abs_sums.max())
-
-    # a row sum counts as positive only above the rounding noise of the
-    # sum that formed it, or a singular Laplacian would pass as dominant
-    ones = np.ones(n)
-    row_sums = spmv(matrix, ones)
-    noise = ulps * abs_sums
-    if np.all(row_sums >= 0.0) and np.any(row_sums > noise):
-        return PROVEN, "irreducibly diagonally dominant"
+    row_sums, noise, dominant = _ones_test(matrix, abs_sums)
+    if dominant:
+        return PROVEN, _DOMINANT
     disproof = _t1_disproof(row_sums, noise, tnorm)
     if disproof:
         return DISPROVEN, disproof
 
+    ulps = _rounding_ulps(matrix)
     abs_t = SparseMatrix(n, n, matrix.row_offsets, matrix.col_indices,
                          np.abs(matrix.values))
     try:
-        y = _solve(matrix, ones, _T1_SOLVE_TOL)
+        y = _solve(matrix, np.ones(n), _T1_SOLVE_TOL)
     except _SOLVE_FAILED:
         try:
             y = _positive_null_vector(matrix)
@@ -173,6 +136,25 @@ def _t1_verdict(matrix, report):
     if disproof:
         return DISPROVEN, disproof
     return INCONCLUSIVE, "solution of T x = 1 neither proves nor disproves t1"
+
+
+def _rounding_ulps(matrix):
+    """Rounding bound of (T y)_i for y >= 0 as a multiple of (|T| y)_i:
+    16 ulps, or k_i + 1 ulps for a row of k_i >= 16 entries."""
+    ulps = np.maximum(_ROUNDING_ULPS, np.diff(matrix.row_offsets) + 1.0)
+    return ulps * np.finfo(np.float64).eps
+
+
+def _ones_test(matrix, abs_sums):
+    """T 1, the rounding noise of each of its rows, and whether T 1 >= 0
+    with some row above its noise: with irreducibility, that makes T
+    irreducibly diagonally dominant, so nonsingular. A row sum counts as
+    positive only above the noise of the sum that formed it, or a
+    singular Laplacian would pass."""
+    row_sums = spmv(matrix, np.ones(matrix.n_cols))
+    noise = _rounding_ulps(matrix) * abs_sums
+    dominant = bool(np.all(row_sums >= 0.0) and np.any(row_sums > noise))
+    return row_sums, noise, dominant
 
 
 def _t1_disproof(ty, noise, tnorm):
@@ -215,7 +197,7 @@ def check_t2(matrix):
     _require_square(matrix)
     n = matrix.n_rows
     is_z = _off_diagonal_sign_ok(matrix)
-    irreducible = _is_connected(matrix)
+    irreducible = matrix.is_irreducible()
     report = MatrixClassReport(is_z_matrix=is_z, is_irreducible=irreducible)
     if n == 0 or not is_z or not irreducible:
         report.t2_verdict = DISPROVEN
@@ -226,10 +208,14 @@ def check_t2(matrix):
         report.t2_verdict = DISPROVEN
         report.notes = ("zero matrix",)
         return report
-    transpose = matrix.transpose()
+    if _ones_test(matrix, matrix.abs_row_sums())[2]:
+        report.t2_verdict = DISPROVEN
+        report.notes = ("nonsingular: " + _DOMINANT,)
+        return report
+    transpose = matrix if matrix.is_symmetric() else matrix.transpose()
     try:
         w = _positive_null_vector(matrix)
-        v = w if matrix.is_symmetric() else _positive_null_vector(transpose)
+        v = w if transpose is matrix else _positive_null_vector(transpose)
     except _SOLVE_FAILED:
         report.t2_verdict = INCONCLUSIVE
         report.notes = ("solve for the null vectors failed",)

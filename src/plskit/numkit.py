@@ -15,6 +15,13 @@ order `reduceat` adds a row of at most 8 entries in. So both kernels
 give the same bits, signed zeros included. A matrix with a row longer
 than 8 stays on CSR, as do T itself, the slices matprops solves and
 every one-shot product.
+
+A^T is built by one stable argsort of the column indices, which keeps
+each column's rows in increasing order, so its rows come out canonical
+with no (row, column) sort. Symmetry and irreducibility are facts about
+one matrix, each computed once and cached on it; irreducibility is a
+breadth-first search over a padded neighbour table, and a pattern equal
+to its transpose's needs it in one direction only.
 """
 
 import warnings
@@ -65,6 +72,7 @@ class SparseMatrix:
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._transpose = None
         self._symmetric = None
+        self._irreducible = None
         self._ell = None  # (values, columns) product layout, see with_ell_layout
 
     @property
@@ -97,16 +105,17 @@ class SparseMatrix:
         return t
 
     def _transposed(self):
-        return _csr_from_arrays(
-            self.col_indices,
-            np.repeat(
-                np.arange(self.n_rows, dtype=_INDEX_DTYPE),
-                np.diff(self.row_offsets),
-            ),
-            self.values,
-            self.n_cols,
-            self.n_rows,
+        # a stable sort by column keeps each column's rows in increasing
+        # order, so the entries come out as canonical rows of A^T
+        order = np.argsort(self.col_indices, kind="stable")
+        rows = np.repeat(
+            np.arange(self.n_rows, dtype=_INDEX_DTYPE), np.diff(self.row_offsets)
         )
+        row_offsets = np.zeros(self.n_cols + 1, dtype=_INDEX_DTYPE)
+        np.cumsum(np.bincount(self.col_indices, minlength=self.n_cols),
+                  out=row_offsets[1:])
+        return SparseMatrix(self.n_cols, self.n_rows, row_offsets, rows[order],
+                            self.values[order])
 
     def is_symmetric(self):
         """Exact test A == A^T, made once per matrix.
@@ -123,6 +132,28 @@ class SparseMatrix:
                 and np.array_equal(t.values, self.values)
             )
         return self._symmetric
+
+    def is_irreducible(self):
+        """Whether the directed pattern is strongly connected, found once
+        per matrix: node 0 reaches every node along the rows of A and
+        along the rows of A^T. A pattern equal to its transpose's, as
+        every symmetric matrix has, needs the first search only."""
+        if self.n_rows != self.n_cols:
+            raise DimensionError(f"matrix is {self.shape}, expected square")
+        if self._irreducible is None:
+            if self.n_rows == 0:
+                self._irreducible = True
+            elif not _reaches_all(self):
+                self._irreducible = False
+            elif self.is_symmetric():
+                self._irreducible = True
+            else:
+                t = self._transposed()
+                self._irreducible = (
+                    np.array_equal(t.row_offsets, self.row_offsets)
+                    and np.array_equal(t.col_indices, self.col_indices)
+                ) or _reaches_all(t)
+        return self._irreducible
 
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
@@ -172,6 +203,48 @@ class SparseMatrix:
         )
         dense[rows, self.col_indices] = self.values
         return dense
+
+
+def _reaches_all(matrix):
+    """Whether node 0 reaches every node along the rows of a nonempty
+    square matrix.
+
+    Breadth-first, one level at a time, over a padded (n, width) table of
+    each row's columns. The padding is column n, which starts out seen,
+    so it never enters a frontier. A stamp array keeps one copy of each
+    node a frontier reaches: stamp[r] = position, then keep the position
+    stamp[r] names. The table is as wide as a row may be at twice the
+    mean row length (at least 8); the tails of longer rows are read when
+    their node enters a frontier, so one dense row does not make the
+    table n x n.
+    """
+    n = matrix.n_rows
+    offsets, columns = matrix.row_offsets, matrix.col_indices
+    lengths = np.diff(offsets)
+    longest = int(lengths.max())
+    width = min(longest, max(8, -(-2 * columns.size // n)))
+    heads = columns
+    if longest > width:
+        slot = np.arange(columns.size) - np.repeat(offsets[:-1], lengths)
+        heads = columns[slot < width]
+    table = np.full((n, width), n, dtype=_INDEX_DTYPE)
+    table[np.arange(width) < np.minimum(lengths, width)[:, None]] = heads
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[[0, n]] = True
+    stamp = np.empty(n + 1, dtype=_INDEX_DTYPE)
+    frontier = np.zeros(1, dtype=_INDEX_DTYPE)
+    while frontier.size:
+        reached = table[frontier].ravel()
+        if longest > width:
+            tails = [columns[offsets[r] + width:offsets[r + 1]]
+                     for r in frontier[lengths[frontier] > width]]
+            reached = np.concatenate([reached, *tails])
+        reached = reached[~seen[reached]]
+        position = np.arange(reached.size)
+        stamp[reached] = position
+        frontier = reached[stamp[reached] == position]
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def _csr_from_arrays(rows, cols, vals, n_rows, n_cols, drop_zeros=True):

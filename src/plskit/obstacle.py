@@ -4,6 +4,11 @@ Discretizes -Laplace(u) = f over the obstacle psi with the standard
 5-point stencil on an N x N interior grid, eliminates the boundary
 condition into the right-hand side, and hands the resulting piecewise
 linear system in y = u - psi to the elliptic or parabolic solver.
+
+Row k of the matrix holds its stencil in column order: k - N (-y),
+k - 1 (-x), k, k + 1 (+x), k + N (+y), less the neighbours outside the
+grid. Written row by row, that is already sorted CSR, so assembly needs
+no sort of its entries.
 """
 
 import csv
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .krylov import JACOBI, KrylovOptions
-from .numkit import ELLIPTIC, PARABOLIC, SparseMatrix, _csr_from_arrays, spmv
+from .numkit import ELLIPTIC, PARABOLIC, SparseMatrix, spmv
 from .pls import (
     PlsProblem,
     PlsSolution,
@@ -171,17 +176,20 @@ def assemble_elliptic(spec, n):
     f_vec = _on_nodes(spec.f, x, y)
     psi_vec = _on_nodes(spec.psi, x, y)
     diag = np.full(size, 2.0 * cx + 2.0 * cy)
-    rows, cols, vals = [], [], []
+    # slots -y, -x, centre, +x, +y: row-major over the inside mask is CSR
+    cols = k[:, None] + np.array([-n, -1, 0, 1, n])
+    vals = np.tile([-cy, -cx, 0.0, -cx, -cy], (size, 1))
+    inside = np.ones((size, 5), dtype=bool)
+    lengths = np.full(size, 5, dtype=np.int64)
     # one direction at a time, in this order, so diag and f_vec round as a
     # node-by-node loop does; a Kronecker sum would round the Neumann
     # diagonal differently, and b's exact zeros depend on those bits
-    for di, dj, c in ((-1, 0, cx), (1, 0, cx), (0, -1, cy), (0, 1, cy)):
+    for slot, di, dj, c in ((1, -1, 0, cx), (3, 1, 0, cx),
+                            (0, 0, -1, cy), (4, 0, 1, cy)):
         ii, jj = i + di, j + dj
-        inside = (0 <= ii) & (ii < n) & (0 <= jj) & (jj < n)
-        rows.append(k[inside])
-        cols.append((jj * n + ii)[inside])
-        vals.append(np.full(rows[-1].size, -c))
-        out = ~inside
+        inside[:, slot] = (0 <= ii) & (ii < n) & (0 <= jj) & (jj < n)
+        out = ~inside[:, slot]
+        lengths -= out
         if neumann:
             # ghost elimination u_B = u_adj + h g keeps T symmetric
             diag[out] -= c
@@ -191,8 +199,10 @@ def assemble_elliptic(spec, n):
             f_vec[out] += c * h * _on_nodes(spec.flux, bx, by)
         else:
             f_vec[out] += c * spec.bc_value
-    T = _csr_from_arrays(np.concatenate(rows + [k]), np.concatenate(cols + [k]),
-                         np.concatenate(vals + [diag]), size, size)
+    vals[:, 2] = diag
+    row_offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=row_offsets[1:])
+    T = SparseMatrix(size, size, row_offsets, cols[inside], vals[inside])
     b = f_vec - spmv(T, psi_vec)
     scale = np.abs(f_vec) + spmv(
         SparseMatrix(size, size, T.row_offsets, T.col_indices, np.abs(T.values)),

@@ -120,7 +120,7 @@ def loop_assembly(spec, n):
 
 
 def queue_is_connected(matrix):
-    """Reference for matprops._is_connected: node 0 reaches every node in
+    """Reference for SparseMatrix.is_irreducible: node 0 reaches every node in
     a one-node-at-a-time breadth-first search over the rows of A, and in
     another over the rows of A^T."""
     n = matrix.n_rows

@@ -17,8 +17,8 @@ from plskit.matprops import (
     PROVEN,
     UNIQUE,
     InvalidNullVector,
-    _is_connected,
 )
+from plskit import numkit
 from plskit.numkit import DimensionError, SparseMatrix
 
 
@@ -233,6 +233,12 @@ def test_t1_on_column_scaled_matrix_above_the_dense_limit(name, verdict):
 def test_t2_disproven_on_nonsingular_matrix():
     rep = check_t2(csr_from_dense(np.array([[2.0, -1.0], [-1.0, 2.0]])))
     assert rep.t2_verdict == DISPROVEN
+    # diagonal dominance settles it before any null-vector solve, up to the
+    # largest table size
+    for name in ("tent", "torsion"):
+        rep = check_t2(obs.assemble_elliptic(obs.problem_spec(name), 200).T)
+        assert rep.t2_verdict == DISPROVEN
+        assert rep.notes == ("nonsingular: irreducibly diagonally dominant",)
 
 
 def test_t2_proven_implies_t1_after_diagonal_bump():
@@ -297,10 +303,48 @@ def test_is_connected_matches_the_queue_search():
         cases.append(_pattern(n, blocks + [(order[-1], order[0])]))
         # sparse random patterns leave some rows (and columns) empty
         cases.append(_pattern(n, _random_edges(rng, np.arange(n), n // 2 + 1)))
-    verdicts = [_is_connected(m) for m in cases]
+        # a hub row or column far longer than the mean row: one way, both
+        # ways, and both ways with one spoke cut
+        hub = [(order[0], k) for k in order[1:]]
+        back = [(k, order[0]) for k in order[1:]]
+        cases.append(_pattern(n, hub))
+        cases.append(_pattern(n, hub + back))
+        cases.append(_pattern(n, hub[1:] + back))
+    # patterns equal to their transpose's, with values that are not: the
+    # column-scaled Neumann matrix, and random symmetric patterns
+    for name in ("tent-neumann", "torsion-neumann"):
+        t = obs.assemble_elliptic(obs.problem_spec(name), 7).T
+        cases.append(column_scaled(t)[0])
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        edges = _random_edges(rng, np.arange(n), n)
+        edges += [(j, i) for i, j in edges]
+        cases.append(csr_from_triplets(
+            [(i, j, -rng.uniform(0.5, 2.0)) for i, j in edges], n, n))
+    verdicts = [m.is_irreducible() for m in cases]
     assert verdicts == [queue_is_connected(m) for m in cases]
     assert 0 < sum(verdicts) < len(verdicts)
     assert verdicts[:3] == [True, True, False]
+    one_search = [m for m in cases[-22:] if not m.is_symmetric()]
+    assert len(one_search) > 10 and 0 < sum(m.is_irreducible() for m in one_search)
+
+
+def test_irreducibility_is_searched_once_per_matrix(monkeypatch):
+    # check_t1 is not Proven on the singular Neumann matrix, so the check
+    # flow runs check_t2 on it too; its pattern is its transpose's, so
+    # one search from node 0 answers for both directions
+    searches = []
+    search = numkit._reaches_all
+
+    def counted(matrix):
+        searches.append(matrix.n_rows)
+        return search(matrix)
+
+    monkeypatch.setattr(numkit, "_reaches_all", counted)
+    t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), 25).T
+    assert check_t1(t).t1_verdict == DISPROVEN
+    assert check_t2(t).t2_verdict == PROVEN
+    assert searches == [625]
 
 
 def test_t1_dominance_ignores_rounding_in_row_sums():

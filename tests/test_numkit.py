@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from plskit import (
     DimensionError,
+    SparseMatrix,
     csr_from_triplets,
     load_matrix_market,
     principal_submatrix,
@@ -75,6 +76,8 @@ def test_rectangular_and_empty_matrices():
     m = csr_from_triplets([], 3, 5)
     assert m.shape == (3, 5)
     assert np.array_equal(spmv(m, np.ones(5)), np.zeros(3))
+    with pytest.raises(DimensionError):
+        m.is_irreducible()
 
 
 def test_transpose_round_trip_and_cache():
@@ -84,6 +87,33 @@ def test_transpose_round_trip_and_cache():
     t = m.transpose()
     assert np.allclose(t.to_dense(), a.T)
     assert t.transpose() is m  # cached back-link
+
+
+def test_transpose_matches_the_triplet_build_bit_for_bit():
+    # seeded rectangular matrices with empty rows and columns: the
+    # sort-free transpose must give the arrays that building A^T from its
+    # triplets gives, and transpose back to A
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        n_rows, n_cols = (int(d) for d in rng.integers(1, 30, size=2))
+        a = rng.normal(size=(n_rows, n_cols))
+        a[rng.random(a.shape) < 0.7] = 0.0
+        a[rng.random(n_rows) < 0.2, :] = 0.0
+        a[:, rng.random(n_cols) < 0.2] = 0.0
+        m = csr_from_dense(a)
+        rows = np.repeat(np.arange(m.n_rows), np.diff(m.row_offsets))
+        want = _csr_from_arrays(m.col_indices, rows, m.values, m.n_cols, m.n_rows)
+        t = m.transpose()
+        assert t.shape == (n_cols, n_rows)
+        for got, ref in ((t.row_offsets, want.row_offsets),
+                         (t.col_indices, want.col_indices), (t.values, want.values)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        back = SparseMatrix(t.n_rows, t.n_cols, t.row_offsets, t.col_indices,
+                            t.values).transpose()
+        for got, ref in ((back.row_offsets, m.row_offsets),
+                         (back.col_indices, m.col_indices), (back.values, m.values)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(t.to_dense(), a.T)
 
 
 def test_transpose_cache_does_not_keep_the_matrix_alive():
