@@ -68,7 +68,7 @@ def _build_parser():
     parser = _Parser(prog="plskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, problems, need_n=True):
+    def add_common(p, problems):
         p.add_argument("--problem", choices=problems)
         p.add_argument("--n", type=int, required=False,
                        help="interior grid nodes per side")

@@ -28,9 +28,12 @@ from .pls import (
 
 
 def default_solver_options():
-    """Driver defaults: the assembled operators mix unit columns with
-    1/h^2-scaled ones, which stalls plain QMR, so diagonal preconditioning
-    is on here."""
+    """Driver defaults: Jacobi-preconditioned inner solves. Every assembled
+    matrix is symmetric, so each step solves T_AA (or I + T_AA) by CG.
+    Jacobi evens out the smaller diagonal entries that the Neumann
+    matrices carry at boundary nodes; on the Dirichlet matrices, whose
+    diagonal is constant, it is a uniform scaling. The reference counts K
+    and the `bench` CSV were recorded with these options."""
     return SolverOptions(krylov=KrylovOptions(preconditioner=JACOBI))
 
 DIRICHLET = "dirichlet"

@@ -1,9 +1,12 @@
 """Brute-force reference solver for small piecewise linear systems.
 
-Enumerates all 2^n sign patterns, densely solves each masked system, and
-keeps the candidates whose signs reproduce their generating mask. Singular
-but consistent patterns contribute one-parameter solution families with
-closed-form parameter ranges. Exponential by design; guarded at n = 20.
+Enumerates all 2^n sign patterns in chunks of 4096 masks. Each chunk is
+one stacked (k, n, n) array of masked matrices: patterns whose smallest
+singular value falls below 1e-12 of their largest are singular, and the
+rest are solved together by one batched LAPACK call. A candidate is kept
+iff its signs reproduce its mask. Singular but consistent patterns
+contribute one-parameter solution families with closed-form parameter
+ranges. Exponential by design; guarded at n = 20.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,8 @@ import numpy as np
 from .numkit import ELLIPTIC, PARABOLIC, DimensionError
 
 _MAX_N = 20
-_SING_TOL = 1e-12  # pivot and singular-value cutoff relative to ||M||_inf
+_SING_TOL = 1e-12  # smallest singular value relative to the largest
+_CHUNK = 1 << 12  # masks per stack: 13 MB of doubles at n = 20
 
 
 class TooLarge(ValueError):
@@ -40,63 +44,22 @@ class WDiagonal:
     omegas: np.ndarray
 
 
-def _plu_solve(m, rhs, pivot_floor):
-    """Partial-pivot LU solve; returns None when a pivot falls below floor."""
-    n = m.shape[0]
-    a = m.copy()
-    x = rhs.copy()
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < pivot_floor:
-            return None
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
-        x[k + 1:] -= factors * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
-
-
-def _masked_dense(t_dense, bits, kind):
-    p = bits.astype(np.float64)
-    if kind == ELLIPTIC:
-        return np.diag(1.0 - p) + t_dense * p[None, :]
-    return np.eye(bits.size) + t_dense * p[None, :]
-
-
-def _pattern_consistent(x, bits):
-    active = x >= 0.0
-    return bool(np.array_equal(active, bits))
-
-
 def _alpha_range(x0, d, bits):
     """Sign-consistency interval for x0 + alpha d under the given mask."""
-    lo, hi = -np.inf, np.inf
-    for xi, di, active in zip(x0, d, bits):
-        if di == 0.0:
-            if active != (xi >= 0.0):
-                return None
-            continue
-        crossing = -xi / di
-        if active:  # need xi + alpha di >= 0
-            if di > 0.0:
-                lo = max(lo, crossing)
-            else:
-                hi = min(hi, crossing)
-        else:  # need xi + alpha di < 0
-            if di > 0.0:
-                hi = min(hi, crossing)
-            else:
-                lo = max(lo, crossing)
+    flat = d == 0.0
+    if np.any(bits[flat] != (x0[flat] >= 0.0)):
+        return None
+    crossing = -x0[~flat] / d[~flat]
+    # active entries need x0 + alpha d >= 0, inactive ones < 0
+    below = bits[~flat] == (d[~flat] > 0.0)
+    lo = float(crossing[below].max(initial=-np.inf))
+    hi = float(crossing[~below].min(initial=np.inf))
     if lo >= hi:
         return None
     return lo, hi
 
 
-def _singular_family(m, b, bits, pivot_floor):
+def _singular_family(m, b, bits):
     u, s, vh = np.linalg.svd(m)
     if s[0] <= 0.0:
         return None
@@ -127,7 +90,8 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
     For each boolean mask P the dense masked system is solved; a candidate
     is accepted iff its signs reproduce P under the inclusive >= 0 rule.
     Singular consistent patterns yield families restricted to their
-    sign-consistent parameter range.
+    sign-consistent parameter range. Masks are walked in code order, bit i
+    of the code being entry i of P, so results come in that order.
     """
     if matrix.n_rows != matrix.n_cols:
         raise DimensionError(f"matrix is {matrix.shape}, expected square")
@@ -139,20 +103,25 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise DimensionError("right-hand side length must match the matrix")
+    if n == 0:  # one empty mask, solved by the empty vector
+        return OracleResult([np.zeros(0)], [], 1)
     t_dense = matrix.to_dense()
     positions = np.arange(n)
 
     points, families = [], []
-    for code in range(1 << n):
-        bits = (code >> positions) & 1 == 1
-        m = _masked_dense(t_dense, bits, kind)
-        pivot_floor = _SING_TOL * max(np.abs(m).sum(axis=1).max(), 1e-300)
-        x = _plu_solve(m, b, pivot_floor)
-        if x is not None:
-            if _pattern_consistent(x, bits):
-                points.append(x)
-        else:
-            fam = _singular_family(m, b, bits, pivot_floor)
+    for start in range(0, 1 << n, _CHUNK):
+        codes = np.arange(start, min(start + _CHUNK, 1 << n))
+        bits = (codes[:, None] >> positions) & 1 == 1
+        p = bits.astype(np.float64)
+        m = t_dense * p[:, None, :]
+        m[:, positions, positions] += 1.0 - p if kind == ELLIPTIC else 1.0
+        s = np.linalg.svd(m, compute_uv=False)
+        singular = s[:, -1] <= _SING_TOL * s[:, 0]
+        x = np.linalg.solve(m[~singular], b[None, :, None])[:, :, 0]
+        consistent = np.all((x >= 0.0) == bits[~singular], axis=1)
+        points.extend(x[consistent])
+        for k in np.flatnonzero(singular):
+            fam = _singular_family(m[k], b, bits[k])
             if fam is not None and not any(
                 np.allclose(fam.base, g.base) and np.allclose(fam.direction, g.direction)
                 for g in families

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
-from helpers import csr_from_dense, path_laplacian, random_t1
+from helpers import csr_from_dense, path_laplacian, random_symmetric_t1, random_t1
 
 from plskit import (
+    CONVERGED,
     PARABOLIC,
     PlsProblem,
+    csr_from_triplets,
     enumerate_solutions,
     residual_nonsmooth,
     solve_elliptic_pls,
     solve_parabolic_pls,
+    solve_shifted,
+    spmv,
     w_matrix,
 )
 from plskit.numkit import DimensionError
-from plskit.oracle import TooLarge
+from plskit.oracle import _CHUNK, TooLarge
+from plskit.pls import MAX_PLUS_TMIN, MIN_PLUS_TMAX
 
 T22 = np.array([[2.0, -1.0], [-1.0, 2.0]])
 SING = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -65,6 +70,36 @@ def test_enumeration_guards():
         enumerate_solutions(csr_from_dense(T22), np.ones(2), kind="weird")
 
 
+def test_every_pattern_solution_is_kept_in_code_order():
+    # T = -I with b = -1 has one solution per mask: x = +1 on the mask and
+    # -1 off it; at n = 13 the 8192 of them fill two chunks
+    for n in (2, 13):
+        res = enumerate_solutions(csr_from_dense(-np.eye(n)), -np.ones(n))
+        assert len(res.point_solutions) == 1 << n
+        codes = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+        assert np.array_equal(np.array(res.point_solutions), 2.0 * codes - 1.0)
+
+
+def test_ill_conditioned_regular_pattern_is_solved():
+    # T = L + eps I is a T1 matrix with T 1 = eps 1, so x = 1 / eps solves
+    # the full mask, whose condition number is about 4 / eps
+    eps = 1e-8
+    t = csr_from_dense(path_laplacian(4).to_dense() + eps * np.eye(4))
+    res = enumerate_solutions(t, np.ones(4))
+    assert len(res.point_solutions) == 1 and not res.families
+    assert np.allclose(res.point_solutions[0], np.full(4, 1.0 / eps), rtol=1e-6)
+
+
+def test_empty_system_has_the_empty_point_solution():
+    empty = csr_from_triplets([], 0, 0)
+    res = enumerate_solutions(empty, np.zeros(0))
+    assert res.patterns_tested == 1
+    assert len(res.point_solutions) == 1 and res.point_solutions[0].shape == (0,)
+    assert res.families == []
+    sol = solve_elliptic_pls(PlsProblem(empty, np.zeros(0)))
+    assert sol.status == CONVERGED and sol.x.shape == (0,)
+
+
 def test_w_matrix_four_cases():
     assert np.allclose(w_matrix([1.0, 2.0], [3.0, 4.0]).omegas, [1.0, 1.0])
     assert np.allclose(w_matrix([-1.0, -2.0], [-3.0, -4.0]).omegas, [0.0, 0.0])
@@ -90,37 +125,65 @@ def test_w_matrix_shape_check():
         w_matrix(np.ones(2), np.ones(3))
 
 
+def _assert_oracle_agrees_with_solvers(t, b):
+    res = enumerate_solutions(t, b)
+    assert len(res.point_solutions) == 1
+    assert len(res.families) == 0
+    x_ref = res.point_solutions[0]
+    sol = solve_elliptic_pls(PlsProblem(t, b))
+    err = np.abs(sol.x - x_ref).max()
+    assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
+
+    res_p = enumerate_solutions(t, b, kind=PARABOLIC)
+    assert len(res_p.point_solutions) == 1
+    sol_p = solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC))
+    ref_p = res_p.point_solutions[0]
+    assert np.abs(sol_p.x - ref_p).max() <= 1e-9 * max(np.abs(ref_p).max(), 1.0)
+
+
 def test_random_instances_agree_with_iterative_solver():
     rng = np.random.default_rng(32)
-    t_count = 50
-    for _ in range(t_count):
+    for _ in range(50):
         n = int(rng.integers(2, 9))
-        t = random_t1(rng, n)
-        b = rng.normal(size=n)
-        res = enumerate_solutions(t, b)
-        assert len(res.point_solutions) == 1
-        assert len(res.families) == 0
-        x_ref = res.point_solutions[0]
-        sol = solve_elliptic_pls(PlsProblem(t, b))
-        err = np.abs(sol.x - x_ref).max()
-        assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
-
-        res_p = enumerate_solutions(t, b, kind=PARABOLIC)
-        assert len(res_p.point_solutions) == 1
-        sol_p = solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC))
-        ref_p = res_p.point_solutions[0]
-        assert np.abs(sol_p.x - ref_p).max() <= 1e-9 * max(
-            np.abs(ref_p).max(), 1.0
-        )
+        _assert_oracle_agrees_with_solvers(random_t1(rng, n), rng.normal(size=n))
+    # 2^13 masks span two chunks of the enumeration
+    assert 1 << 13 > _CHUNK
+    _assert_oracle_agrees_with_solvers(random_t1(rng, 13), rng.normal(size=13))
 
 
 def test_path_laplacian_family_matches_direction_of_ones():
-    lap = path_laplacian(3)
-    b = np.array([1.0, 0.0, -1.0])  # orthogonal to the all-ones left null
-    res = enumerate_solutions(lap, b)
-    assert len(res.families) >= 1
-    fam = res.families[0]
-    assert np.allclose(fam.direction / fam.direction.max(), np.ones(3))
-    for alpha in (0.0, 1.0, 3.0):
-        member = fam.base + alpha * fam.direction
-        assert residual_nonsmooth(lap, b, member) <= 1e-9
+    # the only singular pattern is the full mask, the last code; at n = 13
+    # it sits in the second chunk of the enumeration
+    for n in (3, 13):
+        lap = path_laplacian(n)
+        b = np.linspace(1.0, -1.0, n)  # orthogonal to the all-ones left null
+        res = enumerate_solutions(lap, b)
+        assert len(res.families) >= 1
+        fam = res.families[0]
+        assert np.allclose(fam.direction / fam.direction.max(), np.ones(n))
+        for alpha in (0.0, 1.0, 3.0):
+            member = fam.base + alpha * fam.direction
+            assert residual_nonsmooth(lap, b, member) <= 1e-9
+
+
+def test_shifted_solves_agree_with_the_oracle():
+    # with z = x - xi and b2 = b - xi - T xi, MinPlusTMax is the elliptic
+    # system in z with right-hand side b2, and MaxPlusTMin is the elliptic
+    # system in -z with right-hand side -b2; the nonsymmetric T1 matrices
+    # take the QMR inner path and the symmetric ones the CG path
+    rng = np.random.default_rng(33)
+    for build in (random_t1, random_symmetric_t1):
+        for _ in range(20):
+            n = int(rng.integers(2, 14))
+            t = build(rng, n)
+            b = rng.normal(size=n)
+            xi = rng.normal(size=n)
+            b2 = b - xi - spmv(t, xi)
+            for form, sign in ((MIN_PLUS_TMAX, 1.0), (MAX_PLUS_TMIN, -1.0)):
+                ref = enumerate_solutions(t, sign * b2)
+                assert len(ref.point_solutions) == 1 and not ref.families
+                x_ref = xi + sign * ref.point_solutions[0]
+                sol = solve_shifted(t, b, xi, form)
+                assert sol.status == CONVERGED
+                err = np.abs(sol.x - x_ref).max()
+                assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
