@@ -85,7 +85,6 @@ def _build_parser():
                        default=obs.CORNER_AVERAGE)
     solve.add_argument("--krylov-tol", type=float, default=None)
     solve.add_argument("--sign-tol", type=float, default=None)
-    solve.add_argument("--no-monotone-mask", action="store_true")
     solve.add_argument("--out", default=None, help="write the field CSV here")
 
     bench = sub.add_parser("bench", help="sweep one reference table")
@@ -94,7 +93,6 @@ def _build_parser():
                        help="restrict the sweep to one grid size")
     bench.add_argument("--krylov-tol", type=float, default=None)
     bench.add_argument("--sign-tol", type=float, default=None)
-    bench.add_argument("--no-monotone-mask", action="store_true")
     bench.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 
     check = sub.add_parser("check", help="classify a matrix")
@@ -112,8 +110,6 @@ def _solver_options(args):
     opts = obs.default_solver_options()
     if getattr(args, "sign_tol", None) is not None:
         opts.sign_threshold = args.sign_tol
-    if getattr(args, "no_monotone_mask", False):
-        opts.enforce_monotone_mask = False
     if getattr(args, "krylov_tol", None) is not None:
         opts.krylov = KrylovOptions(rel_tol=args.krylov_tol,
                                     preconditioner=opts.krylov.preconditioner)

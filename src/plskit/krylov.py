@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkit import reused_product
+
 JACOBI = "jacobi"
 
 _PIVOT_FLOOR = 1e-300  # below this a Lanczos pivot counts as a breakdown
@@ -229,6 +231,13 @@ def cg_solve(op, b, x0=None, opts=None):
     do not lower the best true residual (the tolerance is below the
     attainable accuracy), raise NotConverged. Both carry the best iterate
     and its stats.
+
+    One solve allocates its vectors once: x, r, z and the direction p are
+    updated in place, and every product runs on numkit.reused_product's
+    buffers (for an ELL operator, p lives in its padded direction vector,
+    so no product copies or pads it; the true residual borrows p for x).
+    Every operation keeps the bits of the textbook form, such as
+    x += alpha p.
     """
     opts = opts or KrylovOptions()
     b = np.asarray(b, dtype=np.float64)
@@ -238,9 +247,13 @@ def cg_solve(op, b, x0=None, opts=None):
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
     inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
 
-    r = b - op.matvec(x)
+    p, apply = reused_product(op, n)
+    np.copyto(p, x)  # p is free until a run starts, so it carries x
+    r = b - apply()
     res = _norm(r)
     x_best, res_best = x.copy(), res
+    z = r if inv_d is None else np.empty(n)
+    step = np.empty(n)  # alpha p, then alpha q
     used = 0
     stalls = 0  # consecutive runs that did not lower res_best
     while res > tol:
@@ -252,27 +265,31 @@ def cg_solve(op, b, x0=None, opts=None):
                 x_best,
                 KrylovStats(used, res_best, False, False),
             )
-        z = r * inv_d if inv_d is not None else r
-        p = z.copy()
+        if inv_d is not None:
+            np.multiply(r, inv_d, out=z)
+        np.copyto(p, z)
         rz = float(r @ z)
         broke = False
         while used < budget:
-            q = op.matvec(p)
+            q = apply()
             curvature = float(p @ q)
             if not (curvature > 0.0 and rz > 0.0):
                 broke = True
                 break
             alpha = rz / curvature
-            x += alpha * p
-            r -= alpha * q
+            x += np.multiply(p, alpha, out=step)
+            r -= np.multiply(q, alpha, out=step)
             used += 1
             if _norm(r) <= tol:
                 break
-            z = r * inv_d if inv_d is not None else r
+            if inv_d is not None:
+                np.multiply(r, inv_d, out=z)
             rz_next = float(r @ z)
-            p = z + (rz_next / rz) * p
+            p *= rz_next / rz
+            p += z
             rz = rz_next
-        r = b - op.matvec(x)  # re-sync on the true residual
+        np.copyto(p, x)
+        np.subtract(b, apply(), out=r)  # re-sync on the true residual
         res = _norm(r)
         if res < res_best:
             x_best, res_best = x.copy(), res

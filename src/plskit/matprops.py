@@ -109,9 +109,7 @@ def _t1_verdict(matrix, report):
         return DISPROVEN, "matrix is reducible"
     if matrix.diagonal().min() <= 0.0:
         return DISPROVEN, "nonpositive diagonal entry"
-    abs_sums = matrix.abs_row_sums()
-    tnorm = float(abs_sums.max())
-    row_sums, noise, dominant = _ones_test(matrix, abs_sums)
+    tnorm, row_sums, noise, dominant = _ones_test(matrix)
     if dominant:
         return PROVEN, _DOMINANT
     disproof = _t1_disproof(row_sums, noise, tnorm)
@@ -125,7 +123,7 @@ def _t1_verdict(matrix, report):
         y = _solve(matrix, np.ones(n), _T1_SOLVE_TOL)
     except _SOLVE_FAILED:
         try:
-            y = _positive_null_vector(matrix)
+            y = _positive_null_vector(matrix, tnorm)
         except _SOLVE_FAILED:
             return INCONCLUSIVE, "solves of T x = 1 and T w = 0 failed"
     else:
@@ -145,16 +143,19 @@ def _rounding_ulps(matrix):
     return ulps * np.finfo(np.float64).eps
 
 
-def _ones_test(matrix, abs_sums):
-    """T 1, the rounding noise of each of its rows, and whether T 1 >= 0
-    with some row above its noise: with irreducibility, that makes T
-    irreducibly diagonally dominant, so nonsingular. A row sum counts as
-    positive only above the noise of the sum that formed it, or a
-    singular Laplacian would pass."""
+def _ones_test(matrix):
+    """||T||_inf, T 1, the rounding noise of each of its rows, and whether
+    T 1 >= 0 with some row above its noise: with irreducibility, that
+    makes T irreducibly diagonally dominant, so nonsingular. A row sum
+    counts as positive only above the noise of the sum that formed it, or
+    a singular Laplacian would pass. Each check calls it once and passes
+    the norm down."""
+    abs_sums = matrix.abs_row_sums()
+    tnorm = float(abs_sums.max())
     row_sums = spmv(matrix, np.ones(matrix.n_cols))
     noise = _rounding_ulps(matrix) * abs_sums
     dominant = bool(np.all(row_sums >= 0.0) and np.any(row_sums > noise))
-    return row_sums, noise, dominant
+    return tnorm, row_sums, noise, dominant
 
 
 def _t1_disproof(ty, noise, tnorm):
@@ -176,15 +177,15 @@ def _solve(sub, rhs, abs_tol):
     return qmr_solve(sub, rhs, x0=np.ones(rhs.size), opts=opts)[0]
 
 
-def _positive_null_vector(matrix):
+def _positive_null_vector(matrix, tnorm):
     """w with w_0 = 1 and T_{-0,-0} w_{-0} = -T_{-0,0}, scaled to max 1.
     A Krylov solve starts from ones (the answer if T 1 = 0) and stops at
-    0.1 _NULL_RESIDUAL ||T|| / sqrt(n) on rows 1..n-1, as v^T T w = 0
-    bounds row 0 by sqrt(n) max v/v_0."""
+    0.1 _NULL_RESIDUAL ||T||_inf / sqrt(n) on rows 1..n-1, as v^T T w = 0
+    bounds row 0 by sqrt(n) max v/v_0; tnorm is ||T||_inf."""
     n = matrix.n_rows
     sub = principal_submatrix(matrix, np.arange(n) > 0)
     rhs = -spmv(matrix, np.eye(1, n)[0])[1:]
-    abs_tol = 0.1 * _NULL_RESIDUAL * matrix.norm_inf() / np.sqrt(n)
+    abs_tol = 0.1 * _NULL_RESIDUAL * tnorm / np.sqrt(n)
     w = np.concatenate([[1.0], _solve(sub, rhs, abs_tol)])
     return w / w.max()
 
@@ -203,19 +204,20 @@ def check_t2(matrix):
         report.t2_verdict = DISPROVEN
         report.notes = ("empty matrix" if n == 0 else "needs an irreducible Z-pattern",)
         return report
-    tnorm = matrix.norm_inf()
+    tnorm, _, _, dominant = _ones_test(matrix)
     if tnorm == 0.0:
         report.t2_verdict = DISPROVEN
         report.notes = ("zero matrix",)
         return report
-    if _ones_test(matrix, matrix.abs_row_sums())[2]:
+    if dominant:
         report.t2_verdict = DISPROVEN
         report.notes = ("nonsingular: " + _DOMINANT,)
         return report
     transpose = matrix if matrix.is_symmetric() else matrix.transpose()
     try:
-        w = _positive_null_vector(matrix)
-        v = w if transpose is matrix else _positive_null_vector(transpose)
+        w = _positive_null_vector(matrix, tnorm)
+        v = (w if transpose is matrix
+             else _positive_null_vector(transpose, transpose.norm_inf()))
     except _SOLVE_FAILED:
         report.t2_verdict = INCONCLUSIVE
         report.notes = ("solve for the null vectors failed",)

@@ -1,20 +1,25 @@
 """Sparse CSR matrices and validated vectors.
 
 Each outer solver step needs the principal submatrix of T on the active
-set (with a unit shift on its diagonal for the parabolic form);
-`principal_submatrix` slices it in one pass over the stored entries.
+set (with a unit shift on its diagonal for the parabolic form). The
+solver gets it from `active_operator`, which gathers the active rows of
+T's CSR arrays straight into a padded fixed-width (ELL) layout in
+O(width k): no CSR slice per step, and T itself keeps no layout.
+`principal_submatrix` still slices T into CSR in one pass over the
+stored entries, for matprops and for the operator's two fallbacks.
 
 CSR is the storage, and products are vectorized numpy. A CSR product is
-a gather, a multiply and one segmented sum (`np.add.reduceat`). The
-sliced operator that the inner Krylov solve multiplies gets a padded
-fixed-width (ELL) layout from `with_ell_layout`, and so does its
-transpose: (r, n) arrays of values and columns, r the longest row,
-padding at the end of each row. Its product is a few long vector
-operations, first entry plus the ordered sum of the rest, which is the
-order `reduceat` adds a row of at most 8 entries in. So both kernels
-give the same bits, signed zeros included. A matrix with a row longer
-than 8 stays on CSR, as do T itself, the slices matprops solves and
-every one-shot product.
+a gather, a multiply and one segmented sum (`np.add.reduceat`). The ELL
+layout is a pair of (r, n) arrays of values and columns, r the longest
+row, with padding that reads -0.0 (or +0.0 for an empty row). Its
+product is a few long vector operations, first entry plus the ordered
+sum of the rest, which is the order `reduceat` adds a row of at most 8
+entries in. So both kernels give the same bits, signed zeros included;
+this is checked on numpy 2.4 only. A matrix with a row longer than 8
+stays on CSR, as do T itself, the slices matprops solves and every
+one-shot product. The inner solve's operator, and `with_ell_layout`'s,
+share one kernel, which a Krylov loop runs on reused buffers through
+`reused_product`.
 
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
@@ -74,6 +79,7 @@ class SparseMatrix:
         self._symmetric = None
         self._irreducible = None
         self._ell = None  # (values, columns) product layout, see with_ell_layout
+        self._diagonal_slots = None
 
     @property
     def shape(self):
@@ -154,6 +160,19 @@ class SparseMatrix:
                     and np.array_equal(t.col_indices, self.col_indices)
                 ) or _reaches_all(t)
         return self._irreducible
+
+    def diagonal_slots(self):
+        """Position of each row's diagonal entry among its stored entries,
+        -1 where it has none; found once per matrix."""
+        if self._diagonal_slots is None:
+            lengths = np.diff(self.row_offsets)
+            rows = np.repeat(np.arange(self.n_rows, dtype=_INDEX_DTYPE), lengths)
+            on_diag = rows == self.col_indices
+            slots = np.full(self.n_rows, -1, dtype=_INDEX_DTYPE)
+            slots[rows[on_diag]] = (np.flatnonzero(on_diag)
+                                    - self.row_offsets[rows[on_diag]])
+            self._diagonal_slots = slots
+        return self._diagonal_slots
 
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
@@ -300,13 +319,37 @@ def spmv(matrix, x):
         prod *= matrix.values
         return _row_sums(prod, matrix.row_offsets)
     values, cols = matrix._ell
-    prod = np.concatenate((x, _ELL_PAD))[cols]
+    return _ell_product(values, cols, np.concatenate((x, _ELL_PAD)),
+                        np.empty(values.shape), np.empty(matrix.n_rows))
+
+
+def _ell_product(values, cols, padded, prod, out):
+    """out = A x for A in the ELL layout (values, cols), with padded =
+    (x, -0.0, 0.0) and prod a scratch array of the layout's shape.
+
+    The rest of each row in order from -0.0, then its first entry:
+    reduceat's order for rows of at most 8 entries."""
+    padded.take(cols, mode="wrap", out=prod)  # "wrap" writes out unbuffered
     prod *= values
-    # the rest of each row in order from -0.0, then its first entry:
-    # reduceat's order for rows of at most 8 entries
-    y = np.add.reduce(prod[1:], axis=0, initial=-0.0)
-    y += prod[0]
-    return y
+    np.add.reduce(prod[1:], axis=0, initial=-0.0, out=out)
+    out += prod[0]
+    return out
+
+
+def reused_product(op, n):
+    """(v, apply) for the many products of one Krylov solve: fill the
+    length-n vector v, and apply() returns op v in a buffer that the next
+    call overwrites. An operator with the ELL layout keeps v inside its
+    padded direction vector and runs the kernel of spmv on reused scratch;
+    any other takes op.matvec(v)."""
+    ell = getattr(op, "_ell", None)
+    if ell is None:
+        v = np.empty(n)
+        return v, lambda: op.matvec(v)
+    values, cols = ell
+    padded = np.concatenate((np.empty(n), _ELL_PAD))
+    prod, out = np.empty(values.shape), np.empty(n)
+    return padded[:n], lambda: _ell_product(values, cols, padded, prod, out)
 
 
 def _row_sums(prod, row_offsets):
@@ -322,29 +365,138 @@ def _row_sums(prod, row_offsets):
 
 
 def with_ell_layout(matrix):
-    """Attach the ELL product layout to matrix and return it; a
+    """Attach the ELL product layout to matrix, once, and return it; a
     transpose() taken after this gets one too. A matrix with a row longer
     than _ELL_MAX_WIDTH is left on CSR. Worth it for an operator that
-    takes many products, such as the inner solve's."""
-    n = matrix.n_rows
-    lengths = np.diff(matrix.row_offsets)
-    width = max(int(lengths.max(initial=0)), 2)  # prod[1:] is never empty
-    if width > _ELL_MAX_WIDTH:
-        return matrix
-    # the stored entries, in CSR order, are the first lengths[i] slots of
-    # row i of an (n, width) array in row-major order
-    stored = np.arange(width) < lengths[:, None]
-
-    def padded(entries, pad):
-        rows = np.full((n, width), pad, dtype=entries.dtype)
-        rows[stored] = entries
-        return np.ascontiguousarray(rows.T)
-
-    values = padded(matrix.values, 0.0)
-    cols = padded(matrix.col_indices, matrix.n_cols)
-    cols[0, lengths == 0] = matrix.n_cols + 1
-    matrix._ell = (values, cols)
+    takes many products."""
+    if matrix._ell is None:
+        rows = np.arange(matrix.n_rows)
+        gathered = _ell_gather(matrix, rows, np.arange(matrix.n_cols + 1),
+                               matrix.n_cols)
+        if gathered is not None:
+            matrix._ell = _first_entry_in_slot_0(*gathered, matrix.n_cols)
     return matrix
+
+
+def _ell_gather(matrix, rows, new_index, k):
+    """(values, cols) of the given rows of matrix in the ELL layout, or
+    None if one of them is longer than _ELL_MAX_WIDTH.
+
+    Column j becomes new_index[j]. A slot past the end of its row, and an
+    entry whose column new_index sends to k, read the -0.0 pad k with
+    value 0.0 (new_index[n_cols] must be k). Built straight in (width, m)
+    order from the CSR arrays, with no (m, width) temporaries."""
+    starts = matrix.row_offsets[rows]
+    lengths = matrix.row_offsets[rows + 1] - starts
+    width = int(lengths.max(initial=0))
+    if width > _ELL_MAX_WIDTH:
+        return None
+    slot = np.arange(max(width, 2))[:, None]  # the kernel reads prod[1]
+    if matrix.nnz == 0:
+        return np.zeros((slot.size, rows.size)), np.full((slot.size, rows.size), k)
+    # a slot past the end of its row reads some other entry (or wraps
+    # around), which the pad replaces
+    entry = starts + slot
+    raw = matrix.col_indices.take(entry, mode="wrap")
+    np.putmask(raw, slot >= lengths, matrix.n_cols)
+    cols = new_index.take(raw)
+    values = matrix.values.take(entry, mode="wrap")
+    np.putmask(values, cols == k, 0.0)
+    return values, cols
+
+
+def _first_entry_in_slot_0(values, cols, k):
+    """Move the first kept entry of each row whose slot 0 reads the -0.0
+    pad k into slot 0, in place, and point a row with no kept entry at
+    the +0.0 pad k + 1; returns (values, cols).
+
+    The kernel adds a row's slot 0 last, to the ordered sum of the others,
+    as reduceat adds its first entry. A pad in a later slot leaves that
+    sum as it is, because s + (-0.0) == s; one in slot 0 would put the
+    first entry into the ordered sum. An empty row sums to 0 * 0.0 = 0.0,
+    as the CSR kernel gives it."""
+    rows = np.flatnonzero(cols[0] == k)
+    first = (cols[:, rows] == k).argmin(axis=0)  # the first kept slot, 0 if none
+    cols[0, rows[first == 0]] = k + 1
+    rows, first = rows[first > 0], first[first > 0]
+    cols[0, rows], values[0, rows] = cols[first, rows], values[first, rows]
+    cols[first, rows], values[first, rows] = k, 0.0
+    return values, cols
+
+
+class EllOperator:
+    """A square operator held only in the ELL layout, as active_operator
+    gathers it: products by spmv, diagonal() for Jacobi, and rmatvec by
+    the same slice of the transpose, built on first use."""
+
+    def __init__(self, values, cols, diagonal, transposed):
+        self.n_rows = self.n_cols = diagonal.size
+        self.shape = (self.n_rows, self.n_cols)
+        self._ell = (values, cols)
+        self._diagonal = diagonal
+        self._transposed = transposed  # a function that builds it
+
+    @property
+    def nnz(self):
+        """Stored entries, as SparseMatrix.nnz counts them."""
+        return int(np.count_nonzero(self._ell[1] < self.n_cols))
+
+    def matvec(self, x):
+        return spmv(self, x)
+
+    def rmatvec(self, x):
+        if callable(self._transposed):
+            self._transposed = self._transposed()
+        return spmv(self._transposed, x)
+
+    def diagonal(self):
+        return self._diagonal
+
+
+def active_operator(matrix, mask, shift=0.0):
+    """A[mask][:, mask] + shift I as an operator for a Krylov solve, with
+    the bits of principal_submatrix's CSR slice in every product.
+
+    The active rows are gathered from A's CSR arrays straight into the
+    ELL layout of the slice, in O(width k): columns renumbered, every
+    dropped neighbour a pad (see _ell_gather and _first_entry_in_slot_0).
+    The shift lands in the diagonal's slot, which A finds once per matrix,
+    and the Jacobi diagonal is read from that slot. No CSR slice is built
+    and A keeps no layout. A slice of a row longer than _ELL_MAX_WIDTH,
+    and a shift on a missing or cancelling diagonal entry, take
+    principal_submatrix's slice instead.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
+        raise DimensionError("need a square matrix and a mask of its dimension")
+    sliced = _ell_slice(matrix, mask, shift)
+    if sliced is None:
+        return with_ell_layout(principal_submatrix(matrix, mask, shift))
+    return EllOperator(
+        *sliced, lambda: active_operator(matrix.transpose(), mask, shift))
+
+
+def _ell_slice(matrix, mask, shift):
+    """(values, cols, diagonal) of active_operator's slice, or None for a
+    fallback."""
+    active = np.flatnonzero(mask)
+    k = active.size
+    slots = np.arange(k)
+    new_index = np.full(matrix.n_cols + 1, k)
+    new_index[active] = slots
+    gathered = _ell_gather(matrix, active, new_index, k)
+    if gathered is None:
+        return None
+    values, cols = gathered
+    diag_slot = matrix.diagonal_slots().take(active)
+    missing = diag_slot < 0
+    diagonal = np.where(missing, 0.0, values[diag_slot, slots])
+    if shift != 0.0:
+        if missing.any() or np.any(diagonal == -shift):
+            return None
+        diagonal += shift
+        values[diag_slot, slots] = diagonal
+    return (*_first_entry_in_slot_0(values, cols, k), diagonal)
 
 
 def principal_submatrix(matrix, mask, shift=0.0):

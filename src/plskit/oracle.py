@@ -91,7 +91,8 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
     is accepted iff its signs reproduce P under the inclusive >= 0 rule.
     Singular consistent patterns yield families restricted to their
     sign-consistent parameter range. Masks are walked in code order, bit i
-    of the code being entry i of P, so results come in that order.
+    of the code being entry i of P, so results come in that order. A point
+    that lies on a reported family is not reported again as a point.
     """
     if matrix.n_rows != matrix.n_cols:
         raise DimensionError(f"matrix is {matrix.shape}, expected square")
@@ -127,7 +128,20 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
                 for g in families
             ):
                 families.append(fam)
+    # a regular pattern next to a family's base point can solve to that
+    # point with a zero entry rounded below 0, which reproduces its mask
+    points = [x for x in points if not any(_on_family(x, f) for f in families)]
     return OracleResult(points, families, 1 << n)
+
+
+def _on_family(x, fam):
+    """Whether x is base + alpha direction for an alpha in the family's
+    range, up to rounding."""
+    d = fam.direction
+    alpha = float((x - fam.base) @ d) / float(d @ d)
+    alpha = min(max(alpha, fam.alpha_min), fam.alpha_max)
+    gap = np.abs(x - fam.base - alpha * d).max()
+    return gap <= 1e-9 * (1.0 + np.abs(x).max())
 
 
 def w_matrix(x, y):

@@ -4,16 +4,22 @@ Elliptic: min{0,x} + T max{0,x} = b, iterated as (I - P + T P) x = b.
 Parabolic: x + T max{0,x} = b, iterated as (I + T P) x = b.
 
 The active mask P starts empty and is rebuilt from the signs of each
-iterate; with exact inner solves it grows monotonically, so it grows at
-most n times and stabilizes within n + 1 linear solves. Termination: the
-mask repeats, or it changes only at components whose value is exactly
-zero (both cases leave the iterate satisfying the nonsmooth system).
+iterate. For an M-matrix T the paper's theorem makes it grow
+monotonically with exact inner solves, so it grows at most n times and
+stabilizes within n + 1 linear solves. Nothing enforces that: each
+report counts the components that left the mask at every step, so a
+step that breaks the theorem shows. Termination: the mask repeats, or it
+changes only at components whose value is exactly zero (both cases leave
+the iterate satisfying the nonsmooth system).
 
 Each step is solved on the active set A only. With I the inactive set,
 (I - P + T P) x = b splits into T_AA x_A = b_A and (I + T P) x = b into
 (I + T_AA) x_A = b_A; both then give x_I = b_I - T_IA x_A directly. The
-reduced system is solved by Jacobi-preconditioned CG when T is
-symmetric and by QMR otherwise.
+operator T_AA (+ I) comes from numkit.active_operator, which gathers the
+active rows of T's CSR arrays straight into a padded (ELL) layout, with
+no CSR slice per step; T itself keeps no layout. The reduced system is
+solved by Jacobi-preconditioned CG when T is symmetric and by QMR
+otherwise.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,9 +31,8 @@ from .numkit import (
     PARABOLIC,
     DimensionError,
     as_vector,
-    principal_submatrix,
+    active_operator,
     spmv,
-    with_ell_layout,
 )
 from .krylov import Breakdown, KrylovOptions, NotConverged, cg_solve, qmr_solve
 from .matprops import FAMILY_ALONG_W, NO_SOLUTION, classify_solvability
@@ -83,6 +88,9 @@ class IterationReport:
     residual_history: list
     solvability: object | None = None  # matprops.Solvability when classified
     family_direction: np.ndarray | None = None
+    # per step, the components of the previous mask missing from the new
+    # one; nonzero only if the iteration is not monotone
+    left_counts: list = field(default_factory=list)
 
 
 @dataclass
@@ -97,7 +105,6 @@ class PlsSolution:
 class SolverOptions:
     sign_threshold: float = 0.0
     res_tol: float = 1e-8  # relative to ||b||_inf
-    enforce_monotone_mask: bool = True
     max_outer: int | None = None  # defaults to n + 1
     krylov: KrylovOptions = field(default_factory=KrylovOptions)
 
@@ -118,9 +125,10 @@ def _step(T, b, kind, mask, x, inner, kopts):
     """One outer step (I - P + T P) x = b or (I + T P) x = b, solved on the
     active set; an empty mask gives x = b exactly."""
     shift = 1.0 if kind == PARABOLIC else 0.0
-    sub = with_ell_layout(principal_submatrix(T, mask, shift))
     try:
-        x_active, stats = inner(sub, b[mask], x0=x[mask], opts=kopts)
+        # the operator and the solve's scratch are freed before the lift
+        x_active, stats = inner(active_operator(T, mask, shift), b[mask],
+                                x0=x[mask], opts=kopts)
     except (NotConverged, Breakdown) as exc:
         exc.x = _lift(T, b, mask, exc.x)
         raise
@@ -131,8 +139,8 @@ def _picard(T, b, kind, opts, complement=False):
     """Masked Picard loop; returns the PlsSolution.
 
     The operator mask starts empty and each step is rebuilt from the signs
-    of the new iterate (complemented for the MaxPlusTMin form), joined with
-    the previous mask when monotone enforcement is on. Stops when the mask
+    of the new iterate (complemented for the MaxPlusTMin form), and the
+    report counts the components each step drops. Stops when the mask
     repeats or flips only at exact zeros; each linear solve is warm-started
     from the previous iterate. The inner tolerance is measured against the
     full ||b|| and the default budget stays 10 n, so the reduced solve meets
@@ -153,6 +161,7 @@ def _picard(T, b, kind, opts, complement=False):
     x = np.zeros(n)
     opmask = np.zeros(n, dtype=bool)
     active_counts = [0]
+    left_counts = []
     inner_stats = []
     residual_history = []
     max_outer = opts.max_outer if opts.max_outer is not None else n + 1
@@ -164,9 +173,8 @@ def _picard(T, b, kind, opts, complement=False):
         inner_stats.append(stats)
         signs = x >= opts.sign_threshold
         newmask = ~signs if complement else signs
-        if opts.enforce_monotone_mask:
-            newmask = newmask | opmask
         active_counts.append(int(newmask.sum()))
+        left_counts.append(int(np.count_nonzero(opmask & ~newmask)))
         residual_history.append(residual_nonsmooth(T, b, x, kind, form=form))
         if np.array_equal(newmask, opmask):
             stable = True
@@ -183,7 +191,8 @@ def _picard(T, b, kind, opts, complement=False):
             stable = True
             break
         opmask = newmask
-    report = IterationReport(outer, active_counts, inner_stats, residual_history)
+    report = IterationReport(outer, active_counts, inner_stats, residual_history,
+                             left_counts=left_counts)
     if not stable:
         return PlsSolution(x, np.maximum(x, 0.0), MAX_OUTER_EXCEEDED, report)
     if residual_history[-1] > gate:

@@ -104,11 +104,8 @@ def test_tent_neumann_iteration_counts(sweeps):
     got = _counts(sweeps["table1"].rows, obs.TENT_NEUMANN)
     ref = tuple(TABLE1_KV[n] for n in N_VALUES)
     in_band = all(abs(g - r) <= 2 for g, r in zip(got, ref))
-    monotone = all(
-        all(a <= b for a, b in zip(r.result.report.active_counts,
-                                   r.result.report.active_counts[1:]))
-        for r in rows
-    )
+    # as sets: no step drops a component of the mask before it
+    monotone = all(not any(r.result.report.left_counts) for r in rows)
     _verdict(
         "tent Neumann counts",
         in_band and monotone,
@@ -256,9 +253,9 @@ def test_monotone_active_sets_and_finite_termination(sweeps):
     for t, b, kind, result in ALL_RUNS:
         if result is None:
             continue
-        counts = result.report.active_counts
-        if any(a > c for a, c in zip(counts, counts[1:])):
-            bad.append("active_counts decreased")
+        # the paper's theorem, as sets: each mask contains the one before
+        if any(result.report.left_counts):
+            bad.append("a mask dropped a component of the one before")
         k = result.report.outer_iterations
         if k > t.n_rows + 1:
             bad.append(f"K={k} > n+1={t.n_rows + 1}")
@@ -270,7 +267,7 @@ def test_monotone_active_sets_and_finite_termination(sweeps):
     _verdict(
         "monotonicity and finiteness",
         not bad,
-        f"{checked} runs: active_counts nondecreasing, K <= n+1 and every "
+        f"{checked} runs: each mask contains the one before, K <= n+1 and every "
         f"run stops on a stable mask ({at_bound} runs reach K = n+1)"
         + (f"; {len(bad)} violations, first {bad[:3]}" if bad else ""),
     )

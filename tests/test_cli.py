@@ -72,8 +72,7 @@ def test_solve_certifies_unsolvable_load(capsys):
 
 def test_solve_accepts_solver_flags(capsys):
     rc = main(["solve", "--problem", "tent", "--n", "5",
-               "--krylov-tol", "1e-10", "--sign-tol", "0",
-               "--no-monotone-mask", "--corner", "xedge"])
+               "--krylov-tol", "1e-10", "--sign-tol", "0", "--corner", "xedge"])
     assert rc == 0
     assert kv(capsys.readouterr().out)["status"] == "Converged"
 
@@ -93,7 +92,8 @@ def test_usage_errors_exit_64(capsys):
 def test_argparse_failures_exit_64():
     for argv in ([], ["frobnicate"], ["solve", "--problem", "drum", "--n", "5"],
                  ["bench", "--table", "9"], ["bench"],
-                 ["solve", "--problem", "tent", "--n", "5", "--corner", "mid"]):
+                 ["solve", "--problem", "tent", "--n", "5", "--corner", "mid"],
+                 ["solve", "--problem", "tent", "--n", "5", "--no-monotone-mask"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 64

@@ -12,6 +12,8 @@ from plskit import (
     cg_solve,
     qmr_solve,
 )
+from plskit import obstacle
+from plskit.numkit import EllOperator, active_operator, principal_submatrix
 from plskit.pls import _step
 
 
@@ -121,6 +123,27 @@ def test_reduced_step_matches_dense_solve(kind, symmetric):
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         if not mask.any():
             assert np.array_equal(x, b)
+
+
+def test_cg_on_the_gathered_operator_keeps_the_csr_bits():
+    # the gathered ELL operator runs CG's products on reused buffers; every
+    # iterate, count and residual must match CG on the plain CSR slice
+    rng = np.random.default_rng(12)
+    T = obstacle.assemble_elliptic(obstacle.problem_spec(obstacle.TORSION, -10.0), 20).T
+    for shift in (0.0, 1.0):
+        for p in (1.0, 0.6, 0.2):
+            mask = rng.random(T.n_rows) < p
+            b = rng.normal(size=int(mask.sum()))
+            for precond in (None, JACOBI):
+                opts = KrylovOptions(preconditioner=precond)
+                op = active_operator(T, mask, shift)
+                assert isinstance(op, EllOperator)
+                x, stats = cg_solve(op, b, opts=opts)
+                x_csr, stats_csr = cg_solve(principal_submatrix(T, mask, shift), b,
+                                            opts=opts)
+                assert stats.iterations == stats_csr.iterations > 0
+                assert stats.final_residual_norm == stats_csr.final_residual_norm
+                assert np.array_equal(x.view(np.int64), x_csr.view(np.int64))
 
 
 def test_cg_matches_dense_solve_on_spd_laplacian():

@@ -16,7 +16,15 @@ from plskit import (
     spmv,
 )
 from plskit import obstacle as obs
-from plskit.numkit import _csr_from_arrays, _row_sums, as_vector, with_ell_layout
+from plskit.numkit import (
+    EllOperator,
+    _csr_from_arrays,
+    _row_sums,
+    active_operator,
+    as_vector,
+    reused_product,
+    with_ell_layout,
+)
 
 
 def test_triplets_are_summed_sorted_and_zero_free():
@@ -393,3 +401,117 @@ def test_spmv_property_dense_and_csr_agree(problem):
         assert np.allclose(y, dense @ x, rtol=0.0, atol=1e-12 * scale)
         assert _same_bits(y, _csr_product(op, x))
         event("ELL" if op._ell is not None else "CSR")
+    _assert_active_operator_bits(full, mask, shift, x)
+
+
+# active_operator gathers T[A][:, A] + shift I from T's own ELL table; its
+# products, its transpose's products and its diagonal must give the bits
+# of principal_submatrix's CSR slice, signed zeros included.
+
+def _assert_active_operator_bits(T, mask, shift, x):
+    """Compare active_operator(T, mask, shift) with the CSR slice on x and
+    on a vector with signed zeros; returns the operator."""
+    op = active_operator(T, mask, shift)
+    sub = principal_submatrix(T, mask, shift)
+    assert op.shape == sub.shape
+    assert _same_bits(op.diagonal(), sub.diagonal())
+    rng = np.random.default_rng(x.size)
+    for v in (x, _vector_with_zeros(rng, x.size)):
+        assert _same_bits(op.matvec(v), _csr_product(sub, v))
+        assert _same_bits(op.rmatvec(v), _csr_product(sub.transpose(), v))
+        p, apply = reused_product(op, v.size)
+        p[:] = v
+        assert _same_bits(apply(), _csr_product(sub, v))
+    return op
+
+
+def _drops_first_neighbours(rng, T, p):
+    """A random mask that also deactivates the first stored column of some
+    active rows, so those rows lose their slot-0 entry."""
+    mask = rng.random(T.n_rows) < p
+    stored = np.diff(T.row_offsets) > 0
+    rows = np.flatnonzero(mask & stored & (rng.random(T.n_rows) < 0.5))
+    first = T.col_indices[T.row_offsets[rows]]
+    mask[first[first != rows]] = False
+    return mask
+
+
+def _first_dropped(T, mask):
+    """Active rows whose first stored column is inactive."""
+    rows = np.flatnonzero(mask & (np.diff(T.row_offsets) > 0))
+    return int(np.count_nonzero(~mask[T.col_indices[T.row_offsets[rows]]]))
+
+
+@pytest.mark.parametrize("n", [25, 50])
+@pytest.mark.parametrize("name", obs.PROBLEM_NAMES)
+def test_active_operator_matches_csr_slice_bits_on_obstacle_matrices(name, n):
+    rng = np.random.default_rng(n + 1)
+    T = _obstacle_matrix(name, n)
+    masks = [np.zeros(T.n_rows, dtype=bool), np.ones(T.n_rows, dtype=bool)]
+    masks += [rng.random(T.n_rows) < p for p in (0.9, 0.5, 0.05)]
+    masks += [_drops_first_neighbours(rng, T, p) for p in (0.9, 0.5)]
+    assert all(_first_dropped(T, m) > 0 for m in masks[2:])
+    for mask in masks:
+        for shift in (0.0, 1.0):
+            x = rng.normal(size=int(mask.sum()))
+            op = _assert_active_operator_bits(T, mask, shift, x)
+            assert isinstance(op, EllOperator)  # no fallback on a stencil
+    assert T._ell is None  # T itself keeps no layout
+
+
+def test_active_operator_matches_csr_slice_bits_for_rows_of_0_to_8_entries():
+    rng = np.random.default_rng(9)
+    gathered = 0
+    for _ in range(100):
+        n = int(rng.integers(20, 40))
+        lengths = rng.integers(0, 9, n)
+        lengths[-1] = 0  # a trailing empty row
+        T = _random_rows(rng, n, lengths)
+        for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                     rng.random(n) < 0.7, _drops_first_neighbours(rng, T, 0.8)):
+            for shift in (0.0, 1.0):
+                x = _vector_with_zeros(rng, int(mask.sum()))
+                op = _assert_active_operator_bits(T, mask, shift, x)
+                gathered += isinstance(op, EllOperator)
+    # shift 0 is always gathered; shift 1 falls back wherever an active row
+    # has no diagonal entry, which random rows often lack
+    assert gathered > 400
+
+
+def test_active_operator_falls_back_to_the_csr_slice():
+    rng = np.random.default_rng(10)
+    n = 30
+
+    def off_diagonal_rows(diagonal):
+        # 7 entries off the diagonal per row, then the given diagonal
+        rows = np.repeat(np.arange(n), 7)
+        cols = np.concatenate([rng.choice(np.delete(np.arange(n), i), 7, replace=False)
+                               for i in range(n)])
+        vals = rng.normal(size=rows.size)
+        keep = diagonal != 0.0
+        return _csr_from_arrays(np.concatenate([rows, np.arange(n)[keep]]),
+                                np.concatenate([cols, np.arange(n)[keep]]),
+                                np.concatenate([vals, diagonal[keep]]), n, n)
+
+    nine = _random_rows(rng, n, np.full(n, 9))
+    missing = off_diagonal_rows(np.where(np.arange(n) == 3, 0.0, 5.0))
+    cancelling = off_diagonal_rows(np.full(n, -1.0))
+    mask = rng.random(n) < 0.8
+    mask[3] = True
+    for T, shift in ((nine, 0.0), (nine, 1.0), (missing, 1.0), (cancelling, 1.0)):
+        x = _vector_with_zeros(rng, int(mask.sum()))
+        op = _assert_active_operator_bits(T, mask, shift, x)
+        assert isinstance(op, SparseMatrix)  # the CSR slice, maybe with ELL
+    # without a shift the missing and the cancelling diagonal are gathered
+    for T in (missing, cancelling):
+        x = _vector_with_zeros(rng, int(mask.sum()))
+        assert isinstance(_assert_active_operator_bits(T, mask, 0.0, x), EllOperator)
+
+
+def test_active_operator_validates_inputs():
+    m = csr_from_dense(np.eye(2))
+    with pytest.raises(DimensionError):
+        active_operator(m, np.zeros(3, dtype=bool))
+    rect = csr_from_triplets([(0, 0, 1.0)], 2, 3)
+    with pytest.raises(DimensionError):
+        active_operator(rect, np.zeros(2, dtype=bool))

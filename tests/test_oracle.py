@@ -187,3 +187,19 @@ def test_shifted_solves_agree_with_the_oracle():
                 assert sol.status == CONVERGED
                 err = np.abs(sol.x - x_ref).max()
                 assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
+
+
+def test_path_laplacian_solution_counts_are_exact():
+    # the trichotomy on the singular path Laplacian: v^T b < 0 gives one
+    # point, v^T b = 0 one family and no point, v^T b > 0 nothing. Among
+    # the family systems of this seed some regular pattern next to the
+    # base point solves to it with an entry rounded to -1e-16, which
+    # reproduces its mask; that point must not be reported a second time.
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        n = 2 + i % 9
+        r = rng.normal(size=n)
+        vtb = (-1.0, 0.0, 1.0)[i % 3]
+        res = enumerate_solutions(path_laplacian(n), r - (r.sum() - vtb) / n)
+        expected = {-1.0: (1, 0), 0.0: (0, 1), 1.0: (0, 0)}[vtb]
+        assert (len(res.point_solutions), len(res.families)) == expected, i

@@ -215,14 +215,26 @@ def test_active_counts_grow_monotonically():
                 (solve_parabolic_pls, PARABOLIC),
             ):
                 sol = solve(PlsProblem(t, b, kind=kind))
-                counts = sol.report.active_counts
-                assert counts[0] == 0
-                assert all(a <= c for a, c in zip(counts, counts[1:]))
+                assert sol.report.active_counts[0] == 0
+                # as sets: no step drops a component of the mask before it
+                assert sol.report.left_counts == [0] * sol.report.outer_iterations
                 # the sharp bound: n mask growths plus one confirming solve,
                 # and the run must stop on a stable mask, not on max_outer
                 assert sol.report.outer_iterations <= n + 1
                 assert sol.status != MAX_OUTER_EXCEEDED
                 assert lcp_check(t, b, sol.y, kind=kind).passed
+
+
+def test_left_counts_record_a_mask_that_shrinks():
+    # T has a positive off-diagonal entry, so it is no M-matrix and the
+    # monotone theorem does not hold: the full mask of step 1 loses
+    # component 0 at step 2, and nothing joins it back in
+    t = csr_from_dense([[2.0, 1.0], [-0.5, 1.5]])
+    sol = solve_elliptic_pls(PlsProblem(t, [0.5, 1.5]))
+    assert sol.status == CONVERGED
+    assert sol.report.active_counts == [0, 2, 1, 1]
+    assert sol.report.left_counts == [0, 1, 0]
+    assert np.allclose(sol.x, [-0.5, 1.0])
 
 
 def test_solve_count_reaches_the_sharp_bound_n_plus_one():
