@@ -234,8 +234,10 @@ def cg_solve(op, b, x0=None, opts=None):
 
     One solve allocates its vectors once: x, r, z and the direction p are
     updated in place, and every product runs on numkit.reused_product's
-    buffers (for an ELL operator, p lives in its padded direction vector,
-    so no product copies or pads it; the true residual borrows p for x).
+    buffers (for a numkit.EllOperator, the only holder of the ELL layout,
+    p lives in its padded direction vector, so no product copies or pads
+    it; the true residual borrows p for x). A CSR matrix, such as
+    active_operator's fallback slice, takes its plain matvec.
     Every operation keeps the bits of the textbook form, such as
     x += alpha p.
     """

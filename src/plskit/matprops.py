@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    DimensionError, SparseMatrix, as_vector, principal_submatrix, spmv,
+    DimensionError, SparseMatrix, active_operator, as_vector, principal_submatrix,
+    spmv,
 )
 from .krylov import Breakdown, JACOBI, KrylovOptions, NotConverged, qmr_solve
 
@@ -120,7 +121,7 @@ def _t1_verdict(matrix, report):
     abs_t = SparseMatrix(n, n, matrix.row_offsets, matrix.col_indices,
                          np.abs(matrix.values))
     try:
-        y = _solve(matrix, np.ones(n), _T1_SOLVE_TOL)
+        y = _solve(matrix, np.ones(n, dtype=bool), np.ones(n), _T1_SOLVE_TOL)
     except _SOLVE_FAILED:
         try:
             y = _positive_null_vector(matrix, tnorm)
@@ -168,13 +169,15 @@ def _t1_disproof(ty, noise, tnorm):
     return None
 
 
-def _solve(sub, rhs, abs_tol):
-    """sub^-1 rhs: dense up to _DENSE_SOLVE_LIMIT (QMR missed 1 of 900
-    seeded t2 tests), else Jacobi QMR from ones to |residual|_2 <= abs_tol."""
-    if sub.n_rows <= _DENSE_SOLVE_LIMIT:
-        return np.linalg.solve(sub.to_dense(), rhs)
+def _solve(matrix, mask, rhs, abs_tol):
+    """T_AA^-1 rhs on the rows and columns of mask: dense up to
+    _DENSE_SOLVE_LIMIT (QMR missed 1 of 900 seeded t2 tests), else Jacobi
+    QMR on active_operator's slice from ones to |residual|_2 <= abs_tol."""
+    if rhs.size <= _DENSE_SOLVE_LIMIT:
+        return np.linalg.solve(principal_submatrix(matrix, mask).to_dense(), rhs)
     opts = KrylovOptions(rel_tol=0.0, abs_tol=abs_tol, preconditioner=JACOBI)
-    return qmr_solve(sub, rhs, x0=np.ones(rhs.size), opts=opts)[0]
+    return qmr_solve(active_operator(matrix, mask), rhs, x0=np.ones(rhs.size),
+                     opts=opts)[0]
 
 
 def _positive_null_vector(matrix, tnorm):
@@ -183,10 +186,9 @@ def _positive_null_vector(matrix, tnorm):
     0.1 _NULL_RESIDUAL ||T||_inf / sqrt(n) on rows 1..n-1, as v^T T w = 0
     bounds row 0 by sqrt(n) max v/v_0; tnorm is ||T||_inf."""
     n = matrix.n_rows
-    sub = principal_submatrix(matrix, np.arange(n) > 0)
     rhs = -spmv(matrix, np.eye(1, n)[0])[1:]
     abs_tol = 0.1 * _NULL_RESIDUAL * tnorm / np.sqrt(n)
-    w = np.concatenate([[1.0], _solve(sub, rhs, abs_tol)])
+    w = np.concatenate([[1.0], _solve(matrix, np.arange(n) > 0, rhs, abs_tol)])
     return w / w.max()
 
 

@@ -4,9 +4,10 @@ Each outer solver step needs the principal submatrix of T on the active
 set (with a unit shift on its diagonal for the parabolic form). The
 solver gets it from `active_operator`, which gathers the active rows of
 T's CSR arrays straight into a padded fixed-width (ELL) layout in
-O(width k): no CSR slice per step, and T itself keeps no layout.
-`principal_submatrix` still slices T into CSR in one pass over the
-stored entries, for matprops and for the operator's two fallbacks.
+O(width k): no CSR slice per step. matprops' Krylov solves take their
+slices from it too. `principal_submatrix` still slices T into CSR in one
+pass over the stored entries, for dense solves and for the operator's
+two fallbacks.
 
 CSR is the storage, and products are vectorized numpy. A CSR product is
 a gather, a multiply and one segmented sum (`np.add.reduceat`). The ELL
@@ -15,10 +16,10 @@ row, with padding that reads -0.0 (or +0.0 for an empty row). Its
 product is a few long vector operations, first entry plus the ordered
 sum of the rest, which is the order `reduceat` adds a row of at most 8
 entries in. So both kernels give the same bits, signed zeros included;
-this is checked on numpy 2.4 only. A matrix with a row longer than 8
-stays on CSR, as do T itself, the slices matprops solves and every
-one-shot product. The inner solve's operator, and `with_ell_layout`'s,
-share one kernel, which a Krylov loop runs on reused buffers through
+this is checked on numpy 2.4 only. `EllOperator` is the only holder of
+the layout: a slice with a row longer than 8 stays on CSR, as do T
+itself, every `SparseMatrix` and every one-shot product (`spmv`). A
+Krylov loop runs the operator's kernel on reused buffers through
 `reused_product`.
 
 A^T is built by one stable argsort of the column indices, which keeps
@@ -78,7 +79,6 @@ class SparseMatrix:
         self._transpose = None
         self._symmetric = None
         self._irreducible = None
-        self._ell = None  # (values, columns) product layout, see with_ell_layout
         self._diagonal_slots = None
 
     @property
@@ -104,8 +104,6 @@ class SparseMatrix:
             t = t()
         if t is None:
             t = self._transposed()
-            if self._ell is not None:
-                with_ell_layout(t)
             t._transpose = weakref.ref(self)
             self._transpose = t
         return t
@@ -306,21 +304,20 @@ def csr_from_triplets(triplets, n_rows, n_cols):
     return _csr_from_arrays(rows, cols, vals, int(n_rows), int(n_cols))
 
 
-def spmv(matrix, x):
-    """Sparse matrix-vector product in row order, through the ELL layout
-    when the matrix has one."""
+def _operand(matrix, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (matrix.n_cols,):
         raise DimensionError(
             f"matrix is {matrix.shape}, vector has shape {x.shape}"
         )
-    if matrix._ell is None:
-        prod = x[matrix.col_indices]
-        prod *= matrix.values
-        return _row_sums(prod, matrix.row_offsets)
-    values, cols = matrix._ell
-    return _ell_product(values, cols, np.concatenate((x, _ELL_PAD)),
-                        np.empty(values.shape), np.empty(matrix.n_rows))
+    return x
+
+
+def spmv(matrix, x):
+    """Sparse matrix-vector product in row order."""
+    prod = _operand(matrix, x)[matrix.col_indices]
+    prod *= matrix.values
+    return _row_sums(prod, matrix.row_offsets)
 
 
 def _ell_product(values, cols, padded, prod, out):
@@ -339,14 +336,13 @@ def _ell_product(values, cols, padded, prod, out):
 def reused_product(op, n):
     """(v, apply) for the many products of one Krylov solve: fill the
     length-n vector v, and apply() returns op v in a buffer that the next
-    call overwrites. An operator with the ELL layout keeps v inside its
-    padded direction vector and runs the kernel of spmv on reused scratch;
-    any other takes op.matvec(v)."""
-    ell = getattr(op, "_ell", None)
-    if ell is None:
+    call overwrites. An EllOperator keeps v inside its padded direction
+    vector and runs its kernel on reused scratch; any other operator
+    takes op.matvec(v)."""
+    if not isinstance(op, EllOperator):
         v = np.empty(n)
         return v, lambda: op.matvec(v)
-    values, cols = ell
+    values, cols = op._values, op._cols
     padded = np.concatenate((np.empty(n), _ELL_PAD))
     prod, out = np.empty(values.shape), np.empty(n)
     return padded[:n], lambda: _ell_product(values, cols, padded, prod, out)
@@ -364,36 +360,25 @@ def _row_sums(prod, row_offsets):
     return out
 
 
-def with_ell_layout(matrix):
-    """Attach the ELL product layout to matrix, once, and return it; a
-    transpose() taken after this gets one too. A matrix with a row longer
-    than _ELL_MAX_WIDTH is left on CSR. Worth it for an operator that
-    takes many products."""
-    if matrix._ell is None:
-        rows = np.arange(matrix.n_rows)
-        gathered = _ell_gather(matrix, rows, np.arange(matrix.n_cols + 1),
-                               matrix.n_cols)
-        if gathered is not None:
-            matrix._ell = _first_entry_in_slot_0(*gathered, matrix.n_cols)
-    return matrix
-
-
-def _ell_gather(matrix, rows, new_index, k):
-    """(values, cols) of the given rows of matrix in the ELL layout, or
+def _ell_gather(matrix, active):
+    """(values, cols) of the active rows of matrix in the ELL layout, or
     None if one of them is longer than _ELL_MAX_WIDTH.
 
-    Column j becomes new_index[j]. A slot past the end of its row, and an
-    entry whose column new_index sends to k, read the -0.0 pad k with
-    value 0.0 (new_index[n_cols] must be k). Built straight in (width, m)
-    order from the CSR arrays, with no (m, width) temporaries."""
-    starts = matrix.row_offsets[rows]
-    lengths = matrix.row_offsets[rows + 1] - starts
+    Column active[i] becomes i. A slot past the end of its row, and an
+    entry in an inactive column, read the -0.0 pad k = active.size with
+    value 0.0. Built straight in (width, k) order from the CSR arrays,
+    with no (k, width) temporaries; the index arrays are freed on return."""
+    k = active.size
+    starts = matrix.row_offsets[active]
+    lengths = matrix.row_offsets[active + 1] - starts
     width = int(lengths.max(initial=0))
     if width > _ELL_MAX_WIDTH:
         return None
     slot = np.arange(max(width, 2))[:, None]  # the kernel reads prod[1]
     if matrix.nnz == 0:
-        return np.zeros((slot.size, rows.size)), np.full((slot.size, rows.size), k)
+        return np.zeros((slot.size, k)), np.full((slot.size, k), k)
+    new_index = np.full(matrix.n_cols + 1, k)
+    new_index[active] = np.arange(k)
     # a slot past the end of its row reads some other entry (or wraps
     # around), which the pad replaces
     entry = starts + slot
@@ -405,49 +390,28 @@ def _ell_gather(matrix, rows, new_index, k):
     return values, cols
 
 
-def _first_entry_in_slot_0(values, cols, k):
-    """Move the first kept entry of each row whose slot 0 reads the -0.0
-    pad k into slot 0, in place, and point a row with no kept entry at
-    the +0.0 pad k + 1; returns (values, cols).
-
-    The kernel adds a row's slot 0 last, to the ordered sum of the others,
-    as reduceat adds its first entry. A pad in a later slot leaves that
-    sum as it is, because s + (-0.0) == s; one in slot 0 would put the
-    first entry into the ordered sum. An empty row sums to 0 * 0.0 = 0.0,
-    as the CSR kernel gives it."""
-    rows = np.flatnonzero(cols[0] == k)
-    first = (cols[:, rows] == k).argmin(axis=0)  # the first kept slot, 0 if none
-    cols[0, rows[first == 0]] = k + 1
-    rows, first = rows[first > 0], first[first > 0]
-    cols[0, rows], values[0, rows] = cols[first, rows], values[first, rows]
-    cols[first, rows], values[first, rows] = k, 0.0
-    return values, cols
-
-
 class EllOperator:
     """A square operator held only in the ELL layout, as active_operator
-    gathers it: products by spmv, diagonal() for Jacobi, and rmatvec by
-    the same slice of the transpose, built on first use."""
+    gathers it: products by the ELL kernel, diagonal() for Jacobi, and
+    rmatvec by the same slice of the transpose, built on first use (None
+    for a slice of a symmetric matrix, which is its own transpose)."""
 
     def __init__(self, values, cols, diagonal, transposed):
         self.n_rows = self.n_cols = diagonal.size
         self.shape = (self.n_rows, self.n_cols)
-        self._ell = (values, cols)
+        self._values, self._cols = values, cols
         self._diagonal = diagonal
         self._transposed = transposed  # a function that builds it
 
-    @property
-    def nnz(self):
-        """Stored entries, as SparseMatrix.nnz counts them."""
-        return int(np.count_nonzero(self._ell[1] < self.n_cols))
-
     def matvec(self, x):
-        return spmv(self, x)
+        padded = np.concatenate((_operand(self, x), _ELL_PAD))
+        return _ell_product(self._values, self._cols, padded,
+                            np.empty(self._values.shape), np.empty(self.n_rows))
 
     def rmatvec(self, x):
         if callable(self._transposed):
             self._transposed = self._transposed()
-        return spmv(self._transposed, x)
+        return (self._transposed or self).matvec(x)
 
     def diagonal(self):
         return self._diagonal
@@ -458,33 +422,38 @@ def active_operator(matrix, mask, shift=0.0):
     the bits of principal_submatrix's CSR slice in every product.
 
     The active rows are gathered from A's CSR arrays straight into the
-    ELL layout of the slice, in O(width k): columns renumbered, every
-    dropped neighbour a pad (see _ell_gather and _first_entry_in_slot_0).
-    The shift lands in the diagonal's slot, which A finds once per matrix,
-    and the Jacobi diagonal is read from that slot. No CSR slice is built
-    and A keeps no layout. A slice of a row longer than _ELL_MAX_WIDTH,
-    and a shift on a missing or cancelling diagonal entry, take
-    principal_submatrix's slice instead.
+    ELL layout of the slice, in O(width k) (see _ell_slice). The shift
+    lands in the diagonal's slot, which A finds once per matrix, and the
+    Jacobi diagonal is read from that slot. No CSR slice is built and A
+    keeps no layout. A slice of a row longer than _ELL_MAX_WIDTH, and a
+    shift on a missing or cancelling diagonal entry, return
+    principal_submatrix's CSR slice instead.
     """
     mask = np.asarray(mask, dtype=bool)
     if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
         raise DimensionError("need a square matrix and a mask of its dimension")
     sliced = _ell_slice(matrix, mask, shift)
     if sliced is None:
-        return with_ell_layout(principal_submatrix(matrix, mask, shift))
-    return EllOperator(
-        *sliced, lambda: active_operator(matrix.transpose(), mask, shift))
+        return principal_submatrix(matrix, mask, shift)
+    return EllOperator(*sliced, lambda: None if matrix.is_symmetric()
+                       else active_operator(matrix.transpose(), mask, shift))
 
 
 def _ell_slice(matrix, mask, shift):
     """(values, cols, diagonal) of active_operator's slice, or None for a
-    fallback."""
+    fallback.
+
+    The kernel adds a row's slot 0 last, to the ordered sum of the others,
+    as reduceat adds its first entry. A pad in a later slot leaves that
+    sum as it is, because s + (-0.0) == s; one in slot 0 would put the
+    first entry into the ordered sum. So the first kept entry of a row
+    whose slot 0 is a pad moves into slot 0, and a row with no kept entry
+    points slot 0 at the +0.0 pad k + 1: it sums to 0 * 0.0 = 0.0, as the
+    CSR kernel gives it."""
     active = np.flatnonzero(mask)
     k = active.size
     slots = np.arange(k)
-    new_index = np.full(matrix.n_cols + 1, k)
-    new_index[active] = slots
-    gathered = _ell_gather(matrix, active, new_index, k)
+    gathered = _ell_gather(matrix, active)
     if gathered is None:
         return None
     values, cols = gathered
@@ -496,7 +465,13 @@ def _ell_slice(matrix, mask, shift):
             return None
         diagonal += shift
         values[diag_slot, slots] = diagonal
-    return (*_first_entry_in_slot_0(values, cols, k), diagonal)
+    rows = np.flatnonzero(cols[0] == k)
+    first = (cols[:, rows] == k).argmin(axis=0)  # the first kept slot, 0 if none
+    cols[0, rows[first == 0]] = k + 1
+    rows, first = rows[first > 0], first[first > 0]
+    cols[0, rows], values[0, rows] = cols[first, rows], values[first, rows]
+    cols[first, rows], values[first, rows] = k, 0.0
+    return values, cols, diagonal
 
 
 def principal_submatrix(matrix, mask, shift=0.0):

@@ -17,9 +17,10 @@ Each step is solved on the active set A only. With I the inactive set,
 (I + T_AA) x_A = b_A; both then give x_I = b_I - T_IA x_A directly. The
 operator T_AA (+ I) comes from numkit.active_operator, which gathers the
 active rows of T's CSR arrays straight into a padded (ELL) layout, with
-no CSR slice per step; T itself keeps no layout. The reduced system is
-solved by Jacobi-preconditioned CG when T is symmetric and by QMR
-otherwise.
+no CSR slice per step; the operator is the only holder of that layout,
+and T stays CSR. matprops' QMR solves get their slices the same way. The
+reduced system is solved by Jacobi-preconditioned CG when T is symmetric
+and by QMR otherwise.
 """
 
 from dataclasses import dataclass, field, replace

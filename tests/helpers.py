@@ -4,6 +4,7 @@ vectorized assembly and connectivity check are compared against."""
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from plskit import SparseMatrix, csr_from_triplets, spmv
 from plskit import obstacle as obs
@@ -73,6 +74,29 @@ def random_t2(rng, n):
     np.fill_diagonal(a, -a.sum(axis=1))
     s = rng.uniform(0.2, 5.0, n)
     return csr_from_dense(a * s), 1.0 / s
+
+
+@st.composite
+def irreducible_m_matrices(draw):
+    """An irreducible nonsingular M-matrix T = f rho(B) I - B of order 2-11,
+    symmetric or not, with f in 1 + [1e-3, 0.32], so most are not
+    diagonally dominant. B >= 0 has a zero diagonal and a directed cycle
+    through every node, which makes it irreducible."""
+    n = draw(st.integers(2, 11))
+    symmetric = draw(st.booleans())
+    f = 1.0 + 10.0 ** draw(st.floats(-3.0, np.log10(0.32)))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.random((n, n)) * (rng.random((n, n)) < density)
+    cycle = rng.permutation(n)
+    b[cycle, np.roll(cycle, -1)] = rng.random(n) + 0.1
+    np.fill_diagonal(b, 0.0)
+    if symmetric:
+        b = (b + b.T) / 2.0
+        rho = np.linalg.eigvalsh(b).max()
+    else:
+        rho = np.abs(np.linalg.eigvals(b)).max()
+    return csr_from_dense(f * rho * np.eye(n) - b)
 
 
 def loop_assembly(spec, n):

@@ -10,9 +10,13 @@ counts come from a right-hand side with its exact zeros kept exact (see
 obstacle.assemble_elliptic). The finiteness criterion asserts the sharp
 bound K <= n+1 on the solve count (at most n mask growths plus the
 confirming solve) and that no run stops on max_outer without a stable
-mask.
+mask. One more test, which records no line, compares the CSV of all four
+sweeps byte for byte with tests/data/bench_tables.csv, so every K is
+pinned exactly, not only within the tolerances.
 """
 
+import io
+import pathlib
 import sys
 import time
 
@@ -38,6 +42,7 @@ from plskit.cli import (
     TABLE2_K,
     TABLE3_LATER,
     TABLE3_STEP1,
+    _bench_csv,
     run_table,
 )
 from plskit.pls import CONVERGED, MAX_OUTER_EXCEEDED, NO_SOLUTION_CERTIFIED
@@ -174,6 +179,14 @@ def test_parabolic_torsion_tracks_stationary_counts(sweeps):
         f"{len(rows)} step counts within ±{max(offs)} of the stationary "
         "table (tol ±1)",
     )
+
+
+def test_bench_tables_match_the_golden_csv(sweeps):
+    out = io.StringIO()
+    for key in ("table1", "table2", "table3", "table4"):
+        _bench_csv(sweeps[key], out)
+    golden = pathlib.Path(__file__).parent / "data" / "bench_tables.csv"
+    assert out.getvalue() == golden.read_text()
 
 
 def test_oracle_equivalence_on_random_instances():

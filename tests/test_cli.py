@@ -93,7 +93,7 @@ def test_argparse_failures_exit_64():
     for argv in ([], ["frobnicate"], ["solve", "--problem", "drum", "--n", "5"],
                  ["bench", "--table", "9"], ["bench"],
                  ["solve", "--problem", "tent", "--n", "5", "--corner", "mid"],
-                 ["solve", "--problem", "tent", "--n", "5", "--no-monotone-mask"]):
+                 ["solve", "--problem", "tent", "--n", "5", "--mm", "x.mtx"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 64

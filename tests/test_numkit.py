@@ -23,7 +23,6 @@ from plskit.numkit import (
     active_operator,
     as_vector,
     reused_product,
-    with_ell_layout,
 )
 
 
@@ -296,23 +295,6 @@ def _obstacle_matrix(name, n):
     return obs.assemble_elliptic(obs.problem_spec(name, c), n).T
 
 
-@pytest.mark.parametrize("n", [25, 50])
-@pytest.mark.parametrize("name", obs.PROBLEM_NAMES)
-def test_ell_product_matches_csr_bits_on_obstacle_matrices(name, n):
-    rng = np.random.default_rng(n)
-    T = _obstacle_matrix(name, n)
-    for p in (1.0, 0.9, 0.5, 0.05):
-        mask = rng.random(T.n_rows) < p
-        for shift in (0.0, 1.0):
-            sub = principal_submatrix(T, mask, shift)
-            assert sub._ell is None  # a slice is CSR until the solver asks
-            for m in (with_ell_layout(sub), sub.transpose()):
-                assert m._ell is not None
-                x = rng.normal(size=m.n_cols)
-                assert _same_bits(spmv(m, x), _csr_product(m, x))
-    assert T._ell is None  # T itself stays on CSR
-
-
 def _random_rows(rng, n, lengths):
     """Square CSR matrix whose row i has lengths[i] entries."""
     rows = np.repeat(np.arange(n), lengths)
@@ -326,44 +308,6 @@ def _vector_with_zeros(rng, n):
     x[rng.random(n) < 0.2] = 0.0
     x[rng.random(n) < 0.2] = -0.0
     return x
-
-
-def test_ell_product_matches_csr_bits_for_rows_of_0_to_8_entries():
-    rng = np.random.default_rng(7)
-    on_ell = 0
-    for _ in range(200):
-        n = int(rng.integers(20, 40))
-        lengths = rng.integers(4, 9, n)
-        lengths[rng.choice(n - 1, 4, replace=False)] = [0, 1, 2, 3]
-        lengths[-1] = 0  # a trailing empty row
-        full = _random_rows(rng, n, lengths)
-        m = with_ell_layout(principal_submatrix(full, np.ones(n, dtype=bool)))
-        assert m._ell is not None
-        sliced = with_ell_layout(principal_submatrix(full, rng.random(n) < 0.7, 1.0))
-        for op in (m, m.transpose(), sliced):
-            on_ell += op._ell is not None
-            # products of -0.0 and 0.0 test that padding and empty rows
-            # keep the sign of a zero sum
-            x = _vector_with_zeros(rng, op.n_cols)
-            assert _same_bits(spmv(op, x), _csr_product(op, x))
-    assert on_ell > 300  # every m, and some transposes and slices
-
-
-def test_rows_of_9_stay_on_csr_and_a_dense_row_keeps_its_bits():
-    rng = np.random.default_rng(8)
-    n = 40
-    nine = with_ell_layout(_random_rows(rng, n, np.full(n, 9)))
-    for op in (nine, nine.transpose()):
-        assert op._ell is None
-        x = rng.normal(size=n)
-        assert np.allclose(spmv(op, x), op.to_dense() @ x)
-    # one row of 8 entries among rows of 1: the layout pads every row to 8
-    lengths = np.ones(n, dtype=np.int64)
-    lengths[5] = 8
-    dense_row = with_ell_layout(_random_rows(rng, n, lengths))
-    assert dense_row._ell is not None
-    x = _vector_with_zeros(rng, n)
-    assert _same_bits(spmv(dense_row, x), _csr_product(dense_row, x))
 
 
 _floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -393,18 +337,18 @@ def _sliced_problems(draw):
 @given(_sliced_problems())
 def test_spmv_property_dense_and_csr_agree(problem):
     full, mask, shift, x = problem
-    m = with_ell_layout(principal_submatrix(full, mask, shift))
+    m = principal_submatrix(full, mask, shift)
+    op = _assert_active_operator_bits(full, mask, shift, x)
+    event("ELL" if isinstance(op, EllOperator) else "CSR")
     a = full.to_dense()[np.ix_(mask, mask)] + shift * np.eye(m.n_rows)
-    for op, dense in ((m, a), (m.transpose(), a.T)):
-        y = spmv(op, x)
+    for products, dense in (((spmv(m, x), op.matvec(x)), a),
+                            ((spmv(m.transpose(), x), op.rmatvec(x)), a.T)):
         scale = (np.abs(dense) @ np.abs(x)).max(initial=0.0)
-        assert np.allclose(y, dense @ x, rtol=0.0, atol=1e-12 * scale)
-        assert _same_bits(y, _csr_product(op, x))
-        event("ELL" if op._ell is not None else "CSR")
-    _assert_active_operator_bits(full, mask, shift, x)
+        for y in products:
+            assert np.allclose(y, dense @ x, rtol=0.0, atol=1e-12 * scale)
 
 
-# active_operator gathers T[A][:, A] + shift I from T's own ELL table; its
+# active_operator gathers T[A][:, A] + shift I from T's CSR arrays; its
 # products, its transpose's products and its diagonal must give the bits
 # of principal_submatrix's CSR slice, signed zeros included.
 
@@ -456,7 +400,24 @@ def test_active_operator_matches_csr_slice_bits_on_obstacle_matrices(name, n):
             x = rng.normal(size=int(mask.sum()))
             op = _assert_active_operator_bits(T, mask, shift, x)
             assert isinstance(op, EllOperator)  # no fallback on a stencil
-    assert T._ell is None  # T itself keeps no layout
+
+
+@pytest.mark.parametrize("n", [25, 50])
+@pytest.mark.parametrize("name", obs.PROBLEM_NAMES)
+def test_ell_product_matches_csr_bits_on_obstacle_matrices(name, n):
+    # the slices matprops solves by QMR, the whole matrix (T x = 1) and the
+    # node-deletion slice (T w = 0), on T and on a nonsymmetric copy with
+    # scaled columns, whose transpose has other values in every row
+    rng = np.random.default_rng(n)
+    T = _obstacle_matrix(name, n)
+    s = rng.uniform(0.5, 2.0, T.n_cols)
+    scaled = SparseMatrix(T.n_rows, T.n_cols, T.row_offsets, T.col_indices,
+                          T.values * s[T.col_indices])
+    for m in (T, scaled):
+        for mask in (np.ones(T.n_rows, dtype=bool), np.arange(T.n_rows) > 0):
+            x = rng.normal(size=int(mask.sum()))
+            op = _assert_active_operator_bits(m, mask, 0.0, x)
+            assert isinstance(op, EllOperator)
 
 
 def test_active_operator_matches_csr_slice_bits_for_rows_of_0_to_8_entries():
@@ -476,6 +437,14 @@ def test_active_operator_matches_csr_slice_bits_for_rows_of_0_to_8_entries():
     # shift 0 is always gathered; shift 1 falls back wherever an active row
     # has no diagonal entry, which random rows often lack
     assert gathered > 400
+    # one row of 8 entries among rows of 1: the layout pads every row to 8
+    n = 40
+    lengths = np.ones(n, dtype=np.int64)
+    lengths[5] = 8
+    T = _random_rows(rng, n, lengths)
+    x = _vector_with_zeros(rng, n)
+    op = _assert_active_operator_bits(T, np.ones(n, dtype=bool), 0.0, x)
+    assert isinstance(op, EllOperator)
 
 
 def test_active_operator_falls_back_to_the_csr_slice():
@@ -501,7 +470,7 @@ def test_active_operator_falls_back_to_the_csr_slice():
     for T, shift in ((nine, 0.0), (nine, 1.0), (missing, 1.0), (cancelling, 1.0)):
         x = _vector_with_zeros(rng, int(mask.sum()))
         op = _assert_active_operator_bits(T, mask, shift, x)
-        assert isinstance(op, SparseMatrix)  # the CSR slice, maybe with ELL
+        assert isinstance(op, SparseMatrix)  # the CSR slice
     # without a shift the missing and the cancelling diagonal are gathered
     for T in (missing, cancelling):
         x = _vector_with_zeros(rng, int(mask.sum()))

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from helpers import csr_from_dense, path_laplacian, random_symmetric_t1, random_t1
+from helpers import (
+    csr_from_dense,
+    irreducible_m_matrices,
+    path_laplacian,
+    random_symmetric_t1,
+    random_t1,
+)
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from plskit import (
     CONVERGED,
@@ -15,6 +23,7 @@ from plskit import (
     spmv,
     w_matrix,
 )
+from plskit.krylov import Breakdown, NotConverged
 from plskit.numkit import DimensionError
 from plskit.oracle import _CHUNK, TooLarge
 from plskit.pls import MAX_PLUS_TMIN, MIN_PLUS_TMAX
@@ -187,6 +196,47 @@ def test_shifted_solves_agree_with_the_oracle():
                 assert sol.status == CONVERGED
                 err = np.abs(sol.x - x_ref).max()
                 assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_m_matrices(), st.integers(0, 2**32 - 1))
+def test_iteration_on_irreducible_m_matrices_matches_the_oracle(t, seed):
+    # the convergence theorem on M-matrices that need not be diagonally
+    # dominant: every mask contains the one before, K <= n + 1, and x is
+    # the unique solution the oracle finds, for both forms and both
+    # shifted forms (which reduce to the elliptic form as above)
+    n = t.n_rows
+    symmetric = t.is_symmetric()
+    event("dominant" if np.all(spmv(t, np.ones(n)) >= 0.0) else "not dominant")
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=n)
+    xi = rng.normal(size=n)
+    b2 = b - xi - spmv(t, xi)
+    runs = [
+        (lambda: solve_elliptic_pls(PlsProblem(t, b)), enumerate_solutions(t, b), 0.0, 1.0),
+        (lambda: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
+         enumerate_solutions(t, b, kind=PARABOLIC), 0.0, 1.0),
+        (lambda: solve_shifted(t, b, xi, MIN_PLUS_TMAX), enumerate_solutions(t, b2), xi, 1.0),
+        (lambda: solve_shifted(t, b, xi, MAX_PLUS_TMIN), enumerate_solutions(t, -b2), xi, -1.0),
+    ]
+    for solve, ref, shift, sign in runs:
+        assert len(ref.point_solutions) == 1 and not ref.families
+        x_ref = shift + sign * ref.point_solutions[0]
+        try:
+            sol = solve()
+        except (NotConverged, Breakdown):
+            # QMR, the inner solve of a nonsymmetric T, misses its default
+            # tolerance on about 1 in 500 nonsymmetric draws (ROADMAP item
+            # 6); it must say so rather than return, and CG never may
+            assert not symmetric
+            event("inner QMR failed")
+            continue
+        assert sol.status == CONVERGED
+        assert sol.report.outer_iterations <= n + 1
+        assert not any(sol.report.left_counts)
+        err = np.abs(sol.x - x_ref).max()
+        assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
+        event("symmetric" if symmetric else "nonsymmetric")
 
 
 def test_path_laplacian_solution_counts_are_exact():
