@@ -21,6 +21,7 @@ JACOBI = "jacobi"
 _PIVOT_FLOOR = 1e-300  # below this a Lanczos pivot counts as a breakdown
 _STALL_WINDOW = 60  # sweep iterations without a new best residual
 _CG_STALLS = 2  # CG restarts in a row without a new best residual
+_SHADOW_SEED = 0  # QMR's retry shadow vector after a stagnant breakdown
 
 
 @dataclass
@@ -82,12 +83,13 @@ def _jacobi_diag(op):
     return safe
 
 
-def _qmr_sweep(op, b, x, inv_d, tol, budget, check_every=10):
+def _qmr_sweep(op, b, x, inv_d, tol, budget, shadow=None, check_every=10):
     """One QMR run from x until tol, budget, or breakdown.
 
     Jacobi preconditioning is applied on the right (columns scaled by the
     operator diagonal), so the recurrence residual stays the residual of
-    the original system and the tolerance keeps its meaning.
+    the original system and the tolerance keeps its meaning. The shadow
+    Lanczos sequence starts from the residual, or from shadow if given.
 
     Returns (x_best, res_best, used, hit_tol). Raises _BreakdownSignal with
     the best pair attached when a Lanczos pivot collapses.
@@ -103,7 +105,7 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, check_every=10):
 
     v_t = r.copy()
     rho = _norm(v_t)
-    w_t = r.copy()
+    w_t = r.copy() if shadow is None else shadow.copy()
     z = precond(w_t)
     xi = _norm(z)
     gamma, eta, theta = 1.0, -1.0, 0.0
@@ -178,9 +180,13 @@ def qmr_solve(op, b, x0=None, opts=None):
 
     Returns immediately when x0 already meets the tolerance. On a Lanczos
     breakdown the iteration restarts from the best iterate as long as each
-    sweep improved the residual; a stagnant breakdown raises Breakdown and
-    a spent iteration budget raises NotConverged, both carrying the best
-    iterate and its stats.
+    sweep improved the residual. The first breakdown that made no progress
+    is retried once from the best iterate with a fixed pseudo-random
+    shadow vector in place of the residual, which moves the Lanczos pivots
+    off the collapsed ones; only a path that raised Breakdown changes. A
+    stagnant breakdown after that raises Breakdown and a spent iteration
+    budget raises NotConverged, both carrying the best iterate and its
+    stats.
     """
     opts = opts or KrylovOptions()
     b = np.asarray(b, dtype=np.float64)
@@ -192,10 +198,12 @@ def qmr_solve(op, b, x0=None, opts=None):
 
     total = 0
     broke = False
+    shadow = None
     while True:
         entry_res = _norm(b - op.matvec(x))
         try:
-            x, res, used, ok = _qmr_sweep(op, b, x, inv_d, tol, budget - total)
+            x, res, used, ok = _qmr_sweep(op, b, x, inv_d, tol, budget - total,
+                                          shadow)
             total += used
             if ok:
                 return x, KrylovStats(total, res, True, broke)
@@ -203,6 +211,9 @@ def qmr_solve(op, b, x0=None, opts=None):
             x, res, used = sig.args
             total += used
             broke = True
+            if res >= 0.99 * entry_res and shadow is None and total < budget:
+                shadow = np.random.default_rng(_SHADOW_SEED).standard_normal(n)
+                continue
         # restart from the best iterate only while sweeps keep shrinking
         # the residual; a stagnant sweep would just replay itself
         if res < 0.99 * entry_res and total < budget:

@@ -12,15 +12,16 @@ two fallbacks.
 CSR is the storage, and products are vectorized numpy. A CSR product is
 a gather, a multiply and one segmented sum (`np.add.reduceat`). The ELL
 layout is a pair of (r, n) arrays of values and columns, r the longest
-row, with padding that reads -0.0 (or +0.0 for an empty row). Its
-product is a few long vector operations, first entry plus the ordered
-sum of the rest, which is the order `reduceat` adds a row of at most 8
-entries in. So both kernels give the same bits, signed zeros included;
-this is checked on numpy 2.4 only. `EllOperator` is the only holder of
-the layout: a slice with a row longer than 8 stays on CSR, as do T
-itself, every `SparseMatrix` and every one-shot product (`spmv`). A
-Krylov loop runs the operator's kernel on reused buffers through
-`reused_product`.
+row, with padding that reads -0.0 (or +0.0 for an empty row). It stores
+each row's entries 1..r-1 and then entry 0, so its product is a gather,
+a multiply and one ordered reduce over the r layout rows: the ordered
+sum of the rest plus the first entry, which is the order `reduceat`
+adds a row of at most 8 entries in. So both kernels give the same bits,
+signed zeros included; this is checked on numpy 2.4 only. `EllOperator`
+is the only holder of the layout: a slice with a row longer than 8
+stays on CSR, as do T itself, every `SparseMatrix` and every one-shot
+product (`spmv`). A Krylov loop runs the operator's kernel on reused
+buffers through `reused_product`.
 
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
@@ -324,13 +325,12 @@ def _ell_product(values, cols, padded, prod, out):
     """out = A x for A in the ELL layout (values, cols), with padded =
     (x, -0.0, 0.0) and prod a scratch array of the layout's shape.
 
-    The rest of each row in order from -0.0, then its first entry:
-    reduceat's order for rows of at most 8 entries."""
+    The layout rows in order from -0.0: the rest of each row, then its
+    first entry, which the last layout row holds. That is reduceat's order
+    for rows of at most 8 entries, as s + p0 == p0 + s bit for bit."""
     padded.take(cols, mode="wrap", out=prod)  # "wrap" writes out unbuffered
     prod *= values
-    np.add.reduce(prod[1:], axis=0, initial=-0.0, out=out)
-    out += prod[0]
-    return out
+    return np.add.reduce(prod, axis=0, initial=-0.0, out=out)
 
 
 def reused_product(op, n):
@@ -364,17 +364,20 @@ def _ell_gather(matrix, active):
     """(values, cols) of the active rows of matrix in the ELL layout, or
     None if one of them is longer than _ELL_MAX_WIDTH.
 
-    Column active[i] becomes i. A slot past the end of its row, and an
-    entry in an inactive column, read the -0.0 pad k = active.size with
-    value 0.0. Built straight in (width, k) order from the CSR arrays,
-    with no (k, width) temporaries; the index arrays are freed on return."""
+    Layout row i holds each row's entry i + 1, and the last layout row its
+    entry 0. Column active[i] becomes i. A slot past the end of its row,
+    and an entry in an inactive column, read the -0.0 pad k = active.size
+    with value 0.0. Built straight in (width, k) order from the CSR
+    arrays, with no (k, width) temporaries; the index arrays are freed on
+    return."""
     k = active.size
     starts = matrix.row_offsets[active]
     lengths = matrix.row_offsets[active + 1] - starts
     width = int(lengths.max(initial=0))
     if width > _ELL_MAX_WIDTH:
         return None
-    slot = np.arange(max(width, 2))[:, None]  # the kernel reads prod[1]
+    # at least one layout row, where an empty row reads the +0.0 pad
+    slot = np.roll(np.arange(max(width, 1)), -1)[:, None]
     if matrix.nnz == 0:
         return np.zeros((slot.size, k)), np.full((slot.size, k), k)
     new_index = np.full(matrix.n_cols + 1, k)
@@ -443,13 +446,13 @@ def _ell_slice(matrix, mask, shift):
     """(values, cols, diagonal) of active_operator's slice, or None for a
     fallback.
 
-    The kernel adds a row's slot 0 last, to the ordered sum of the others,
-    as reduceat adds its first entry. A pad in a later slot leaves that
-    sum as it is, because s + (-0.0) == s; one in slot 0 would put the
-    first entry into the ordered sum. So the first kept entry of a row
-    whose slot 0 is a pad moves into slot 0, and a row with no kept entry
-    points slot 0 at the +0.0 pad k + 1: it sums to 0 * 0.0 = 0.0, as the
-    CSR kernel gives it."""
+    The kernel adds a row's slot 0, the last layout row, to the ordered
+    sum of the others, as reduceat adds its first entry. A pad in another
+    slot leaves that sum as it is, because s + (-0.0) == s; one in slot 0
+    would put the first entry into the ordered sum. So the first kept
+    entry of a row whose slot 0 is a pad moves into slot 0, and a row with
+    no kept entry points slot 0 at the +0.0 pad k + 1: it sums to
+    -0.0 + 0 * 0.0 = 0.0, as the CSR kernel gives it."""
     active = np.flatnonzero(mask)
     k = active.size
     slots = np.arange(k)
@@ -457,19 +460,23 @@ def _ell_slice(matrix, mask, shift):
     if gathered is None:
         return None
     values, cols = gathered
-    diag_slot = matrix.diagonal_slots().take(active)
-    missing = diag_slot < 0
-    diagonal = np.where(missing, 0.0, values[diag_slot, slots])
+    diag_row = matrix.diagonal_slots().take(active)
+    missing = diag_row < 0
+    # entry j of a row sits in layout row j - 1, entry 0 in the last one
+    diag_row -= 1
+    diag_row %= values.shape[0]
+    diagonal = np.where(missing, 0.0, values[diag_row, slots])
     if shift != 0.0:
         if missing.any() or np.any(diagonal == -shift):
             return None
         diagonal += shift
-        values[diag_slot, slots] = diagonal
-    rows = np.flatnonzero(cols[0] == k)
-    first = (cols[:, rows] == k).argmin(axis=0)  # the first kept slot, 0 if none
-    cols[0, rows[first == 0]] = k + 1
-    rows, first = rows[first > 0], first[first > 0]
-    cols[0, rows], values[0, rows] = cols[first, rows], values[first, rows]
+        values[diag_row, slots] = diagonal
+    rows = np.flatnonzero(cols[-1] == k)
+    first = (cols[:, rows] == k).argmin(axis=0)  # the first kept layout row
+    empty = cols[first, rows] == k  # argmin gives 0 when none is kept
+    cols[-1, rows[empty]] = k + 1
+    rows, first = rows[~empty], first[~empty]
+    cols[-1, rows], values[-1, rows] = cols[first, rows], values[first, rows]
     cols[first, rows], values[first, rows] = k, 0.0
     return values, cols, diagonal
 

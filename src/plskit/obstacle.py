@@ -265,6 +265,14 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     (u' - psi) + dt T max{0, u' - psi} = (u - psi) + dt (f - T psi)
     starting from the membrane resting on the obstacle, and advances
     u <- max{0,x} + psi.
+
+    Every step's Picard loop starts from an empty mask, so each K keeps
+    the paper's meaning. Once the membrane settles, consecutive steps run
+    through the same masks, so step j of one time step's loop starts its
+    inner solve from the solution that step j of the time step before
+    found on the same mask (the trail of solve_parabolic_pls), rather than
+    from the current iterate. The trail holds one time step's (mask, x_A)
+    pairs at a time and ends with the run; no report keeps it.
     """
     if nu < 1:
         raise GridError("need at least one time step")
@@ -277,10 +285,11 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     u = disc.psi_vec.copy()
     snapshots = [u.copy()]
     step_results = []
+    trail = []
     for _ in range(nu):
         b_step = (u - disc.psi_vec) + dt * disc.b
         problem = PlsProblem(T_step, b_step, kind=PARABOLIC)
-        result = solve_parabolic_pls(problem, opts)
+        result = solve_parabolic_pls(problem, opts, trail=trail)
         u = result.y + disc.psi_vec
         snapshots.append(u.copy())
         step_results.append(result)

@@ -35,7 +35,14 @@ from .numkit import (
     active_operator,
     spmv,
 )
-from .krylov import Breakdown, KrylovOptions, NotConverged, cg_solve, qmr_solve
+from .krylov import (
+    Breakdown,
+    KrylovOptions,
+    KrylovStats,
+    NotConverged,
+    cg_solve,
+    qmr_solve,
+)
 from .matprops import FAMILY_ALONG_W, NO_SOLUTION, classify_solvability
 
 CONVERGED = "Converged"
@@ -122,31 +129,43 @@ def _lift(T, b, mask, x_active):
     return np.where(mask, x, b - spmv(T, x))
 
 
-def _step(T, b, kind, mask, x, inner, kopts):
+def _step(T, b, kind, mask, x, inner, kopts, start=None):
     """One outer step (I - P + T P) x = b or (I + T P) x = b, solved on the
-    active set; an empty mask gives x = b exactly."""
+    active set from x's active part, or from start if given. An empty mask
+    gives x = b exactly, with no operator and no solve, and the stats both
+    solvers give a 0 x 0 system."""
+    if not mask.any():
+        return _lift(T, b, mask, np.zeros(0)), KrylovStats(0, 0.0, True, False)
     shift = 1.0 if kind == PARABOLIC else 0.0
     try:
-        # the operator and the solve's scratch are freed before the lift
+        # the operator, x's active part and the solve's scratch are freed
+        # before the lift
         x_active, stats = inner(active_operator(T, mask, shift), b[mask],
-                                x0=x[mask], opts=kopts)
+                                x0=x[mask] if start is None else start,
+                                opts=kopts)
     except (NotConverged, Breakdown) as exc:
         exc.x = _lift(T, b, mask, exc.x)
         raise
     return _lift(T, b, mask, x_active), stats
 
 
-def _picard(T, b, kind, opts, complement=False):
+def _picard(T, b, kind, opts, complement=False, trail=None):
     """Masked Picard loop; returns the PlsSolution.
 
     The operator mask starts empty and each step is rebuilt from the signs
     of the new iterate (complemented for the MaxPlusTMin form), and the
     report counts the components each step drops. Stops when the mask
-    repeats or flips only at exact zeros; each linear solve is warm-started
-    from the previous iterate. The inner tolerance is measured against the
-    full ||b|| and the default budget stays 10 n, so the reduced solve meets
-    the same residual bound as a solve over all n unknowns. A stable mask
-    whose nonsmooth residual misses the gate raises NotConverged.
+    repeats or flips only at exact zeros. Each linear solve is
+    warm-started from the previous iterate, or, given a trail, from the
+    trail's x_A for this step when its mask equals this step's: trail is
+    a list of (mask, x_A) pairs, pair j from step j of an earlier solve
+    with the same T, and each step overwrites its pair, so on return the
+    trail holds this solve's pairs only. The start changes only the
+    rounding and the inner iteration count. The inner tolerance is
+    measured against the full ||b|| and the default budget stays 10 n, so
+    the reduced solve meets the same residual bound as a solve over all n
+    unknowns. A stable mask whose nonsmooth residual misses the gate
+    raises NotConverged.
     """
     n = T.n_rows
     inner = cg_solve if T.is_symmetric() else qmr_solve
@@ -169,7 +188,16 @@ def _picard(T, b, kind, opts, complement=False):
     stable = False
     outer = 0
     for _ in range(max_outer):
-        x, stats = _step(T, b, kind, opmask, x, inner, kopts)
+        reuse = (trail is not None and outer < len(trail)
+                 and np.array_equal(trail[outer][0], opmask))
+        x, stats = _step(T, b, kind, opmask, x, inner, kopts,
+                         trail[outer][1] if reuse else None)
+        # x's active part is the inner solution, bit for bit; a pair on
+        # the same mask is overwritten in place
+        if reuse:
+            np.compress(opmask, x, out=trail[outer][1])
+        elif trail is not None:
+            trail[outer:outer + 1] = [(opmask, x[opmask])]  # replace or append
         outer += 1
         inner_stats.append(stats)
         signs = x >= opts.sign_threshold
@@ -192,6 +220,8 @@ def _picard(T, b, kind, opts, complement=False):
             stable = True
             break
         opmask = newmask
+    if trail is not None:
+        del trail[outer:]
     report = IterationReport(outer, active_counts, inner_stats, residual_history,
                              left_counts=left_counts)
     if not stable:
@@ -238,11 +268,18 @@ def solve_elliptic_pls(problem, opts=None):
     return sol
 
 
-def solve_parabolic_pls(problem, opts=None):
-    """Solve x + T max{0,x} = b; this form always has a unique solution."""
+def solve_parabolic_pls(problem, opts=None, trail=None):
+    """Solve x + T max{0,x} = b; this form always has a unique solution.
+
+    trail, a list, carries each outer step's mask and inner solution from
+    one call to the next on the same T (see _picard): a time-stepping
+    caller passes the same list to every step, and a step whose mask
+    sequence repeats the last one's starts each inner solve from there.
+    """
     if problem.kind != PARABOLIC:
         raise ValueError("problem kind must be parabolic")
-    return _picard(problem.T, problem.b, PARABOLIC, opts or SolverOptions())
+    return _picard(problem.T, problem.b, PARABOLIC, opts or SolverOptions(),
+                   trail=trail)
 
 
 def solve_shifted(T, b, xi, form, opts=None):

@@ -60,20 +60,28 @@ def random_symmetric_t1(rng, n):
     return csr_from_dense(a)
 
 
-def random_t2(rng, n):
-    """Random nonsymmetric t2 matrix T = A diag(s) with its null vector.
+def random_t2(rng, n, symmetric=False):
+    """Random t2 matrix T = A diag(s) with its right null vector.
 
     A is a Z-matrix with zero row sums on a random pattern that a directed
     cycle through every node makes irreducible, and s > 0 scales its
-    columns, so T (1/s) = A 1 = 0. Returns (T, 1/s).
+    columns, so T (1/s) = A 1 = 0. Returns (T, 1/s). With symmetric=True,
+    A is symmetric and T = diag(s) A diag(s), whose null vector on both
+    sides is 1/s.
     """
     a = -rng.random((n, n)) * (rng.random((n, n)) < 0.3)
     cycle = rng.permutation(n)
     a[cycle, np.roll(cycle, -1)] = -(rng.random(n) + 0.1)
+    if symmetric:
+        a = a + a.T
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(a, -a.sum(axis=1))
     s = rng.uniform(0.2, 5.0, n)
-    return csr_from_dense(a * s), 1.0 / s
+    t = a * s
+    if symmetric:
+        t = s[:, None] * t
+        t = (t + t.T) / 2.0  # symmetric to the bit
+    return csr_from_dense(t), 1.0 / s
 
 
 @st.composite

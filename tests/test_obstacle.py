@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from helpers import loop_assembly
 
-from plskit import check_t1, check_t2, lcp_check, spmv
+from plskit import (
+    PARABOLIC,
+    PlsProblem,
+    check_t1,
+    check_t2,
+    lcp_check,
+    solve_parabolic_pls,
+    spmv,
+)
 from plskit import obstacle as obs
 from plskit.pls import CONVERGED, NO_SOLUTION_CERTIFIED
 
@@ -217,6 +225,53 @@ def test_parabolic_run_shape_and_stationary_limit():
     assert np.array_equal(run.snapshots[0], run.disc.psi_vec)
     still = obs.solve_obstacle(spec, 5)
     assert np.abs(run.snapshots[-1] - still.u).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name, c, tau", [
+    ("tent", None, 1.0e4), ("torsion", -5.0, 5.0), ("torsion", -20.0, 5.0),
+])
+def test_parabolic_trail_keeps_every_step_and_cuts_the_inner_work(name, c, tau):
+    # run_parabolic starts each inner solve from the last time step's
+    # solution on the same mask; every step must match a solve of its own
+    # system without a trail in status, K and active counts, agree in x
+    # to a relative 1e-9, and pass lcp_check, at half the inner work or less
+    run = obs.run_parabolic(obs.problem_spec(name, c), 25, tau, 20)
+    T_step = run.disc.T.scaled(run.dt)
+    warm = cold = 0
+    for step, result in enumerate(run.step_results, start=1):
+        b_step = (run.snapshots[step - 1] - run.disc.psi_vec) + run.dt * run.disc.b
+        alone = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
+                                    obs.default_solver_options())
+        assert result.status == alone.status == CONVERGED
+        assert result.report.outer_iterations == alone.report.outer_iterations
+        assert result.report.active_counts == alone.report.active_counts
+        scale = max(np.abs(alone.x).max(), 1.0)
+        assert np.abs(result.x - alone.x).max() <= 1e-9 * scale
+        assert lcp_check(T_step, b_step, result.y, kind=PARABOLIC).passed
+        warm += sum(st.iterations for st in result.report.inner_stats)
+        cold += sum(st.iterations for st in alone.report.inner_stats)
+    assert 2 * warm <= cold
+
+
+def test_parabolic_trail_ignores_a_pair_on_another_mask():
+    # a trail pair whose mask differs from the step's is not used: the
+    # solve keeps the bits of a solve without a trail, and ends with its
+    # own pairs in the trail
+    disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
+    problem = PlsProblem(disc.T.scaled(0.25), 0.25 * disc.b, kind=PARABOLIC)
+    opts = obs.default_solver_options()
+    alone = solve_parabolic_pls(problem, opts)
+    trail = []
+    first = solve_parabolic_pls(problem, opts, trail=trail)
+    assert [int(m.sum()) for m, _ in trail] == alone.report.active_counts[:-1]
+    assert np.array_equal(first.x, alone.x)
+    rng = np.random.default_rng(3)
+    stale = [(~mask, rng.normal(size=int((~mask).sum()))) for mask, _ in trail]
+    stale += [(np.ones(disc.T.n_rows, dtype=bool), rng.normal(size=disc.T.n_rows))]
+    again = solve_parabolic_pls(problem, opts, trail=stale)
+    assert np.array_equal(again.x, alone.x)
+    assert again.report.inner_stats == alone.report.inner_stats
+    assert len(stale) == alone.report.outer_iterations
 
 
 def test_refinement_shrinks_the_error_on_nested_grids():

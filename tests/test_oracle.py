@@ -6,6 +6,7 @@ from helpers import (
     path_laplacian,
     random_symmetric_t1,
     random_t1,
+    random_t2,
 )
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,10 @@ from plskit import (
     spmv,
     w_matrix,
 )
-from plskit.krylov import Breakdown, NotConverged
+from plskit.krylov import NotConverged
 from plskit.numkit import DimensionError
-from plskit.oracle import _CHUNK, TooLarge
-from plskit.pls import MAX_PLUS_TMIN, MIN_PLUS_TMAX
+from plskit.oracle import _CHUNK, TooLarge, _on_family
+from plskit.pls import MAX_PLUS_TMIN, MIN_PLUS_TMAX, NO_SOLUTION_CERTIFIED
 
 T22 = np.array([[2.0, -1.0], [-1.0, 2.0]])
 SING = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -224,10 +225,12 @@ def test_iteration_on_irreducible_m_matrices_matches_the_oracle(t, seed):
         x_ref = shift + sign * ref.point_solutions[0]
         try:
             sol = solve()
-        except (NotConverged, Breakdown):
-            # QMR, the inner solve of a nonsymmetric T, misses its default
-            # tolerance on about 1 in 500 nonsymmetric draws (ROADMAP item
-            # 6); it must say so rather than return, and CG never may
+        except NotConverged:
+            # QMR, the inner solve of a nonsymmetric T, creeps toward its
+            # default tolerance and spends its budget on about 1 in 500
+            # nonsymmetric draws; it must say so rather than return, and
+            # CG never may. A Lanczos breakdown is retried, so no draw may
+            # raise Breakdown.
             assert not symmetric
             event("inner QMR failed")
             continue
@@ -237,6 +240,75 @@ def test_iteration_on_irreducible_m_matrices_matches_the_oracle(t, seed):
         err = np.abs(sol.x - x_ref).max()
         assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
         event("symmetric" if symmetric else "nonsymmetric")
+
+
+def test_qmr_retries_a_stagnant_lanczos_breakdown():
+    # found by scanning irreducible_m_matrices: T = d I - B with B a
+    # weighted 5-cycle. The third Picard step of the MaxPlusTMin form
+    # breaks down in its first QMR sweep without progress; the retry with
+    # a fixed shadow vector converges to the oracle's solution
+    d = 0.8428800043281834
+    t = csr_from_triplets(
+        [(i, i, d) for i in range(5)]
+        + [(0, 4, -1.0920232710439923), (1, 0, -1.0488836147423906),
+           (2, 3, -0.5200110635147495), (3, 1, -1.071722742728274),
+           (4, 2, -0.5949746376976677)],
+        5, 5)
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=5)
+    xi = rng.normal(size=5)
+    sol = solve_shifted(t, b, xi, MAX_PLUS_TMIN)
+    assert sol.status == CONVERGED
+    assert any(st.breakdown and st.converged for st in sol.report.inner_stats)
+    ref = enumerate_solutions(t, -(b - xi - spmv(t, xi)))
+    x_ref = xi - ref.point_solutions[0]
+    assert np.abs(sol.x - x_ref).max() <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
+
+
+def _left_null(t):
+    """The positive left null vector of a singular irreducible M-matrix."""
+    u = np.linalg.svd(t.to_dense())[0][:, -1]
+    return u / u.sum()
+
+
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["nonsymmetric-qmr", "symmetric-cg"])
+def test_trichotomy_on_random_t2_systems_matches_the_oracle(symmetric):
+    # with v > 0 the left null vector of T, v^T b > 0 leaves no solution,
+    # v^T b < 0 one, and v^T b = 0 the family x + alpha w. Every member of
+    # that family is >= 0 (v^T min{0,x} = v^T b = 0), and the iteration
+    # stops at its least member, whose smallest entry is 0 in exact
+    # arithmetic. Where that entry rounds to +-0 or above, the last Picard
+    # step solves the consistent singular system on the full mask: by CG
+    # when T is symmetric, by QMR otherwise
+    rng = np.random.default_rng(77 + symmetric)
+    full = 0
+    for i in range(45):
+        n = 2 + i % 9
+        t, w = random_t2(rng, n, symmetric=symmetric)
+        assert t.is_symmetric() == symmetric
+        v = _left_null(t)
+        r = rng.normal(size=n)
+        sign = (-1.0, 0.0, 1.0)[i % 3]
+        b = r - (v @ r - sign * np.linalg.norm(v) * np.linalg.norm(r)) / (v @ v) * v
+        sol = solve_elliptic_pls(PlsProblem(t, b, t2_data=(v, w)))
+        ref = enumerate_solutions(t, b)
+        if sign > 0.0:
+            assert sol.status == NO_SOLUTION_CERTIFIED, i
+            assert sol.report.outer_iterations == 0
+            assert not ref.point_solutions and not ref.families, i
+            continue
+        assert sol.status == CONVERGED, i
+        if sign < 0.0:
+            assert len(ref.point_solutions) == 1 and not ref.families, i
+            x_ref = ref.point_solutions[0]
+            assert np.abs(sol.x - x_ref).max() <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
+            continue
+        assert np.array_equal(sol.report.family_direction, w)
+        assert not ref.point_solutions and ref.families, i
+        assert any(_on_family(sol.x, fam) for fam in ref.families), i
+        full += sol.report.active_counts[-1] == n
+    assert full >= 5  # of the 15 family systems
 
 
 def test_path_laplacian_solution_counts_are_exact():
