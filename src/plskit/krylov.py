@@ -6,7 +6,10 @@ biorthogonalization without look-ahead, for nonsymmetric ones. The
 operator needs matvec (QMR also rmatvec), and diagonal() when Jacobi
 preconditioning is requested. Both share KrylovOptions and KrylovStats,
 and both confirm convergence on the recomputed true residual, never on
-the recurrence estimate alone.
+the recurrence estimate alone. Both test their start with `start_stats`
+and return a start that already meets the tolerance as it is, with 0
+iterations; a caller holding op x0 can make the same test without the
+operator.
 """
 
 import math
@@ -75,6 +78,20 @@ def _norm(v):
     # what np.linalg.norm computes for a 1-d float vector, without its
     # argument handling
     return math.sqrt(v @ v)
+
+
+def start_stats(b, product, opts):
+    """The entry test of both solvers at a start x0, given product = op x0.
+
+    Returns (r, tol, stats): the residual r = b - op x0, the tolerance
+    rel_tol ||b|| + abs_tol, and KrylovStats(0, ||r||, ||r|| <= tol,
+    False). A converged start is the solve's result, returned with these
+    stats, so a caller that holds op x0 gets it without the operator.
+    """
+    tol = opts.rel_tol * _norm(b) + opts.abs_tol
+    r = b - product
+    res = _norm(r)
+    return r, tol, KrylovStats(0, res, res <= tol, False)
 
 
 def _jacobi_diag(op):
@@ -192,7 +209,10 @@ def qmr_solve(op, b, x0=None, opts=None):
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    tol = opts.rel_tol * _norm(b) + opts.abs_tol
+    _, tol, start = start_stats(b, op.matvec(x), opts)
+    if start.converged:
+        return x, start
+    res = start.final_residual_norm
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
     inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
 
@@ -200,7 +220,8 @@ def qmr_solve(op, b, x0=None, opts=None):
     broke = False
     shadow = None
     while True:
-        entry_res = _norm(b - op.matvec(x))
+        # each sweep starts from an iterate whose true residual is res
+        entry_res = res
         try:
             x, res, used, ok = _qmr_sweep(op, b, x, inv_d, tol, budget - total,
                                           shadow)
@@ -256,14 +277,15 @@ def cg_solve(op, b, x0=None, opts=None):
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    tol = opts.rel_tol * _norm(b) + opts.abs_tol
+    p, apply = reused_product(op, n)
+    np.copyto(p, x)  # p is free until a run starts, so it carries x
+    r, tol, start = start_stats(b, apply(), opts)
+    if start.converged:
+        return x, start
+    res = start.final_residual_norm
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
     inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
 
-    p, apply = reused_product(op, n)
-    np.copyto(p, x)  # p is free until a run starts, so it carries x
-    r = b - apply()
-    res = _norm(r)
     x_best, res_best = x.copy(), res
     z = r if inv_d is None else np.empty(n)
     step = np.empty(n)  # alpha p, then alpha q

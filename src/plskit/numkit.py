@@ -377,7 +377,8 @@ def _ell_gather(matrix, active):
     if width > _ELL_MAX_WIDTH:
         return None
     # at least one layout row, where an empty row reads the +0.0 pad
-    slot = np.roll(np.arange(max(width, 1)), -1)[:, None]
+    w = max(width, 1)
+    slot = (np.arange(1, w + 1) % w)[:, None]
     if matrix.nnz == 0:
         return np.zeros((slot.size, k)), np.full((slot.size, k), k)
     new_index = np.full(matrix.n_cols + 1, k)

@@ -271,8 +271,12 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     through the same masks, so step j of one time step's loop starts its
     inner solve from the solution that step j of the time step before
     found on the same mask (the trail of solve_parabolic_pls), rather than
-    from the current iterate. The trail holds one time step's (mask, x_A)
-    pairs at a time and ends with the run; no report keeps it.
+    from the current iterate. The trail holds one time step's
+    (mask, x_A, M x_A) triples at a time, M the step's operator, and ends
+    with the run; no report keeps it. A step whose start already meets
+    the inner tolerance returns it without building M or calling a
+    solver, with the same bits as the solver's 0-iteration return. A
+    wrong final iterate cannot pass the nonsmooth residual gate.
     """
     if nu < 1:
         raise GridError("need at least one time step")
@@ -282,8 +286,8 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     disc = assemble_elliptic(spec, n)
     dt = tau / nu
     T_step = disc.T.scaled(dt)
-    u = disc.psi_vec.copy()
-    snapshots = [u.copy()]
+    u = disc.psi_vec.copy()  # so that snapshots[0] does not alias psi_vec
+    snapshots = [u]
     step_results = []
     trail = []
     for _ in range(nu):
@@ -291,7 +295,7 @@ def run_parabolic(spec, n, tau, nu, opts=None):
         problem = PlsProblem(T_step, b_step, kind=PARABOLIC)
         result = solve_parabolic_pls(problem, opts, trail=trail)
         u = result.y + disc.psi_vec
-        snapshots.append(u.copy())
+        snapshots.append(u)
         step_results.append(result)
     return ParabolicRun(disc, tau, nu, dt, snapshots, step_results)
 

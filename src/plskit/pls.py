@@ -21,6 +21,15 @@ no CSR slice per step; the operator is the only holder of that layout,
 and T stays CSR. matprops' QMR solves get their slices the same way. The
 reduced system is solved by Jacobi-preconditioned CG when T is symmetric
 and by QMR otherwise.
+
+A trail (solve_parabolic_pls) carries each step's mask, inner solution
+x_A and its product M x_A with the step's operator M = T_AA (+ I) into
+the next time step, as a (mask, x_A, M x_A) triple. Step j on the same
+mask starts from x_A, and when b_A - M x_A already meets the inner
+tolerance it takes x_A as its solution with the 0-iteration stats both
+solvers return for such a start, without gathering M: the same bits,
+for a fraction of the work. A wrong final iterate cannot pass the
+nonsmooth residual gate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -42,6 +51,7 @@ from .krylov import (
     NotConverged,
     cg_solve,
     qmr_solve,
+    start_stats,
 )
 from .matprops import FAMILY_ALONG_W, NO_SOLUTION, classify_solvability
 
@@ -129,24 +139,50 @@ def _lift(T, b, mask, x_active):
     return np.where(mask, x, b - spmv(T, x))
 
 
-def _step(T, b, kind, mask, x, inner, kopts, start=None):
+def _step(T, b, kind, mask, x, inner, kopts, trail=None, j=0):
     """One outer step (I - P + T P) x = b or (I + T P) x = b, solved on the
-    active set from x's active part, or from start if given. An empty mask
-    gives x = b exactly, with no operator and no solve, and the stats both
-    solvers give a 0 x 0 system."""
+    active set A with the step's operator M = T_AA (+ I), from x's active
+    part. An empty mask gives x = b exactly, with no operator and no
+    solve, and the stats both solvers give a 0 x 0 system.
+
+    Given a trail (see _picard), triple j = (mask, x_A, M x_A) on this
+    step's mask gives the start x_A instead, and the step leaves its own
+    triple in slot j, with M x_A taken by the kernel of the solvers' first
+    product. When b_A - M x_A already meets the inner tolerance
+    (krylov.start_stats), x_A is the solve's result: the step returns it
+    with the stats either solver gives such a start, builds no operator
+    and calls no solver. A product of None is never used.
+    """
+    carried = trail[j] if trail is not None and j < len(trail) else None
+    if carried is not None and not np.array_equal(carried[0], mask):
+        carried = None
+    product = None
     if not mask.any():
-        return _lift(T, b, mask, np.zeros(0)), KrylovStats(0, 0.0, True, False)
-    shift = 1.0 if kind == PARABOLIC else 0.0
-    try:
-        # the operator, x's active part and the solve's scratch are freed
-        # before the lift
-        x_active, stats = inner(active_operator(T, mask, shift), b[mask],
-                                x0=x[mask] if start is None else start,
-                                opts=kopts)
-    except (NotConverged, Breakdown) as exc:
-        exc.x = _lift(T, b, mask, exc.x)
-        raise
-    return _lift(T, b, mask, x_active), stats
+        x, stats = _lift(T, b, mask, np.zeros(0)), KrylovStats(0, 0.0, True, False)
+    elif carried is not None and carried[2] is not None and (
+            stats := start_stats(b[mask], carried[2], kopts)[2]).converged:
+        x, product = _lift(T, b, mask, carried[1]), carried[2]
+    else:
+        op = active_operator(T, mask, 1.0 if kind == PARABOLIC else 0.0)
+        try:
+            x_active, stats = inner(op, b[mask],
+                                    x0=x[mask] if carried is None else carried[1],
+                                    opts=kopts)
+        except (NotConverged, Breakdown) as exc:
+            exc.x = _lift(T, b, mask, exc.x)
+            raise
+        if trail is not None:
+            product = op.matvec(x_active)
+        del op  # the operator and the solve's scratch are freed before the lift
+        x = _lift(T, b, mask, x_active)
+    # x's active part is the inner solution, bit for bit; a triple on the
+    # same mask is overwritten in place
+    if carried is not None:
+        np.compress(mask, x, out=carried[1])
+        trail[j] = (carried[0], carried[1], product)
+    elif trail is not None:
+        trail[j:j + 1] = [(mask, x[mask], product)]  # replace or append
+    return x, stats
 
 
 def _picard(T, b, kind, opts, complement=False, trail=None):
@@ -158,14 +194,18 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
     repeats or flips only at exact zeros. Each linear solve is
     warm-started from the previous iterate, or, given a trail, from the
     trail's x_A for this step when its mask equals this step's: trail is
-    a list of (mask, x_A) pairs, pair j from step j of an earlier solve
-    with the same T, and each step overwrites its pair, so on return the
-    trail holds this solve's pairs only. The start changes only the
-    rounding and the inner iteration count. The inner tolerance is
-    measured against the full ||b|| and the default budget stays 10 n, so
-    the reduced solve meets the same residual bound as a solve over all n
-    unknowns. A stable mask whose nonsmooth residual misses the gate
-    raises NotConverged.
+    a list of (mask, x_A, M x_A) triples, triple j from step j of an
+    earlier solve with the same T and M its step operator (the product
+    may be None), and each step overwrites its triple, so on return the
+    trail holds this solve's triples only. A step whose carried start
+    already meets the inner tolerance takes it without a solve (see
+    _step). The start changes only the rounding and the inner iteration
+    count; a trail from another T could mislead a step, but a wrong
+    final iterate cannot pass the nonsmooth residual gate. The inner
+    tolerance is measured against the full ||b|| and the default budget
+    stays 10 n, so the reduced solve meets the same residual bound as a
+    solve over all n unknowns. A stable mask whose nonsmooth residual
+    misses the gate raises NotConverged.
     """
     n = T.n_rows
     inner = cg_solve if T.is_symmetric() else qmr_solve
@@ -188,16 +228,7 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
     stable = False
     outer = 0
     for _ in range(max_outer):
-        reuse = (trail is not None and outer < len(trail)
-                 and np.array_equal(trail[outer][0], opmask))
-        x, stats = _step(T, b, kind, opmask, x, inner, kopts,
-                         trail[outer][1] if reuse else None)
-        # x's active part is the inner solution, bit for bit; a pair on
-        # the same mask is overwritten in place
-        if reuse:
-            np.compress(opmask, x, out=trail[outer][1])
-        elif trail is not None:
-            trail[outer:outer + 1] = [(opmask, x[opmask])]  # replace or append
+        x, stats = _step(T, b, kind, opmask, x, inner, kopts, trail, outer)
         outer += 1
         inner_stats.append(stats)
         signs = x >= opts.sign_threshold
@@ -271,10 +302,14 @@ def solve_elliptic_pls(problem, opts=None):
 def solve_parabolic_pls(problem, opts=None, trail=None):
     """Solve x + T max{0,x} = b; this form always has a unique solution.
 
-    trail, a list, carries each outer step's mask and inner solution from
-    one call to the next on the same T (see _picard): a time-stepping
-    caller passes the same list to every step, and a step whose mask
-    sequence repeats the last one's starts each inner solve from there.
+    trail, a list, carries each outer step's (mask, x_A, M x_A) triple,
+    its inner solution and that solution's product with the step's
+    operator M, from one call to the next on the same T (see _picard): a
+    time-stepping caller passes the same list to every step, and a step
+    whose mask sequence repeats the last one's starts each inner solve
+    from there, or skips the solve when that start already meets the
+    inner tolerance. A wrong final iterate cannot pass the nonsmooth
+    residual gate.
     """
     if problem.kind != PARABOLIC:
         raise ValueError("problem kind must be parabolic")

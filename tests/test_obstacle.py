@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from plskit import (
     spmv,
 )
 from plskit import obstacle as obs
+from plskit import pls
+from plskit.numkit import active_operator
 from plskit.pls import CONVERGED, NO_SOLUTION_CERTIFIED
 
 
@@ -263,15 +266,91 @@ def test_parabolic_trail_ignores_a_pair_on_another_mask():
     alone = solve_parabolic_pls(problem, opts)
     trail = []
     first = solve_parabolic_pls(problem, opts, trail=trail)
-    assert [int(m.sum()) for m, _ in trail] == alone.report.active_counts[:-1]
+    assert [int(m.sum()) for m, _, _ in trail] == alone.report.active_counts[:-1]
     assert np.array_equal(first.x, alone.x)
     rng = np.random.default_rng(3)
-    stale = [(~mask, rng.normal(size=int((~mask).sum()))) for mask, _ in trail]
-    stale += [(np.ones(disc.T.n_rows, dtype=bool), rng.normal(size=disc.T.n_rows))]
+    stale = [(~mask, rng.normal(size=int((~mask).sum())), None)
+             for mask, _, _ in trail]
+    full = np.ones(disc.T.n_rows, dtype=bool)
+    stale += [(full, rng.normal(size=disc.T.n_rows), None)]
     again = solve_parabolic_pls(problem, opts, trail=stale)
     assert np.array_equal(again.x, alone.x)
     assert again.report.inner_stats == alone.report.inner_stats
     assert len(stale) == alone.report.outer_iterations
+
+
+def _count_operators(monkeypatch):
+    built = []
+    gather = pls.active_operator
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(pls, "active_operator", counting)
+    return built
+
+
+def test_parabolic_trail_solves_a_pair_whose_product_misses_the_tolerance(
+        monkeypatch):
+    # each triple holds the mask and the start a solve without a trail
+    # uses at that step, but a product whose residual misses the inner
+    # tolerance: every nonempty step must gather its operator and solve,
+    # with the bits of the solve without a trail, and store the true product
+    disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
+    T = disc.T.scaled(0.25)
+    problem = PlsProblem(T, 0.25 * disc.b, kind=PARABOLIC)
+    opts = obs.default_solver_options()
+    alone = solve_parabolic_pls(problem, opts)
+    steps = alone.report.outer_iterations
+    assert steps >= 3
+    trail = [(np.zeros(T.n_rows, dtype=bool), np.zeros(0), None)]
+    for j in range(1, steps):
+        # the iterate after j steps, and the mask step j solves on
+        x = solve_parabolic_pls(problem, replace(opts, max_outer=j)).x
+        mask = x >= 0.0
+        trail.append((mask, x[mask], problem.b[mask] + 1.0))
+    built = _count_operators(monkeypatch)
+    again = solve_parabolic_pls(problem, opts, trail=trail)
+    assert len(built) == steps - 1
+    assert np.array_equal(again.x, alone.x)
+    assert again.report.inner_stats == alone.report.inner_stats
+    assert again.report.residual_history == alone.report.residual_history
+    for mask, x_active, product in trail[1:]:
+        op = active_operator(T, mask, 1.0)
+        assert np.array_equal(product, op.matvec(x_active))
+
+
+@pytest.mark.parametrize("name, c, tau", [
+    ("tent", None, 1.0e4), ("torsion", -5.0, 5.0),
+])
+def test_parabolic_trail_products_skip_operators_and_keep_every_bit(
+        name, c, tau, monkeypatch):
+    # run_parabolic as is, and the same time loop with every product in
+    # the trail dropped after each time step, so that every step solves:
+    # the same x, inner stats and residuals bit for bit, with fewer
+    # operators built when the products are kept
+    built = _count_operators(monkeypatch)
+    spec = obs.problem_spec(name, c)
+    run = obs.run_parabolic(spec, 25, tau, 20)
+    with_products = len(built)
+    disc, dt = run.disc, run.dt
+    T_step = disc.T.scaled(dt)
+    opts = obs.default_solver_options()
+    u = disc.psi_vec.copy()
+    trail = []
+    del built[:]
+    for result in run.step_results:
+        b_step = (u - disc.psi_vec) + dt * disc.b
+        plain = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
+                                    opts, trail=trail)
+        trail[:] = [(mask, x_active, None) for mask, x_active, _ in trail]
+        assert plain.status == result.status == CONVERGED
+        assert np.array_equal(plain.x, result.x)
+        assert plain.report.inner_stats == result.report.inner_stats
+        assert plain.report.residual_history == result.report.residual_history
+        u = plain.y + disc.psi_vec
+    assert with_products < len(built)
 
 
 def test_refinement_shrinks_the_error_on_nested_grids():

@@ -20,6 +20,7 @@ from plskit import (
     solve_shifted,
     spmv,
 )
+from plskit import pls
 from plskit.pls import (
     CONVERGED,
     MAX_OUTER_EXCEEDED,
@@ -277,6 +278,43 @@ def test_unclassified_infeasible_t2_system_fails_loudly():
     problem = PlsProblem(path_laplacian(4), np.ones(4))
     with pytest.raises((Breakdown, NotConverged)):
         solve_elliptic_pls(problem)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
+        symmetric, monkeypatch):
+    # a second solve of the same system from its own trail: with the
+    # products every nonempty step takes its start without a solver (CG
+    # for a symmetric T, QMR otherwise), and gives exactly what that
+    # solver returns, 0 iterations, when the products are dropped
+    rng = np.random.default_rng(17)
+    T = (random_symmetric_t1 if symmetric else random_t1)(rng, 40)
+    assert T.is_symmetric() == symmetric
+    problem = PlsProblem(T, rng.normal(size=40), kind=PARABOLIC)
+    trail = []
+    first = solve_parabolic_pls(problem, trail=trail)
+    assert first.report.outer_iterations >= 3
+    bare = [(mask, x_active.copy(), None) for mask, x_active, _ in trail]
+    calls = []
+    name = "cg_solve" if symmetric else "qmr_solve"
+    solver = getattr(pls, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(pls, name, counting)
+    shortcut = solve_parabolic_pls(problem, trail=trail)
+    assert calls == []
+    solved = solve_parabolic_pls(problem, trail=bare)
+    assert len(calls) == first.report.outer_iterations - 1
+    assert np.array_equal(shortcut.x, solved.x)
+    assert np.array_equal(shortcut.x, first.x)
+    assert shortcut.report.inner_stats == solved.report.inner_stats
+    assert all(st.iterations == 0 and st.converged
+               for st in shortcut.report.inner_stats)
+    for (_, a, p), (_, a_bare, p_bare) in zip(trail[1:], bare[1:]):
+        assert np.array_equal(a, a_bare) and np.array_equal(p, p_bare)
 
 
 def test_residual_nonsmooth_forms():
