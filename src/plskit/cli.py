@@ -84,7 +84,6 @@ def _build_parser():
                                             obs.CORNER_YEDGE),
                        default=obs.CORNER_AVERAGE)
     solve.add_argument("--krylov-tol", type=float, default=None)
-    solve.add_argument("--sign-tol", type=float, default=None)
     solve.add_argument("--out", default=None, help="write the field CSV here")
 
     bench = sub.add_parser("bench", help="sweep one reference table")
@@ -92,7 +91,6 @@ def _build_parser():
     bench.add_argument("--n", type=int, default=None,
                        help="restrict the sweep to one grid size")
     bench.add_argument("--krylov-tol", type=float, default=None)
-    bench.add_argument("--sign-tol", type=float, default=None)
     bench.add_argument("--out", default=None, help="write the CSV here instead of stdout")
 
     check = sub.add_parser("check", help="classify a matrix")
@@ -107,12 +105,9 @@ def _build_parser():
 
 
 def _solver_options(args):
-    opts = obs.default_solver_options()
-    if getattr(args, "sign_tol", None) is not None:
-        opts.sign_threshold = args.sign_tol
-    if getattr(args, "krylov_tol", None) is not None:
-        opts.krylov = KrylovOptions(rel_tol=args.krylov_tol,
-                                    preconditioner=opts.krylov.preconditioner)
+    opts = SolverOptions()
+    if args.krylov_tol is not None:
+        opts.krylov = KrylovOptions(rel_tol=args.krylov_tol)
     return opts
 
 
@@ -233,7 +228,7 @@ def _parabolic_cell(problem, n, c, tau, ref_by_step, opts):
 
 def run_table(table_id, n_filter=None, opts=None):
     """Sweep one reference table; returns records plus per-cell wall times."""
-    opts = opts or obs.default_solver_options()
+    opts = opts or SolverOptions()
     n_values = [n for n in N_VALUES if n_filter is None or n == n_filter]
     if not n_values:
         raise ValueError(f"--n must be one of {N_VALUES} for bench")

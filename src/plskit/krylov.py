@@ -2,14 +2,14 @@
 
 `cg_solve` is conjugate gradients for symmetric positive (semi)definite
 systems; `qmr_solve` is QMR by coupled two-term Lanczos
-biorthogonalization without look-ahead, for nonsymmetric ones. The
-operator needs matvec (QMR also rmatvec), and diagonal() when Jacobi
-preconditioning is requested. Both share KrylovOptions and KrylovStats,
-and both confirm convergence on the recomputed true residual, never on
-the recurrence estimate alone. Both test their start with `start_stats`
-and return a start that already meets the tolerance as it is, with 0
-iterations; a caller holding op x0 can make the same test without the
-operator.
+biorthogonalization without look-ahead, for nonsymmetric ones. Both
+always apply Jacobi (diagonal) preconditioning, the only kind there is,
+so the operator needs matvec (QMR also rmatvec) and diagonal(). Both
+share KrylovOptions and KrylovStats, and both confirm convergence on the
+recomputed true residual, never on the recurrence estimate alone. Both
+test their start with `start_stats` and return a start that already
+meets the tolerance as it is, with 0 iterations; a caller holding op x0
+can make the same test without the operator.
 """
 
 import math
@@ -19,10 +19,9 @@ import numpy as np
 
 from .numkit import reused_product
 
-JACOBI = "jacobi"
-
 _PIVOT_FLOOR = 1e-300  # below this a Lanczos pivot counts as a breakdown
 _STALL_WINDOW = 60  # sweep iterations without a new best residual
+_CHECK_EVERY = 10  # QMR sweep iterations between true-residual checks
 _CG_STALLS = 2  # CG restarts in a row without a new best residual
 _SHADOW_SEED = 0  # QMR's retry shadow vector after a stagnant breakdown
 
@@ -32,15 +31,12 @@ class KrylovOptions:
     rel_tol: float = 1e-12
     abs_tol: float = 0.0
     max_iters: int | None = None  # defaults to 10 n at solve time
-    preconditioner: str | None = None  # None or "jacobi"
 
     def __post_init__(self):
         if self.rel_tol < 0 or self.abs_tol < 0:
             raise ValueError("tolerances must be nonnegative")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.preconditioner not in (None, JACOBI):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -94,36 +90,30 @@ def start_stats(b, product, opts):
     return r, tol, KrylovStats(0, res, res <= tol, False)
 
 
-def _jacobi_diag(op):
+def _inverse_diagonal(op):
+    """Jacobi's D^-1, a zero diagonal entry read as 1."""
     d = np.asarray(op.diagonal(), dtype=np.float64)
-    safe = np.where(np.abs(d) > 0.0, d, 1.0)
-    return safe
+    return 1.0 / np.where(np.abs(d) > 0.0, d, 1.0)
 
 
-def _qmr_sweep(op, b, x, inv_d, tol, budget, shadow=None, check_every=10):
-    """One QMR run from x until tol, budget, or breakdown.
+def _qmr_sweep(op, b, x, r, res, inv_d, tol, budget, shadow=None):
+    """One QMR run from x, whose true residual is r with norm res > tol,
+    until tol, the budget (at least 1), or breakdown.
 
     Jacobi preconditioning is applied on the right (columns scaled by the
     operator diagonal), so the recurrence residual stays the residual of
     the original system and the tolerance keeps its meaning. The shadow
     Lanczos sequence starts from the residual, or from shadow if given.
 
-    Returns (x_best, res_best, used, hit_tol). Raises _BreakdownSignal with
-    the best pair attached when a Lanczos pivot collapses.
+    Returns (x_best, r_best, res_best, used, hit_tol), r_best the true
+    residual at x_best. Raises _BreakdownSignal with the best triple
+    attached when a Lanczos pivot collapses.
     """
-    r = b - op.matvec(x)
-    res = _norm(r)
-    x_best, res_best = x.copy(), res
-    if res <= tol or budget <= 0:
-        return x_best, res_best, 0, res <= tol
-
-    def precond(u):
-        return u * inv_d if inv_d is not None else u
-
+    x_best, r_best, res_best = x.copy(), r, res
     v_t = r.copy()
     rho = _norm(v_t)
     w_t = r.copy() if shadow is None else shadow.copy()
-    z = precond(w_t)
+    z = w_t * inv_d
     xi = _norm(z)
     gamma, eta, theta = 1.0, -1.0, 0.0
     eps = 1.0
@@ -134,14 +124,14 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, shadow=None, check_every=10):
     last_gain = 0
     while used < budget:
         if abs(rho) < _PIVOT_FLOOR or abs(xi) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, res_best, used)
+            raise _BreakdownSignal(x_best, r_best, res_best, used)
         v = v_t / rho
         w = w_t / xi
         z = z / xi
         delta = float(z @ v)
         if abs(delta) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, res_best, used)
-        y_t = precond(v)
+            raise _BreakdownSignal(x_best, r_best, res_best, used)
+        y_t = v * inv_d
         z_t = z
         if p is None:
             p = y_t.copy()
@@ -152,20 +142,20 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, shadow=None, check_every=10):
         p_t = op.matvec(p)
         eps = float(q @ p_t)
         if abs(eps) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, res_best, used)
+            raise _BreakdownSignal(x_best, r_best, res_best, used)
         beta = eps / delta
         if abs(beta) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, res_best, used)
+            raise _BreakdownSignal(x_best, r_best, res_best, used)
         v_t = p_t - beta * v
         rho_prev, rho = rho, _norm(v_t)
         w_t = op.rmatvec(q) - beta * w
-        z = precond(w_t)
+        z = w_t * inv_d
         xi = _norm(z)
         theta_prev, gamma_prev = theta, gamma
         theta = rho / (gamma * abs(beta))
         gamma = 1.0 / math.sqrt(1.0 + theta * theta)
         if gamma < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, res_best, used)
+            raise _BreakdownSignal(x_best, r_best, res_best, used)
         eta = -eta * rho_prev * gamma * gamma / (beta * gamma_prev * gamma_prev)
         if d_vec is None:
             d_vec = eta * p
@@ -179,23 +169,28 @@ def _qmr_sweep(op, b, x, inv_d, tol, budget, shadow=None, check_every=10):
         used += 1
 
         estimate = _norm(r)
-        if estimate <= tol or used % check_every == 0 or used == budget:
+        if estimate <= tol or used % _CHECK_EVERY == 0 or used == budget:
             r = b - op.matvec(x)  # re-sync on the true residual
             res = _norm(r)
             if res < res_best:
-                x_best, res_best = x.copy(), res
+                x_best, r_best, res_best = x.copy(), r, res
                 last_gain = used
             if res <= tol:
-                return x_best, res_best, used, True
+                return x_best, r_best, res_best, used, True
             if used - last_gain >= _STALL_WINDOW:
-                return x_best, res_best, used, False  # stalled; caller restarts
-    return x_best, res_best, used, False
+                # stalled; caller restarts
+                return x_best, r_best, res_best, used, False
+    return x_best, r_best, res_best, used, False
 
 
 def qmr_solve(op, b, x0=None, opts=None):
     """Solve op x = b by QMR; returns (x, KrylovStats).
 
-    Returns immediately when x0 already meets the tolerance. On a Lanczos
+    Jacobi-preconditioned on the right (see _qmr_sweep). Returns
+    immediately when x0 already meets the tolerance; otherwise the entry
+    test's residual starts the first sweep, and each later sweep starts
+    from the best iterate and the true residual already formed there, so
+    no sweep recomputes a residual it was handed. On a Lanczos
     breakdown the iteration restarts from the best iterate as long as each
     sweep improved the residual. The first breakdown that made no progress
     is retried once from the best iterate with a fixed pseudo-random
@@ -209,27 +204,27 @@ def qmr_solve(op, b, x0=None, opts=None):
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    _, tol, start = start_stats(b, op.matvec(x), opts)
+    r, tol, start = start_stats(b, op.matvec(x), opts)
     if start.converged:
         return x, start
     res = start.final_residual_norm
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
-    inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
+    inv_d = _inverse_diagonal(op)
 
     total = 0
     broke = False
     shadow = None
     while True:
-        # each sweep starts from an iterate whose true residual is res
+        # each sweep starts from an iterate x and its true residual r
         entry_res = res
         try:
-            x, res, used, ok = _qmr_sweep(op, b, x, inv_d, tol, budget - total,
-                                          shadow)
+            x, r, res, used, ok = _qmr_sweep(op, b, x, r, res, inv_d, tol,
+                                             budget - total, shadow)
             total += used
             if ok:
                 return x, KrylovStats(total, res, True, broke)
         except _BreakdownSignal as sig:
-            x, res, used = sig.args
+            x, r, res, used = sig.args
             total += used
             broke = True
             if res >= 0.99 * entry_res and shadow is None and total < budget:
@@ -254,15 +249,14 @@ def qmr_solve(op, b, x0=None, opts=None):
 def cg_solve(op, b, x0=None, opts=None):
     """Solve op x = b by conjugate gradients; returns (x, KrylovStats).
 
-    For symmetric positive (semi)definite operators, with Jacobi
-    preconditioning when requested. The recurrence residual only says when
-    to look: convergence is confirmed on the true residual, and when the
-    two disagree the iteration restarts from the true residual. A
-    nonpositive curvature p^T A p (or r^T D^-1 r under Jacobi) raises
-    Breakdown; a spent iteration budget, or two restarts in a row that
-    do not lower the best true residual (the tolerance is below the
-    attainable accuracy), raise NotConverged. Both carry the best iterate
-    and its stats.
+    For symmetric positive (semi)definite operators, preconditioned by
+    Jacobi, z = D^-1 r. The recurrence residual only says when to look:
+    convergence is confirmed on the true residual, and when the two
+    disagree the iteration restarts from the true residual. A nonpositive
+    curvature p^T A p or r^T z raises Breakdown; a spent iteration
+    budget, or two restarts in a row that do not lower the best true
+    residual (the tolerance is below the attainable accuracy), raise
+    NotConverged. Both carry the best iterate and its stats.
 
     One solve allocates its vectors once: x, r, z and the direction p are
     updated in place, and every product runs on numkit.reused_product's
@@ -284,10 +278,10 @@ def cg_solve(op, b, x0=None, opts=None):
         return x, start
     res = start.final_residual_norm
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
-    inv_d = 1.0 / _jacobi_diag(op) if opts.preconditioner == JACOBI else None
+    inv_d = _inverse_diagonal(op)
 
     x_best, res_best = x.copy(), res
-    z = r if inv_d is None else np.empty(n)
+    z = np.empty(n)
     step = np.empty(n)  # alpha p, then alpha q
     used = 0
     stalls = 0  # consecutive runs that did not lower res_best
@@ -300,8 +294,7 @@ def cg_solve(op, b, x0=None, opts=None):
                 x_best,
                 KrylovStats(used, res_best, False, False),
             )
-        if inv_d is not None:
-            np.multiply(r, inv_d, out=z)
+        np.multiply(r, inv_d, out=z)
         np.copyto(p, z)
         rz = float(r @ z)
         broke = False
@@ -317,8 +310,7 @@ def cg_solve(op, b, x0=None, opts=None):
             used += 1
             if _norm(r) <= tol:
                 break
-            if inv_d is not None:
-                np.multiply(r, inv_d, out=z)
+            np.multiply(r, inv_d, out=z)
             rz_next = float(r @ z)
             p *= rz_next / rz
             p += z

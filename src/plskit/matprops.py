@@ -33,7 +33,7 @@ from .numkit import (
     DimensionError, SparseMatrix, active_operator, as_vector, principal_submatrix,
     spmv,
 )
-from .krylov import Breakdown, JACOBI, KrylovOptions, NotConverged, qmr_solve
+from .krylov import Breakdown, KrylovOptions, NotConverged, qmr_solve
 
 PROVEN = "Proven"
 DISPROVEN = "Disproven"
@@ -175,7 +175,7 @@ def _solve(matrix, mask, rhs, abs_tol):
     QMR on active_operator's slice from ones to |residual|_2 <= abs_tol."""
     if rhs.size <= _DENSE_SOLVE_LIMIT:
         return np.linalg.solve(principal_submatrix(matrix, mask).to_dense(), rhs)
-    opts = KrylovOptions(rel_tol=0.0, abs_tol=abs_tol, preconditioner=JACOBI)
+    opts = KrylovOptions(rel_tol=0.0, abs_tol=abs_tol)
     return qmr_solve(active_operator(matrix, mask), rhs, x0=np.ones(rhs.size),
                      opts=opts)[0]
 

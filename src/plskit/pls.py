@@ -4,9 +4,10 @@ Elliptic: min{0,x} + T max{0,x} = b, iterated as (I - P + T P) x = b.
 Parabolic: x + T max{0,x} = b, iterated as (I + T P) x = b.
 
 The active mask P starts empty and is rebuilt from the signs of each
-iterate. For an M-matrix T the paper's theorem makes it grow
-monotonically with exact inner solves, so it grows at most n times and
-stabilizes within n + 1 linear solves. Nothing enforces that: each
+iterate: component i is active iff x_i >= 0, so an exact zero is active.
+For an M-matrix T the paper's theorem makes it grow monotonically with
+exact inner solves, so it grows at most n times and stabilizes within
+n + 1 linear solves. Nothing enforces that: each
 report counts the components that left the mask at every step, so a
 step that breaks the theorem shows. Termination: the mask repeats, or it
 changes only at components whose value is exactly zero (both cases leave
@@ -19,8 +20,8 @@ operator T_AA (+ I) comes from numkit.active_operator, which gathers the
 active rows of T's CSR arrays straight into a padded (ELL) layout, with
 no CSR slice per step; the operator is the only holder of that layout,
 and T stays CSR. matprops' QMR solves get their slices the same way. The
-reduced system is solved by Jacobi-preconditioned CG when T is symmetric
-and by QMR otherwise.
+reduced system is solved by CG when T is symmetric and by QMR otherwise,
+both Jacobi-preconditioned, as every inner solve is.
 
 A trail (solve_parabolic_pls) carries each step's mask, inner solution
 x_A and its product M x_A with the step's operator M = T_AA (+ I) into
@@ -64,24 +65,6 @@ MAX_PLUS_TMIN = "MaxPlusTMin"
 
 
 @dataclass
-class ActiveMask:
-    bits: np.ndarray
-    popcount: int
-
-
-def active_mask(x, threshold=0.0):
-    """Mask with bit i set iff x_i >= threshold_i; the tie is active."""
-    x = np.asarray(x, dtype=np.float64)
-    threshold = np.asarray(threshold, dtype=np.float64)
-    if threshold.ndim not in (0, 1) or (
-        threshold.ndim == 1 and threshold.shape != x.shape
-    ):
-        raise DimensionError("threshold must be scalar or match x in length")
-    bits = x >= threshold
-    return ActiveMask(bits, int(bits.sum()))
-
-
-@dataclass
 class PlsProblem:
     T: object
     b: np.ndarray
@@ -121,7 +104,6 @@ class PlsSolution:
 
 @dataclass
 class SolverOptions:
-    sign_threshold: float = 0.0
     res_tol: float = 1e-8  # relative to ||b||_inf
     max_outer: int | None = None  # defaults to n + 1
     krylov: KrylovOptions = field(default_factory=KrylovOptions)
@@ -189,7 +171,7 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
     """Masked Picard loop; returns the PlsSolution.
 
     The operator mask starts empty and each step is rebuilt from the signs
-    of the new iterate (complemented for the MaxPlusTMin form), and the
+    of the new iterate, x >= 0 (complemented for the MaxPlusTMin form), and the
     report counts the components each step drops. Stops when the mask
     repeats or flips only at exact zeros. Each linear solve is
     warm-started from the previous iterate, or, given a trail, from the
@@ -231,7 +213,7 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
         x, stats = _step(T, b, kind, opmask, x, inner, kopts, trail, outer)
         outer += 1
         inner_stats.append(stats)
-        signs = x >= opts.sign_threshold
+        signs = x >= 0.0  # the tie is active
         newmask = ~signs if complement else signs
         active_counts.append(int(newmask.sum()))
         left_counts.append(int(np.count_nonzero(opmask & ~newmask)))

@@ -84,17 +84,12 @@ def random_t2(rng, n, symmetric=False):
     return csr_from_dense(t), 1.0 / s
 
 
-@st.composite
-def irreducible_m_matrices(draw):
-    """An irreducible nonsingular M-matrix T = f rho(B) I - B of order 2-11,
-    symmetric or not, with f in 1 + [1e-3, 0.32], so most are not
-    diagonally dominant. B >= 0 has a zero diagonal and a directed cycle
-    through every node, which makes it irreducible."""
-    n = draw(st.integers(2, 11))
-    symmetric = draw(st.booleans())
-    f = 1.0 + 10.0 ** draw(st.floats(-3.0, np.log10(0.32)))
-    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def irreducible_m_matrix(n, symmetric, f, density, seed):
+    """The irreducible nonsingular M-matrix T = f rho(B) I - B of order n:
+    B >= 0 has a zero diagonal, entries of the given density drawn with
+    the seed, and a directed cycle through every node, which makes it
+    irreducible; it is symmetrized before rho(B) is taken if asked."""
+    rng = np.random.default_rng(seed)
     b = rng.random((n, n)) * (rng.random((n, n)) < density)
     cycle = rng.permutation(n)
     b[cycle, np.roll(cycle, -1)] = rng.random(n) + 0.1
@@ -105,6 +100,18 @@ def irreducible_m_matrices(draw):
     else:
         rho = np.abs(np.linalg.eigvals(b)).max()
     return csr_from_dense(f * rho * np.eye(n) - b)
+
+
+@st.composite
+def irreducible_m_matrices(draw):
+    """irreducible_m_matrix of order 2-11, symmetric or not, with f in
+    1 + [1e-3, 0.32], so most are not diagonally dominant."""
+    n = draw(st.integers(2, 11))
+    symmetric = draw(st.booleans())
+    f = 1.0 + 10.0 ** draw(st.floats(-3.0, np.log10(0.32)))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    return irreducible_m_matrix(n, symmetric, f, density,
+                                draw(st.integers(0, 2**32 - 1)))
 
 
 def loop_assembly(spec, n):

@@ -72,7 +72,7 @@ def test_solve_certifies_unsolvable_load(capsys):
 
 def test_solve_accepts_solver_flags(capsys):
     rc = main(["solve", "--problem", "tent", "--n", "5",
-               "--krylov-tol", "1e-10", "--sign-tol", "0", "--corner", "xedge"])
+               "--krylov-tol", "1e-10", "--corner", "xedge"])
     assert rc == 0
     assert kv(capsys.readouterr().out)["status"] == "Converged"
 
@@ -85,6 +85,9 @@ def test_usage_errors_exit_64(capsys):
     assert main(["check", "--problem", "tent", "--n", "5", "--mm", "x.mtx"]) == 64
     assert main(["oracle"]) == 64
     assert main(["bench", "--table", "2", "--n", "30"]) == 64
+    with pytest.raises(SystemExit) as exit_:  # the flag is gone
+        main(["solve", "--problem", "tent", "--n", "5", "--sign-tol", "0"])
+    assert exit_.value.code == 64
     err = capsys.readouterr().err
     assert "usage:" in err
 

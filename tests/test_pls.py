@@ -12,7 +12,6 @@ from plskit import (
     PlsProblem,
     PlsSolution,
     SolverOptions,
-    active_mask,
     lcp_check,
     residual_nonsmooth,
     solve_elliptic_pls,
@@ -32,26 +31,15 @@ from plskit.pls import (
 T22 = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
-def test_active_mask_treats_zero_as_active():
-    m = active_mask(np.array([0.0, -1.0, 2.0]))
-    assert m.bits.tolist() == [True, False, True]
-    assert m.popcount == 2
-
-
-def test_active_mask_all_negative():
-    m = active_mask(np.array([-5.0, -5.0]))
-    assert m.bits.tolist() == [False, False]
-    assert m.popcount == 0
-
-
-def test_active_mask_vector_threshold():
-    m = active_mask(np.array([1.0, 2.0]), threshold=np.array([2.0, 2.0]))
-    assert m.bits.tolist() == [False, True]
-
-
-def test_active_mask_threshold_shape_check():
-    with pytest.raises(DimensionError):
-        active_mask(np.ones(2), threshold=np.ones(3))
+def test_an_exact_zero_joins_the_mask():
+    # the empty first step gives x = b exactly; its zero is a tie, and the
+    # tie is active (x_i >= 0), so the second step solves on mask {0}
+    b = np.array([0.0, -1.0])
+    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), b))
+    assert sol.status == CONVERGED
+    assert sol.report.active_counts[:2] == [0, 1]
+    assert np.array_equal(sol.x, b)
+    assert residual_nonsmooth(csr_from_dense(T22), b, sol.x) == 0.0
 
 
 def test_problem_validation():
