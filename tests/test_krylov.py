@@ -227,10 +227,18 @@ def test_cg_spent_budget_carries_best_iterate():
     assert stats.final_residual_norm <= np.linalg.norm(b)
 
 
-def test_cg_indefinite_operator_raises_breakdown():
-    op = csr_from_dense(np.diag([1.0, -1.0]))
+@pytest.mark.parametrize("scaling", [None, "jacobi"])
+def test_cg_indefinite_operator_raises_breakdown(scaling):
+    # None: a unit diagonal makes the Jacobi step the identity, so CG runs
+    # unscaled and meets the negative curvature p^T A p = -2; "jacobi":
+    # diag(1, -1) flips the sign of z, and r^T z = 0 on the first step
+    if scaling is None:
+        a, b = np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, -1.0])
+    else:
+        a, b = np.diag([1.0, -1.0]), np.array([1.0, 1.0])
+    op = csr_from_dense(a)
     with pytest.raises(Breakdown) as err:
-        cg_solve(op, np.array([1.0, 1.0]))
+        cg_solve(op, b)
     assert err.value.stats.breakdown
     assert err.value.x.shape == (2,)
 
