@@ -16,7 +16,7 @@ import numpy as np
 
 from . import obstacle as obs
 from .krylov import Breakdown, KrylovOptions, NotConverged
-from .matprops import DISPROVEN, PROVEN, check_t1, check_t2, classify_solvability
+from .matprops import PROVEN, check_t1, check_t2, classify_solvability
 from .numkit import ELLIPTIC, csr_from_triplets, load_matrix_market
 from .oracle import TooLarge, enumerate_solutions
 from .pls import (

@@ -274,11 +274,14 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     inner solve from the solution that step j of the time step before
     found on the same mask (the trail of solve_parabolic_pls), rather than
     from the current iterate. The trail holds one time step's
-    (mask, x_A, M x_A) triples at a time, M the step's operator, and ends
+    (mask, x_A, M x_A, s, T) entries at a time, M the step's operator and
+    s = T x~ its lift's product, all made with this run's T_step, and ends
     with the run; no report keeps it. A step whose start already meets
     the inner tolerance returns it without building M or calling a
-    solver, with the same bits as the solver's 0-iteration return. A
-    wrong final iterate cannot pass the nonsmooth residual gate.
+    solver. It, and the empty first step of every time step after the
+    first, lift with the carried s: the same bits as the solver's
+    0-iteration return and a new product. A wrong final iterate cannot
+    pass the nonsmooth residual gate.
     """
     if nu < 1:
         raise GridError("need at least one time step")

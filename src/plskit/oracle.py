@@ -39,11 +39,6 @@ class OracleResult:
     patterns_tested: int
 
 
-@dataclass
-class WDiagonal:
-    omegas: np.ndarray
-
-
 def _alpha_range(x0, d, bits):
     """Sign-consistency interval for x0 + alpha d under the given mask."""
     flat = d == 0.0
@@ -143,19 +138,3 @@ def _on_family(x, fam):
     gap = np.abs(x - fam.base - alpha * d).max()
     return gap <= 1e-9 * (1.0 + np.abs(x).max())
 
-
-def w_matrix(x, y):
-    """Diagonal W with P(x)x - P(y)y = W (x - y), entrywise in [0, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionError("vectors differ in length")
-    px = x >= 0.0
-    py = y >= 0.0
-    omegas = np.zeros(x.shape)
-    omegas[px & py] = 1.0
-    xpos = px & ~py
-    omegas[xpos] = x[xpos] / (x[xpos] - y[xpos])
-    ypos = ~px & py
-    omegas[ypos] = y[ypos] / (y[ypos] - x[ypos])
-    return WDiagonal(omegas)

@@ -15,22 +15,34 @@ the iterate satisfying the nonsmooth system).
 
 Each step is solved on the active set A only. With I the inactive set,
 (I - P + T P) x = b splits into T_AA x_A = b_A and (I + T P) x = b into
-(I + T_AA) x_A = b_A; both then give x_I = b_I - T_IA x_A directly. The
-operator T_AA (+ I) comes from numkit.active_operator, which gathers the
-active rows of T's CSR arrays straight into a padded (ELL) layout, with
-no CSR slice per step; the operator is the only holder of that layout,
-and T stays CSR. matprops' QMR solves get their slices the same way. The
-reduced system is solved by CG when T is symmetric and by QMR otherwise,
-both Jacobi-preconditioned, as every inner solve is.
+(I + T_AA) x_A = b_A; both then give x_I = b_I - s_I with s = T x~, x~
+the inner solution x_A scattered into zeros. The operator T_AA (+ I)
+comes from numkit.active_operator, which gathers the active rows of T's
+CSR arrays straight into a padded (ELL) layout, with no CSR slice per
+step; the operator is the only holder of that layout, and T stays CSR.
+matprops' QMR solves get their slices the same way. The reduced system
+is solved by CG when T is symmetric and by QMR otherwise, both
+Jacobi-preconditioned, as every inner solve is.
 
-A trail (solve_parabolic_pls) carries each step's mask, inner solution
-x_A and its product M x_A with the step's operator M = T_AA (+ I) into
-the next time step, as a (mask, x_A, M x_A) triple. Step j on the same
+Each step records its nonsmooth residual, which takes a product of T
+with max{0,x} (min{0,x} for the MaxPlusTMin form). On the step whose new
+mask equals its operator mask, that vector differs from x~ at most in
+the sign of a zero, so the lift's s serves the residual with the same
+max-norm. Every product of T goes through numkit.spmv.
+
+A trail (solve_parabolic_pls) carries each step's entry
+(mask, x_A, M x_A, s, T) into the next time step: its mask, inner
+solution x_A, that solution's product with the step's operator
+M = T_AA (+ I), the lift's product s, and the matrix T it was made with.
+A step ignores an entry made with another matrix. Step j on the same
 mask starts from x_A, and when b_A - M x_A already meets the inner
 tolerance it takes x_A as its solution with the 0-iteration stats both
-solvers return for such a start, without gathering M: the same bits,
-for a fraction of the work. A wrong final iterate cannot pass the
-nonsmooth residual gate.
+solvers return for such a start, without gathering M. Such a step, and
+the empty first step, repeat the entry's x~, so they lift with its s
+and make no product: the same bits, for a fraction of the work. So a
+step makes one product of T for its lift unless it repeats the entry's
+x~, and one for its residual unless its mask repeats. A wrong final
+iterate cannot pass the nonsmooth residual gate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -113,37 +125,47 @@ class SolverOptions:
             raise ValueError("max_outer must be at least 1")
 
 
-def _lift(T, b, mask, x_active):
-    """Full iterate from the active part: x_I = b_I - (T x~)_I, where x~
-    is x_active scattered into zeros."""
-    x = np.zeros(T.n_rows)
+def _lift(T, b, mask, x_active, lifted=None):
+    """(x, s): the full iterate from the active part, x_I = b_I - s_I,
+    and s = T x~, where x~ is x_active scattered into zeros. Given the s
+    of the same x~ (lifted), it makes no product."""
+    if lifted is None:
+        x_tilde = np.zeros(T.n_rows)
+        x_tilde[mask] = x_active
+        lifted = spmv(T, x_tilde)
+    x = b - lifted
     x[mask] = x_active
-    return np.where(mask, x, b - spmv(T, x))
+    return x, lifted
 
 
 def _step(T, b, kind, mask, x, inner, kopts, trail=None, j=0):
     """One outer step (I - P + T P) x = b or (I + T P) x = b, solved on the
     active set A with the step's operator M = T_AA (+ I), from x's active
-    part. An empty mask gives x = b exactly, with no operator and no
-    solve, and the stats both solvers give a 0 x 0 system.
+    part; returns (x, s, stats), s = T x~ the lift's product (see _lift).
+    An empty mask gives x = b - T 0 with no operator and no solve, and the
+    stats both solvers give a 0 x 0 system.
 
-    Given a trail (see _picard), triple j = (mask, x_A, M x_A) on this
-    step's mask gives the start x_A instead, and the step leaves its own
-    triple in slot j, with M x_A taken by the kernel of the solvers' first
-    product. When b_A - M x_A already meets the inner tolerance
-    (krylov.start_stats), x_A is the solve's result: the step returns it
-    with the stats either solver gives such a start, builds no operator
-    and calls no solver. A product of None is never used.
+    Given a trail (see _picard), entry j = (mask, x_A, M x_A, s, T) made
+    with this T on this step's mask gives the start x_A instead, and the
+    step leaves its own entry in slot j, with M x_A taken by the kernel of
+    the solvers' first product. When b_A - M x_A already meets the inner
+    tolerance (krylov.start_stats), x_A is the solve's result: the step
+    returns it with the stats either solver gives such a start, builds no
+    operator and calls no solver. Such a step, and an empty one, repeats
+    the entry's x~, so it lifts with the entry's s and makes no product.
+    A product or s of None is never used.
     """
     carried = trail[j] if trail is not None and j < len(trail) else None
-    if carried is not None and not np.array_equal(carried[0], mask):
+    if carried is not None and (carried[4] is not T
+                                or not np.array_equal(carried[0], mask)):
         carried = None
-    product = None
+    product = lifted = None
     if not mask.any():
-        x, stats = _lift(T, b, mask, np.zeros(0)), KrylovStats(0, 0.0, True, False)
+        x_active, stats = np.zeros(0), KrylovStats(0, 0.0, True, False)
+        lifted = None if carried is None else carried[3]
     elif carried is not None and carried[2] is not None and (
             stats := start_stats(b[mask], carried[2], kopts)[2]).converged:
-        x, product = _lift(T, b, mask, carried[1]), carried[2]
+        x_active, product, lifted = carried[1], carried[2], carried[3]
     else:
         op = active_operator(T, mask, 1.0 if kind == PARABOLIC else 0.0)
         try:
@@ -151,20 +173,20 @@ def _step(T, b, kind, mask, x, inner, kopts, trail=None, j=0):
                                     x0=x[mask] if carried is None else carried[1],
                                     opts=kopts)
         except (NotConverged, Breakdown) as exc:
-            exc.x = _lift(T, b, mask, exc.x)
+            exc.x = _lift(T, b, mask, exc.x)[0]
             raise
         if trail is not None:
             product = op.matvec(x_active)
         del op  # the operator and the solve's scratch are freed before the lift
-        x = _lift(T, b, mask, x_active)
-    # x's active part is the inner solution, bit for bit; a triple on the
+    x, lifted = _lift(T, b, mask, x_active, lifted)
+    # x's active part is the inner solution, bit for bit; an entry on the
     # same mask is overwritten in place
     if carried is not None:
         np.compress(mask, x, out=carried[1])
-        trail[j] = (carried[0], carried[1], product)
+        trail[j] = (carried[0], carried[1], product, lifted, T)
     elif trail is not None:
-        trail[j:j + 1] = [(mask, x[mask], product)]  # replace or append
-    return x, stats
+        trail[j:j + 1] = [(mask, x[mask], product, lifted, T)]  # replace or append
+    return x, lifted, stats
 
 
 def _picard(T, b, kind, opts, complement=False, trail=None):
@@ -176,18 +198,19 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
     repeats or flips only at exact zeros. Each linear solve is
     warm-started from the previous iterate, or, given a trail, from the
     trail's x_A for this step when its mask equals this step's: trail is
-    a list of (mask, x_A, M x_A) triples, triple j from step j of an
-    earlier solve with the same T and M its step operator (the product
-    may be None), and each step overwrites its triple, so on return the
-    trail holds this solve's triples only. A step whose carried start
-    already meets the inner tolerance takes it without a solve (see
-    _step). The start changes only the rounding and the inner iteration
-    count; a trail from another T could mislead a step, but a wrong
-    final iterate cannot pass the nonsmooth residual gate. The inner
-    tolerance is measured against the full ||b|| and the default budget
-    stays 10 n, so the reduced solve meets the same residual bound as a
-    solve over all n unknowns. A stable mask whose nonsmooth residual
-    misses the gate raises NotConverged.
+    a list of (mask, x_A, M x_A, s, T) entries, entry j from step j of an
+    earlier solve, M its step operator and s = T x~ its lift's product
+    (either may be None), and each step overwrites its entry, so on return
+    the trail holds this solve's entries only. An entry made with another
+    matrix than this T is ignored. A step whose carried start already
+    meets the inner tolerance takes it without a solve (see _step). The
+    start changes only the rounding and the inner iteration count. The
+    inner tolerance is measured against the full ||b|| and the default
+    budget stays 10 n, so the reduced solve meets the same residual bound
+    as a solve over all n unknowns. A stable mask whose nonsmooth
+    residual misses the gate raises NotConverged. The step whose mask
+    repeats takes its residual's product from the lift's s (see the
+    module docstring).
     """
     n = T.n_rows
     inner = cg_solve if T.is_symmetric() else qmr_solve
@@ -210,25 +233,27 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
     stable = False
     outer = 0
     for _ in range(max_outer):
-        x, stats = _step(T, b, kind, opmask, x, inner, kopts, trail, outer)
+        x, lifted, stats = _step(T, b, kind, opmask, x, inner, kopts, trail, outer)
         outer += 1
         inner_stats.append(stats)
         signs = x >= 0.0  # the tie is active
         newmask = ~signs if complement else signs
+        flips = newmask != opmask
+        stable = not flips.any()
         active_counts.append(int(newmask.sum()))
-        left_counts.append(int(np.count_nonzero(opmask & ~newmask)))
-        residual_history.append(residual_nonsmooth(T, b, x, kind, form=form))
-        if np.array_equal(newmask, opmask):
-            stable = True
+        left_counts.append(int(np.count_nonzero(flips & opmask)))
+        residual_history.append(
+            _residual(T, b, x, kind, form, product=lifted if stable else None))
+        if stable:
             break
         # the step operators differ only in columns where the mask flipped;
         # flips confined to components within a few ulps of zero leave the
         # product unchanged, so the iterate already solves the nonsmooth
         # system; the residual gate makes the early exit sound
-        flipped = np.abs(x[newmask != opmask]).max()
         if (
-            flipped <= 4.0 * np.finfo(np.float64).eps * np.abs(x).max()
-            and residual_history[-1] <= gate
+            residual_history[-1] <= gate
+            and np.abs(x[flips]).max()
+            <= 4.0 * np.finfo(np.float64).eps * np.abs(x).max()
         ):
             stable = True
             break
@@ -284,14 +309,16 @@ def solve_elliptic_pls(problem, opts=None):
 def solve_parabolic_pls(problem, opts=None, trail=None):
     """Solve x + T max{0,x} = b; this form always has a unique solution.
 
-    trail, a list, carries each outer step's (mask, x_A, M x_A) triple,
-    its inner solution and that solution's product with the step's
-    operator M, from one call to the next on the same T (see _picard): a
+    trail, a list, carries each outer step's (mask, x_A, M x_A, s, T)
+    entry, its inner solution, that solution's product with the step's
+    operator M, the lift's product s = T x~ and the matrix it was made
+    with, from one call to the next on the same T (see _picard): a
     time-stepping caller passes the same list to every step, and a step
     whose mask sequence repeats the last one's starts each inner solve
-    from there, or skips the solve when that start already meets the
-    inner tolerance. A wrong final iterate cannot pass the nonsmooth
-    residual gate.
+    from there, or skips the solve and the lift's product when that start
+    already meets the inner tolerance. Entries made with another matrix
+    are ignored. A wrong final iterate cannot pass the nonsmooth residual
+    gate.
     """
     if problem.kind != PARABOLIC:
         raise ValueError("problem kind must be parabolic")
@@ -333,15 +360,21 @@ def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):
         raise DimensionError("operand lengths must match the matrix")
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
+    base = 0.0 if xi is None else np.asarray(xi, dtype=np.float64)
+    return _residual(T, b, x, kind, form, base)
+
+
+def _residual(T, b, x, kind, form, base=0.0, product=None):
+    """max |r| for r = x + T max{0,x} - b (parabolic), min{base,x} +
+    T max{base,x} - b (MinPlusTMax) or max{base,x} + T min{base,x} - b
+    (MaxPlusTMin). A given product stands for the product with T; one that
+    differs from it at most in the sign of a zero leaves max |r| as is."""
     if kind == PARABOLIC:
-        r = x + spmv(T, np.maximum(x, 0.0)) - b
+        u, v = x, np.maximum(x, 0.0)
     else:
-        base = 0.0 if xi is None else np.asarray(xi, dtype=np.float64)
         lo, hi = np.minimum(x, base), np.maximum(x, base)
-        if form == MIN_PLUS_TMAX:
-            r = lo + spmv(T, hi) - b
-        else:
-            r = hi + spmv(T, lo) - b
+        u, v = (lo, hi) if form == MIN_PLUS_TMAX else (hi, lo)
+    r = u + (spmv(T, v) if product is None else product) - b
     return float(np.abs(r).max()) if r.size else 0.0
 
 

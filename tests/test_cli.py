@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import plskit

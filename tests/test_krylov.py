@@ -151,7 +151,7 @@ def test_reduced_step_matches_dense_solve(kind, symmetric):
         if kind == ELLIPTIC:
             dense -= p
         b = rng.normal(size=n)
-        x, stats = _step(t, b, kind, mask, rng.normal(size=n), inner, opts)
+        x, _, stats = _step(t, b, kind, mask, rng.normal(size=n), inner, opts)
         assert stats.converged
         assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
         if not mask.any():

@@ -18,7 +18,7 @@ from plskit import (
 from plskit import obstacle as obs
 from plskit import pls
 from plskit.numkit import active_operator
-from plskit.pls import CONVERGED, NO_SOLUTION_CERTIFIED
+from plskit.pls import CONVERGED, NO_SOLUTION_CERTIFIED, SolverOptions
 
 
 def test_problem_specs_cover_the_four_benchmarks():
@@ -244,7 +244,7 @@ def test_parabolic_trail_keeps_every_step_and_cuts_the_inner_work(name, c, tau):
     for step, result in enumerate(run.step_results, start=1):
         b_step = (run.snapshots[step - 1] - run.disc.psi_vec) + run.dt * run.disc.b
         alone = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
-                                    obs.default_solver_options())
+                                    SolverOptions())
         assert result.status == alone.status == CONVERGED
         assert result.report.outer_iterations == alone.report.outer_iterations
         assert result.report.active_counts == alone.report.active_counts
@@ -262,21 +262,45 @@ def test_parabolic_trail_ignores_a_pair_on_another_mask():
     # own pairs in the trail
     disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
     problem = PlsProblem(disc.T.scaled(0.25), 0.25 * disc.b, kind=PARABOLIC)
-    opts = obs.default_solver_options()
+    opts = SolverOptions()
     alone = solve_parabolic_pls(problem, opts)
     trail = []
     first = solve_parabolic_pls(problem, opts, trail=trail)
-    assert [int(m.sum()) for m, _, _ in trail] == alone.report.active_counts[:-1]
+    assert [int(m.sum()) for m, *_ in trail] == alone.report.active_counts[:-1]
     assert np.array_equal(first.x, alone.x)
     rng = np.random.default_rng(3)
-    stale = [(~mask, rng.normal(size=int((~mask).sum())), None)
-             for mask, _, _ in trail]
+    stale = [(~mask, rng.normal(size=int((~mask).sum())), None, None, problem.T)
+             for mask, *_ in trail]
     full = np.ones(disc.T.n_rows, dtype=bool)
-    stale += [(full, rng.normal(size=disc.T.n_rows), None)]
+    stale += [(full, rng.normal(size=disc.T.n_rows), None, None, problem.T)]
     again = solve_parabolic_pls(problem, opts, trail=stale)
     assert np.array_equal(again.x, alone.x)
     assert again.report.inner_stats == alone.report.inner_stats
     assert len(stale) == alone.report.outer_iterations
+
+
+def test_parabolic_trail_from_another_matrix_gives_no_start(monkeypatch):
+    # a trail made on T is ignored by a solve on 2 T, although the first
+    # two masks agree (both solves start from the empty mask and then take
+    # the signs of b): every nonempty step gathers its operator and solves,
+    # with the bits of a solve without a trail, and the trail ends with
+    # this solve's entries
+    disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
+    T = disc.T.scaled(0.25)
+    b = 0.25 * disc.b
+    trail = []
+    solve_parabolic_pls(PlsProblem(T, b, kind=PARABOLIC), trail=trail)
+    other = PlsProblem(T.scaled(2.0), b, kind=PARABOLIC)
+    alone = solve_parabolic_pls(other)
+    assert np.array_equal(trail[1][0], b >= 0.0)
+    built = _count_operators(monkeypatch)
+    again = solve_parabolic_pls(other, trail=trail)
+    assert len(built) == alone.report.outer_iterations - 1
+    assert np.array_equal(again.x, alone.x)
+    assert again.report.inner_stats == alone.report.inner_stats
+    assert again.report.residual_history == alone.report.residual_history
+    assert len(trail) == alone.report.outer_iterations
+    assert all(entry[4] is other.T for entry in trail)
 
 
 def _count_operators(monkeypatch):
@@ -300,23 +324,23 @@ def test_parabolic_trail_solves_a_pair_whose_product_misses_the_tolerance(
     disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
     T = disc.T.scaled(0.25)
     problem = PlsProblem(T, 0.25 * disc.b, kind=PARABOLIC)
-    opts = obs.default_solver_options()
+    opts = SolverOptions()
     alone = solve_parabolic_pls(problem, opts)
     steps = alone.report.outer_iterations
     assert steps >= 3
-    trail = [(np.zeros(T.n_rows, dtype=bool), np.zeros(0), None)]
+    trail = [(np.zeros(T.n_rows, dtype=bool), np.zeros(0), None, None, T)]
     for j in range(1, steps):
         # the iterate after j steps, and the mask step j solves on
         x = solve_parabolic_pls(problem, replace(opts, max_outer=j)).x
         mask = x >= 0.0
-        trail.append((mask, x[mask], problem.b[mask] + 1.0))
+        trail.append((mask, x[mask], problem.b[mask] + 1.0, None, T))
     built = _count_operators(monkeypatch)
     again = solve_parabolic_pls(problem, opts, trail=trail)
     assert len(built) == steps - 1
     assert np.array_equal(again.x, alone.x)
     assert again.report.inner_stats == alone.report.inner_stats
     assert again.report.residual_history == alone.report.residual_history
-    for mask, x_active, product in trail[1:]:
+    for mask, x_active, product, _, _ in trail[1:]:
         op = active_operator(T, mask, 1.0)
         assert np.array_equal(product, op.matvec(x_active))
 
@@ -336,7 +360,7 @@ def test_parabolic_trail_products_skip_operators_and_keep_every_bit(
     with_products = len(built)
     disc, dt = run.disc, run.dt
     T_step = disc.T.scaled(dt)
-    opts = obs.default_solver_options()
+    opts = SolverOptions()
     u = disc.psi_vec.copy()
     trail = []
     del built[:]
@@ -344,13 +368,37 @@ def test_parabolic_trail_products_skip_operators_and_keep_every_bit(
         b_step = (u - disc.psi_vec) + dt * disc.b
         plain = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
                                     opts, trail=trail)
-        trail[:] = [(mask, x_active, None) for mask, x_active, _ in trail]
+        trail[:] = [(mask, x_active, None, None, T_step)
+                    for mask, x_active, *_ in trail]
         assert plain.status == result.status == CONVERGED
         assert np.array_equal(plain.x, result.x)
         assert plain.report.inner_stats == result.report.inner_stats
         assert plain.report.residual_history == result.report.residual_history
         u = plain.y + disc.psi_vec
     assert with_products < len(built)
+
+
+def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
+        monkeypatch):
+    # pls's products of T over a time-stepped run: a step lifts with a
+    # product only when it runs a solver (and on the run's first, empty,
+    # step), since an empty step or a carried start that converges repeats
+    # the trail's x~ and its product; every step's residual takes one
+    # product, except the stable step's, which the lift's product serves
+    products = []
+    product = pls.spmv
+
+    def counting(*args, **kwargs):
+        products.append(1)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(pls, "spmv", counting)
+    built = _count_operators(monkeypatch)
+    nu = 20
+    run = obs.run_parabolic(obs.problem_spec("torsion", -5.0), 25, 5.0, nu)
+    steps = sum(r.report.outer_iterations for r in run.step_results)
+    assert all(r.status == CONVERGED for r in run.step_results)
+    assert len(products) == 1 + len(built) + steps - nu
 
 
 def test_refinement_shrinks_the_error_on_nested_grids():

@@ -23,7 +23,6 @@ from plskit import (
     solve_parabolic_pls,
     solve_shifted,
     spmv,
-    w_matrix,
 )
 from plskit.krylov import NotConverged
 from plskit.numkit import DimensionError
@@ -109,31 +108,6 @@ def test_empty_system_has_the_empty_point_solution():
     assert res.families == []
     sol = solve_elliptic_pls(PlsProblem(empty, np.zeros(0)))
     assert sol.status == CONVERGED and sol.x.shape == (0,)
-
-
-def test_w_matrix_four_cases():
-    assert np.allclose(w_matrix([1.0, 2.0], [3.0, 4.0]).omegas, [1.0, 1.0])
-    assert np.allclose(w_matrix([-1.0, -2.0], [-3.0, -4.0]).omegas, [0.0, 0.0])
-    assert np.allclose(w_matrix([1.0, -1.0], [-1.0, 1.0]).omegas, [0.5, 0.5])
-    assert np.allclose(w_matrix([0.0], [0.0]).omegas, [1.0])
-
-
-def test_w_matrix_identity_on_random_pairs():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        n = int(rng.integers(1, 11))
-        x = rng.normal(size=n)
-        y = rng.normal(size=n)
-        w = w_matrix(x, y).omegas
-        assert np.all((0.0 <= w) & (w <= 1.0))
-        px = np.where(x >= 0.0, x, 0.0)
-        py = np.where(y >= 0.0, y, 0.0)
-        assert np.allclose(px - py, w * (x - y), atol=1e-12)
-
-
-def test_w_matrix_shape_check():
-    with pytest.raises(DimensionError):
-        w_matrix(np.ones(2), np.ones(3))
 
 
 def _assert_oracle_agrees_with_solvers(t, b):

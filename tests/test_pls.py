@@ -171,23 +171,37 @@ def test_shifted_errors_carry_the_unshifted_iterate():
 
 
 def test_residual_history_is_residual_nonsmooth():
+    # the stable step takes T max{0,x} (T min{0,x} for MaxPlusTMin) from
+    # the lift's product T x~, which differs from it at most in the sign of
+    # a zero; the last residual equals a fresh one bit for bit, on the CG
+    # and QMR paths and with signed zeros in b
     rng = np.random.default_rng(9)
     t = random_t1(rng, 8)
-    b = rng.normal(size=8)
-    for solve, kind in (
-        (solve_elliptic_pls, ELLIPTIC),
-        (solve_parabolic_pls, PARABOLIC),
-    ):
-        sol = solve(PlsProblem(t, b, kind=kind))
-        assert sol.report.residual_history[-1] == residual_nonsmooth(
-            t, b, sol.x, kind=kind
-        )
-    # a zero shift keeps x = z exactly, so the comparison stays bitwise
-    sol = solve_shifted(t, b, np.zeros(8), MAX_PLUS_TMIN)
-    assert sol.status == CONVERGED
-    assert sol.report.residual_history[-1] == residual_nonsmooth(
-        t, b, sol.x, form=MAX_PLUS_TMIN
-    )
+    cases = [(t, rng.normal(size=8))]
+    rng = np.random.default_rng(23)
+    for make in (random_symmetric_t1, random_t1):
+        t = make(rng, 30)
+        b = rng.normal(size=30)
+        b[:4], b[4:8] = 0.0, -0.0
+        cases.append((t, b))
+    for t, b in cases:
+        for solve, kind in (
+            (solve_elliptic_pls, ELLIPTIC),
+            (solve_parabolic_pls, PARABOLIC),
+        ):
+            sol = solve(PlsProblem(t, b, kind=kind))
+            assert sol.status == CONVERGED
+            assert sol.report.residual_history[-1] == residual_nonsmooth(
+                t, b, sol.x, kind=kind
+            )
+        # a zero shift changes b and x at most in the sign of a zero, so
+        # the comparison stays bitwise
+        for form in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
+            sol = solve_shifted(t, b, np.zeros(b.size), form)
+            assert sol.status == CONVERGED
+            assert sol.report.residual_history[-1] == residual_nonsmooth(
+                t, b, sol.x, form=form
+            )
 
 
 def test_active_counts_grow_monotonically():
@@ -282,7 +296,8 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
     trail = []
     first = solve_parabolic_pls(problem, trail=trail)
     assert first.report.outer_iterations >= 3
-    bare = [(mask, x_active.copy(), None) for mask, x_active, _ in trail]
+    bare = [(mask, x_active.copy(), None, None, T)
+            for mask, x_active, _, _, _ in trail]
     calls = []
     name = "cg_solve" if symmetric else "qmr_solve"
     solver = getattr(pls, name)
@@ -301,8 +316,10 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
     assert shortcut.report.inner_stats == solved.report.inner_stats
     assert all(st.iterations == 0 and st.converged
                for st in shortcut.report.inner_stats)
-    for (_, a, p), (_, a_bare, p_bare) in zip(trail[1:], bare[1:]):
+    for (_, a, p, s, _), (_, a_bare, p_bare, s_bare, _) in zip(trail[1:],
+                                                               bare[1:]):
         assert np.array_equal(a, a_bare) and np.array_equal(p, p_bare)
+        assert np.array_equal(s, s_bare)
 
 
 def test_residual_nonsmooth_forms():
