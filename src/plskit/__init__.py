@@ -34,7 +34,6 @@ from .obstacle import (
     ObstacleSpec,
     assemble_elliptic,
     coincidence_set,
-    default_solver_options,
     problem_spec,
     run_parabolic,
     solve_obstacle,
@@ -84,7 +83,6 @@ __all__ = [
     "ObstacleSpec",
     "assemble_elliptic",
     "coincidence_set",
-    "default_solver_options",
     "problem_spec",
     "run_parabolic",
     "solve_obstacle",

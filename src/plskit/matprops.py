@@ -73,17 +73,13 @@ class Solvability:
     vtb: float
 
 
-def _require_square(matrix):
+def _class_report(matrix):
+    """The Z-sign and irreducibility report both checks start from."""
     if matrix.n_rows != matrix.n_cols:
         raise DimensionError(f"matrix is {matrix.shape}, expected square")
-
-
-def _off_diagonal_sign_ok(matrix):
-    rows = np.repeat(
-        np.arange(matrix.n_rows), np.diff(matrix.row_offsets)
-    )
-    off = rows != matrix.col_indices
-    return bool(np.all(matrix.values[off] <= 0.0))
+    off = matrix.row_indices() != matrix.col_indices
+    return MatrixClassReport(is_z_matrix=bool(np.all(matrix.values[off] <= 0.0)),
+                             is_irreducible=matrix.is_irreducible())
 
 
 def check_t1(matrix):
@@ -92,9 +88,7 @@ def check_t1(matrix):
     By the theorem of the module docstring, tried on x = 1 (irreducible
     diagonal dominance), then on one solve of T x = 1. The same products
     disprove it: T y ~ 0 or T y < 0 for a y >= 0."""
-    _require_square(matrix)
-    report = MatrixClassReport(is_z_matrix=_off_diagonal_sign_ok(matrix),
-                               is_irreducible=matrix.is_irreducible())
+    report = _class_report(matrix)
     report.t1_verdict, note = _t1_verdict(matrix, report)
     report.notes = (note,)
     return report
@@ -197,59 +191,46 @@ def check_t2(matrix):
 
     By the Berman & Plemmons theorem of the module docstring, with w and v
     from one node-deletion solve each (v = w for symmetric T)."""
-    _require_square(matrix)
-    n = matrix.n_rows
-    is_z = _off_diagonal_sign_ok(matrix)
-    irreducible = matrix.is_irreducible()
-    report = MatrixClassReport(is_z_matrix=is_z, is_irreducible=irreducible)
-    if n == 0 or not is_z or not irreducible:
-        report.t2_verdict = DISPROVEN
-        report.notes = ("empty matrix" if n == 0 else "needs an irreducible Z-pattern",)
-        return report
+    report = _class_report(matrix)
+    report.t2_verdict, note = _t2_verdict(matrix, report)
+    report.notes = (note,)
+    return report
+
+
+def _t2_verdict(matrix, report):
+    """(verdict, note) of check_t2; sets the report's null vectors once
+    both are found."""
+    if matrix.n_rows == 0:
+        return DISPROVEN, "empty matrix"
+    if not report.is_z_matrix or not report.is_irreducible:
+        return DISPROVEN, "needs an irreducible Z-pattern"
     tnorm, _, _, dominant = _ones_test(matrix)
     if tnorm == 0.0:
-        report.t2_verdict = DISPROVEN
-        report.notes = ("zero matrix",)
-        return report
+        return DISPROVEN, "zero matrix"
     if dominant:
-        report.t2_verdict = DISPROVEN
-        report.notes = ("nonsingular: " + _DOMINANT,)
-        return report
+        return DISPROVEN, "nonsingular: " + _DOMINANT
     transpose = matrix if matrix.is_symmetric() else matrix.transpose()
     try:
         w = _positive_null_vector(matrix, tnorm)
         v = (w if transpose is matrix
              else _positive_null_vector(transpose, transpose.norm_inf()))
     except _SOLVE_FAILED:
-        report.t2_verdict = INCONCLUSIVE
-        report.notes = ("solve for the null vectors failed",)
-        return report
-    report.right_null = w
-    report.left_null = v
+        return INCONCLUSIVE, "solve for the null vectors failed"
+    report.right_null, report.left_null = w, v
 
     resid_w = float(np.abs(spmv(matrix, w)).max())
     resid_v = float(np.abs(spmv(transpose, v)).max())
     relative = max(resid_w, resid_v) / tnorm
     if relative > 1e-4:
-        report.t2_verdict = DISPROVEN
-        report.notes = ("no null space found; matrix appears nonsingular",)
-        return report
+        return DISPROVEN, "no null space found; matrix appears nonsingular"
     if relative > _NULL_RESIDUAL:
-        report.t2_verdict = INCONCLUSIVE
-        report.notes = ("null-space residual between the decision thresholds",)
-        return report
-    if w.min() <= 0.0 or v.min() <= 0.0:
-        if min(w.min(), v.min()) <= -1e-8:
-            report.t2_verdict = DISPROVEN
-            report.notes = ("null vector is not strictly positive",)
-        else:
-            report.t2_verdict = INCONCLUSIVE
-            report.notes = ("null vector positivity is borderline",)
-        return report
-    report.t2_verdict = PROVEN
-    report.notes = (f"positive null vectors, residual {relative:.1e} ||T||_inf "
-                    f"<= threshold {_NULL_RESIDUAL:.0e}",)
-    return report
+        return INCONCLUSIVE, "null-space residual between the decision thresholds"
+    if min(w.min(), v.min()) <= -1e-8:
+        return DISPROVEN, "null vector is not strictly positive"
+    if min(w.min(), v.min()) <= 0.0:
+        return INCONCLUSIVE, "null vector positivity is borderline"
+    return PROVEN, (f"positive null vectors, residual {relative:.1e} ||T||_inf "
+                    f"<= threshold {_NULL_RESIDUAL:.0e}")
 
 
 def classify_solvability(v, b, class_tol=None):

@@ -5,9 +5,10 @@ set (with a unit shift on its diagonal for the parabolic form). The
 solver gets it from `active_operator`, which gathers the active rows of
 T's CSR arrays straight into a padded fixed-width (ELL) layout in
 O(width k): no CSR slice per step. matprops' Krylov solves take their
-slices from it too. `principal_submatrix` still slices T into CSR in one
-pass over the stored entries, for dense solves and for the operator's
-two fallbacks.
+slices from it too. `active_operator` is the only place a shift is
+applied. `principal_submatrix` slices T into CSR, unshifted, in one pass
+over the stored entries, for dense solves and for the operator's two
+fallbacks, which add the shift with `add_diagonal`.
 
 CSR is the storage, and products are vectorized numpy. A CSR product is
 a gather, a multiply and one segmented sum (`np.add.reduceat`). The ELL
@@ -113,14 +114,11 @@ class SparseMatrix:
         # a stable sort by column keeps each column's rows in increasing
         # order, so the entries come out as canonical rows of A^T
         order = np.argsort(self.col_indices, kind="stable")
-        rows = np.repeat(
-            np.arange(self.n_rows, dtype=_INDEX_DTYPE), np.diff(self.row_offsets)
-        )
         row_offsets = np.zeros(self.n_cols + 1, dtype=_INDEX_DTYPE)
         np.cumsum(np.bincount(self.col_indices, minlength=self.n_cols),
                   out=row_offsets[1:])
-        return SparseMatrix(self.n_cols, self.n_rows, row_offsets, rows[order],
-                            self.values[order])
+        return SparseMatrix(self.n_cols, self.n_rows, row_offsets,
+                            self.row_indices()[order], self.values[order])
 
     def is_symmetric(self):
         """Exact test A == A^T, made once per matrix.
@@ -160,12 +158,16 @@ class SparseMatrix:
                 ) or _reaches_all(t)
         return self._irreducible
 
+    def row_indices(self):
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.n_rows, dtype=_INDEX_DTYPE),
+                         np.diff(self.row_offsets))
+
     def diagonal_slots(self):
         """Position of each row's diagonal entry among its stored entries,
         -1 where it has none; found once per matrix."""
         if self._diagonal_slots is None:
-            lengths = np.diff(self.row_offsets)
-            rows = np.repeat(np.arange(self.n_rows, dtype=_INDEX_DTYPE), lengths)
+            rows = self.row_indices()
             on_diag = rows == self.col_indices
             slots = np.full(self.n_rows, -1, dtype=_INDEX_DTYPE)
             slots[rows[on_diag]] = (np.flatnonzero(on_diag)
@@ -174,12 +176,11 @@ class SparseMatrix:
         return self._diagonal_slots
 
     def diagonal(self):
-        d = np.zeros(min(self.n_rows, self.n_cols))
-        rows = np.repeat(
-            np.arange(self.n_rows, dtype=_INDEX_DTYPE), np.diff(self.row_offsets)
-        )
-        on_diag = rows == self.col_indices
-        d[rows[on_diag]] = self.values[on_diag]
+        n = min(self.n_rows, self.n_cols)
+        slots = self.diagonal_slots()[:n]
+        stored = slots >= 0
+        d = np.zeros(n)
+        d[stored] = self.values[self.row_offsets[:n][stored] + slots[stored]]
         return d
 
     def scaled(self, s):
@@ -193,12 +194,9 @@ class SparseMatrix:
         """Return A + diag(d); d may be a scalar or a vector."""
         n = min(self.n_rows, self.n_cols)
         d = np.broadcast_to(np.asarray(d, dtype=np.float64), (n,))
-        rows = np.repeat(
-            np.arange(self.n_rows, dtype=_INDEX_DTYPE), np.diff(self.row_offsets)
-        )
         idx = np.arange(n, dtype=_INDEX_DTYPE)
         return _csr_from_arrays(
-            np.concatenate([rows, idx]),
+            np.concatenate([self.row_indices(), idx]),
             np.concatenate([self.col_indices, idx]),
             np.concatenate([self.values, d]),
             self.n_rows,
@@ -216,10 +214,7 @@ class SparseMatrix:
 
     def to_dense(self):
         dense = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(
-            np.arange(self.n_rows, dtype=_INDEX_DTYPE), np.diff(self.row_offsets)
-        )
-        dense[rows, self.col_indices] = self.values
+        dense[self.row_indices(), self.col_indices] = self.values
         return dense
 
 
@@ -423,7 +418,8 @@ class EllOperator:
 
 def active_operator(matrix, mask, shift=0.0):
     """A[mask][:, mask] + shift I as an operator for a Krylov solve, with
-    the bits of principal_submatrix's CSR slice in every product.
+    the bits of the CSR slice principal_submatrix(A, mask) + shift I in
+    every product.
 
     The active rows are gathered from A's CSR arrays straight into the
     ELL layout of the slice, in O(width k) (see _ell_slice). The shift
@@ -431,14 +427,16 @@ def active_operator(matrix, mask, shift=0.0):
     Jacobi diagonal is read from that slot. No CSR slice is built and A
     keeps no layout. A slice of a row longer than _ELL_MAX_WIDTH, and a
     shift on a missing or cancelling diagonal entry, return
-    principal_submatrix's CSR slice instead.
+    principal_submatrix's CSR slice instead, with the shift added by
+    add_diagonal.
     """
     mask = np.asarray(mask, dtype=bool)
     if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
         raise DimensionError("need a square matrix and a mask of its dimension")
     sliced = _ell_slice(matrix, mask, shift)
     if sliced is None:
-        return principal_submatrix(matrix, mask, shift)
+        sub = principal_submatrix(matrix, mask)
+        return sub.add_diagonal(shift) if shift else sub
     return EllOperator(*sliced, lambda: None if matrix.is_symmetric()
                        else active_operator(matrix.transpose(), mask, shift))
 
@@ -482,35 +480,24 @@ def _ell_slice(matrix, mask, shift):
     return values, cols, diagonal
 
 
-def principal_submatrix(matrix, mask, shift=0.0):
-    """Return A[mask][:, mask] + shift I in O(nnz).
+def principal_submatrix(matrix, mask):
+    """Return A[mask][:, mask] in O(nnz).
 
     Rows and columns keep their relative order, so the slice is already
-    sorted and duplicate-free. The shift lands on the stored diagonal; a
-    missing or cancelled diagonal entry falls back to add_diagonal.
+    sorted and duplicate-free. It carries no shift: active_operator adds
+    one to the slice with add_diagonal.
     """
     mask = np.asarray(mask, dtype=bool)
     if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
         raise DimensionError("need a square matrix and a mask of its dimension")
-    rows = np.repeat(
-        np.arange(matrix.n_rows, dtype=_INDEX_DTYPE), np.diff(matrix.row_offsets)
-    )
+    rows = matrix.row_indices()
     keep = mask[rows] & mask[matrix.col_indices]
     new_index = np.cumsum(mask, dtype=_INDEX_DTYPE) - 1
-    rows = new_index[rows[keep]]
-    cols = new_index[matrix.col_indices[keep]]
-    vals = matrix.values[keep]
     k = int(mask.sum())
     row_offsets = np.zeros(k + 1, dtype=_INDEX_DTYPE)
-    np.cumsum(np.bincount(rows, minlength=k), out=row_offsets[1:])
-    sub = SparseMatrix(k, k, row_offsets, cols, vals)
-    if shift == 0.0:
-        return sub
-    on_diag = rows == cols
-    if np.count_nonzero(on_diag) < k or np.any(vals[on_diag] == -shift):
-        return sub.add_diagonal(shift)
-    vals[on_diag] += shift
-    return sub
+    np.cumsum(np.bincount(new_index[rows[keep]], minlength=k), out=row_offsets[1:])
+    return SparseMatrix(k, k, row_offsets, new_index[matrix.col_indices[keep]],
+                        matrix.values[keep])
 
 
 def load_matrix_market(path):

@@ -353,13 +353,20 @@ def solve_shifted(T, b, xi, form, opts=None):
 
 
 def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):
-    """Max-norm residual of the nonsmooth equation at x."""
+    """Max-norm residual of the nonsmooth equation at x. The shift xi and
+    the MaxPlusTMin form are elliptic only; the parabolic kind rejects
+    them rather than return the residual of another equation."""
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if b.shape != x.shape or x.size != T.n_rows:
         raise DimensionError("operand lengths must match the matrix")
+    if kind not in (ELLIPTIC, PARABOLIC):
+        raise ValueError(f"unknown kind {kind!r}")
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
+    if kind == PARABOLIC and (xi is not None or form != MIN_PLUS_TMAX):
+        raise ValueError("the parabolic residual takes no shift xi and no "
+                         "MaxPlusTMin form")
     base = 0.0 if xi is None else np.asarray(xi, dtype=np.float64)
     return _residual(T, b, x, kind, form, base)
 

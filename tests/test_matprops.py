@@ -373,3 +373,48 @@ def test_empty_matrix_gets_one_true_note():
     assert (rep.t1_verdict, rep.notes) == (DISPROVEN, ("empty matrix",))
     rep = check_t2(empty)
     assert (rep.t2_verdict, rep.notes) == (DISPROVEN, ("empty matrix",))
+
+
+# every exit of check_t2 on a small matrix: (matrix, verdict, note, whether
+# the null vectors are set)
+_T2_EXITS = [
+    ("empty", csr_from_triplets([], 0, 0), DISPROVEN, "empty matrix", False),
+    ("positive off-diagonal", csr_from_dense([[1.0, 1.0], [-1.0, 1.0]]), DISPROVEN,
+     "needs an irreducible Z-pattern", False),
+    ("reducible", csr_from_dense([[1.0, -1.0], [0.0, 1.0]]), DISPROVEN,
+     "needs an irreducible Z-pattern", False),
+    # csr_from_dense drops zeros, so the stored zeros are put in by hand
+    ("zero", SparseMatrix(2, 2, [0, 2, 4], [0, 1, 0, 1], np.zeros(4)),
+     DISPROVEN, "zero matrix", False),
+    ("dominant", csr_from_dense([[2.0, -1.0], [-1.0, 1.0]]), DISPROVEN,
+     "nonsingular: irreducibly diagonally dominant", False),
+    # T_{-0,-0} = [[1, -1], [-1, 1]] is exactly singular
+    ("singular deletion",
+     csr_from_dense([[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, -1.0, 1.0]]),
+     INCONCLUSIVE, "solve for the null vectors failed", False),
+    # a nonsingular M-matrix whose first row sum is negative
+    ("nonsingular", csr_from_dense([[1.0, -2.0], [-0.1, 1.0]]), DISPROVEN,
+     "no null space found; matrix appears nonsingular", True),
+    ("near-singular", csr_from_dense([[1.0 - 1e-6, -1.0], [-1.0, 1.0]]), INCONCLUSIVE,
+     "null-space residual between the decision thresholds", True),
+    # s I - B at the eigenvalue s = -1 of B = [[0, 1], [1, 0]], w = (1, -1)
+    ("non-Perron", csr_from_dense([[-1.0, -1.0], [-1.0, -1.0]]), DISPROVEN,
+     "null vector is not strictly positive", True),
+    # w = (1, -1e-9)
+    ("borderline", csr_from_dense([[-1e-9, -1.0], [-1.0, -1e9]]), INCONCLUSIVE,
+     "null vector positivity is borderline", True),
+    ("proven", csr_from_dense([[1.0, -1.0], [-2.0, 2.0]]), PROVEN,
+     "positive null vectors, residual 0.0e+00 ||T||_inf <= threshold 1e-10",
+     True),
+]
+
+
+@pytest.mark.parametrize("matrix, verdict, note, has_null",
+                         [case[1:] for case in _T2_EXITS],
+                         ids=[case[0] for case in _T2_EXITS])
+def test_each_t2_exit_keeps_its_verdict_note_and_null_vectors(
+        matrix, verdict, note, has_null):
+    rep = check_t2(matrix)
+    assert (rep.t2_verdict, rep.notes) == (verdict, (note,))
+    assert (rep.right_null is not None, rep.left_null is not None) == (
+        has_null, has_null)

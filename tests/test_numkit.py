@@ -150,6 +150,23 @@ def test_diagonal_add_diagonal_scaled_norm():
     assert np.allclose(bump.to_dense(), [[2.0, -1.0], [0.0, 0.0]])
 
 
+def test_rows_and_diagonal_of_rectangular_matrices():
+    # the diagonal has min(n_rows, n_cols) entries, zero where none is
+    # stored, and is read from each row's diagonal slot
+    rng = np.random.default_rng(4)
+    for n_rows, n_cols in ((3, 5), (5, 3), (4, 4), (0, 2), (2, 0)):
+        a = rng.normal(size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.6)
+        m = csr_from_dense(a)
+        rows = m.row_indices()
+        assert rows.dtype == np.int64 and rows.size == m.nnz
+        assert np.array_equal(a[rows, m.col_indices], m.values)
+        assert np.array_equal(m.diagonal(), np.diagonal(a))
+        slots = m.diagonal_slots()
+        stored = np.flatnonzero(slots >= 0)
+        assert np.array_equal(m.col_indices[m.row_offsets[stored] + slots[stored]],
+                              stored)
+
+
 def test_as_vector_rejects_bad_input():
     with pytest.raises(DimensionError):
         as_vector(np.ones((2, 2)))
@@ -159,21 +176,33 @@ def test_as_vector_rejects_bad_input():
 
 @pytest.mark.parametrize("kind", ["elliptic", "parabolic"])
 def test_principal_submatrix_matches_dense_forms(kind):
-    # the active block of (I - P + T P) is T_AA, that of (I + T P) is I + T_AA
+    # the active block of (I - P + T P) is T_AA, that of (I + T P) is
+    # I + T_AA. The shift is applied by active_operator alone: a slice
+    # with a row that stores no diagonal (rows 0-3) or whose diagonal the
+    # unit shift cancels (entry (5, 5)) falls back to the CSR slice plus
+    # add_diagonal, and that fallback must be the dense form too
     rng = np.random.default_rng(3)
     n = 8
     a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5)
     np.fill_diagonal(a, [0.0, 0.0, 0.0, 0.0, 2.0, -1.0, 3.0, 4.0])
     m = csr_from_dense(a)
-    shift = 0.0 if kind == "elliptic" else 1.0
-    # rows 0-3 store no diagonal; the unit shift cancels entry (5, 5)
     masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.arange(n) >= 4]
     masks += [(np.arange(n) >= 4) & (np.arange(n) != 5)]
     masks += [rng.random(n) < 0.5 for _ in range(5)]
+    fallbacks = 0
     for mask in masks:
         p = np.diag(mask.astype(float))
-        full = np.eye(n) - p + a @ p if kind == "elliptic" else np.eye(n) + a @ p
-        sub = principal_submatrix(m, mask, shift)
+        if kind == "elliptic":
+            full = np.eye(n) - p + a @ p
+            sub = principal_submatrix(m, mask)
+        else:
+            full = np.eye(n) + a @ p
+            sub = active_operator(m, mask, 1.0)
+            fallback = bool(mask[:4].any() or mask[5])
+            assert isinstance(sub, SparseMatrix) == fallback
+            if not fallback:
+                continue
+            fallbacks += 1
         assert sub.shape == (mask.sum(), mask.sum())
         assert np.array_equal(sub.to_dense(), full[np.ix_(mask, mask)])
         # canonical rows: sorted, duplicate-free, zero-free
@@ -181,6 +210,7 @@ def test_principal_submatrix_matches_dense_forms(kind):
             cols = sub.col_indices[sub.row_offsets[i]:sub.row_offsets[i + 1]]
             assert np.all(np.diff(cols) > 0)
         assert np.all(sub.values != 0.0)
+    assert kind == "elliptic" or fallbacks >= 2
 
 
 def test_principal_submatrix_validates_inputs():
@@ -337,7 +367,7 @@ def _sliced_problems(draw):
 @given(_sliced_problems())
 def test_spmv_property_dense_and_csr_agree(problem):
     full, mask, shift, x = problem
-    m = principal_submatrix(full, mask, shift)
+    m = _shifted_slice(full, mask, shift)
     op = _assert_active_operator_bits(full, mask, shift, x)
     event("ELL" if isinstance(op, EllOperator) else "CSR")
     a = full.to_dense()[np.ix_(mask, mask)] + shift * np.eye(m.n_rows)
@@ -350,13 +380,20 @@ def test_spmv_property_dense_and_csr_agree(problem):
 
 # active_operator gathers T[A][:, A] + shift I from T's CSR arrays; its
 # products, its transpose's products and its diagonal must give the bits
-# of principal_submatrix's CSR slice, signed zeros included.
+# of principal_submatrix's CSR slice plus add_diagonal's shift, signed
+# zeros included.
+
+def _shifted_slice(T, mask, shift):
+    """The CSR slice T[mask][:, mask] + shift I."""
+    sub = principal_submatrix(T, mask)
+    return sub.add_diagonal(shift) if shift else sub
+
 
 def _assert_active_operator_bits(T, mask, shift, x):
     """Compare active_operator(T, mask, shift) with the CSR slice on x and
     on a vector with signed zeros; returns the operator."""
     op = active_operator(T, mask, shift)
-    sub = principal_submatrix(T, mask, shift)
+    sub = _shifted_slice(T, mask, shift)
     assert op.shape == sub.shape
     assert _same_bits(op.diagonal(), sub.diagonal())
     rng = np.random.default_rng(x.size)

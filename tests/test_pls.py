@@ -334,6 +334,20 @@ def test_residual_nonsmooth_forms():
     )
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"kind": PARABOLIC, "xi": np.ones(2)},
+    {"kind": PARABOLIC, "xi": np.zeros(2)},
+    {"kind": PARABOLIC, "form": MAX_PLUS_TMIN},
+    {"kind": "hyperbolic"},
+    {"form": "MinPlusTMin"},
+])
+def test_residual_nonsmooth_rejects_what_it_cannot_form(kwargs):
+    # the parabolic residual has no shifted form: it would be the
+    # unshifted x + T max{0,x} - b, the residual of another equation
+    with pytest.raises(ValueError):
+        residual_nonsmooth(csr_from_dense(T22), [1.0, -1.0], [0.5, -0.5], **kwargs)
+
+
 def test_lcp_check_pass_and_fail():
     t = csr_from_dense(T22)
     good = lcp_check(t, [1.0, -1.0], np.array([0.5, 0.0]))
