@@ -8,8 +8,8 @@ from .krylov import (
     KrylovOptions,
     KrylovStats,
     NotConverged,
+    bicgstab_solve,
     cg_solve,
-    qmr_solve,
 )
 from .matprops import (
     MatrixClassReport,
@@ -64,8 +64,8 @@ __all__ = [
     "KrylovOptions",
     "KrylovStats",
     "NotConverged",
+    "bicgstab_solve",
     "cg_solve",
-    "qmr_solve",
     "MatrixClassReport",
     "Solvability",
     "check_t1",

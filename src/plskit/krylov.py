@@ -1,15 +1,16 @@
 """Krylov inner solvers for the sparse systems of each outer step.
 
 `cg_solve` is conjugate gradients for symmetric positive (semi)definite
-systems; `qmr_solve` is QMR by coupled two-term Lanczos
-biorthogonalization without look-ahead, for nonsymmetric ones. Both
-always apply Jacobi (diagonal) preconditioning, the only kind there is,
-so the operator needs matvec (QMR also rmatvec) and diagonal(). Both
-share KrylovOptions and KrylovStats, and both confirm convergence on the
-recomputed true residual, never on the recurrence estimate alone. Both
-test their start with `start_stats` and return a start that already
-meets the tolerance as it is, with 0 iterations; a caller holding op x0
-can make the same test without the operator.
+systems; `bicgstab_solve` is Bi-CGSTAB for nonsymmetric ones. Both need
+products with the operator alone (matvec) and its diagonal(), and both
+always apply Jacobi (diagonal) preconditioning, the only kind there is.
+Both share KrylovOptions and KrylovStats, and both confirm convergence
+on the recomputed true residual, never on the recurrence estimate alone;
+both restart from the true residual and give up after _STALLS restarts
+in a row that find no better iterate. Both test their start with
+`start_stats` and return a start that already meets the tolerance as it
+is, with 0 iterations; a caller holding op x0 can make the same test
+without the operator.
 """
 
 import math
@@ -19,11 +20,8 @@ import numpy as np
 
 from .numkit import reused_product
 
-_PIVOT_FLOOR = 1e-300  # below this a Lanczos pivot counts as a breakdown
-_STALL_WINDOW = 60  # sweep iterations without a new best residual
-_CHECK_EVERY = 10  # QMR sweep iterations between true-residual checks
-_CG_STALLS = 2  # CG restarts in a row without a new best residual
-_SHADOW_SEED = 0  # QMR's retry shadow vector after a stagnant breakdown
+_STALLS = 2  # restarts in a row without a new best residual
+_GROWTH = 1e4  # a Bi-CGSTAB run ends once its residual grows this much
 
 
 @dataclass
@@ -57,17 +55,13 @@ class NotConverged(RuntimeError):
 
 
 class Breakdown(RuntimeError):
-    """Unrecoverable breakdown (a collapsed Lanczos pivot or nonpositive
-    CG curvature); carries the best iterate found."""
+    """Nonpositive CG curvature: the operator is not positive definite;
+    carries the best iterate found."""
 
     def __init__(self, message, x, stats):
         super().__init__(message)
         self.x = x
         self.stats = stats
-
-
-class _BreakdownSignal(Exception):
-    pass
 
 
 def _norm(v):
@@ -96,109 +90,31 @@ def _inverse_diagonal(op):
     return 1.0 / np.where(np.abs(d) > 0.0, d, 1.0)
 
 
-def _qmr_sweep(op, b, x, r, res, inv_d, tol, budget, shadow=None):
-    """One QMR run from x, whose true residual is r with norm res > tol,
-    until tol, the budget (at least 1), or breakdown.
-
-    Jacobi preconditioning is applied on the right (columns scaled by the
-    operator diagonal), so the recurrence residual stays the residual of
-    the original system and the tolerance keeps its meaning. The shadow
-    Lanczos sequence starts from the residual, or from shadow if given.
-
-    Returns (x_best, r_best, res_best, used, hit_tol), r_best the true
-    residual at x_best. Raises _BreakdownSignal with the best triple
-    attached when a Lanczos pivot collapses.
-    """
-    x_best, r_best, res_best = x.copy(), r, res
-    v_t = r.copy()
-    rho = _norm(v_t)
-    w_t = r.copy() if shadow is None else shadow.copy()
-    z = w_t * inv_d
-    xi = _norm(z)
-    gamma, eta, theta = 1.0, -1.0, 0.0
-    eps = 1.0
-    p = q = None
-    d_vec = s_vec = None
-
-    used = 0
-    last_gain = 0
-    while used < budget:
-        if abs(rho) < _PIVOT_FLOOR or abs(xi) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, r_best, res_best, used)
-        v = v_t / rho
-        w = w_t / xi
-        z = z / xi
-        delta = float(z @ v)
-        if abs(delta) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, r_best, res_best, used)
-        y_t = v * inv_d
-        z_t = z
-        if p is None:
-            p = y_t.copy()
-            q = z_t.copy()
-        else:
-            p = y_t - (xi * delta / eps) * p
-            q = z_t - (rho * delta / eps) * q
-        p_t = op.matvec(p)
-        eps = float(q @ p_t)
-        if abs(eps) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, r_best, res_best, used)
-        beta = eps / delta
-        if abs(beta) < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, r_best, res_best, used)
-        v_t = p_t - beta * v
-        rho_prev, rho = rho, _norm(v_t)
-        w_t = op.rmatvec(q) - beta * w
-        z = w_t * inv_d
-        xi = _norm(z)
-        theta_prev, gamma_prev = theta, gamma
-        theta = rho / (gamma * abs(beta))
-        gamma = 1.0 / math.sqrt(1.0 + theta * theta)
-        if gamma < _PIVOT_FLOOR:
-            raise _BreakdownSignal(x_best, r_best, res_best, used)
-        eta = -eta * rho_prev * gamma * gamma / (beta * gamma_prev * gamma_prev)
-        if d_vec is None:
-            d_vec = eta * p
-            s_vec = eta * p_t
-        else:
-            shrink = (theta_prev * gamma) ** 2
-            d_vec = eta * p + shrink * d_vec
-            s_vec = eta * p_t + shrink * s_vec
-        x = x + d_vec
-        r = r - s_vec
-        used += 1
-
-        estimate = _norm(r)
-        if estimate <= tol or used % _CHECK_EVERY == 0 or used == budget:
-            r = b - op.matvec(x)  # re-sync on the true residual
-            res = _norm(r)
-            if res < res_best:
-                x_best, r_best, res_best = x.copy(), r, res
-                last_gain = used
-            if res <= tol:
-                return x_best, r_best, res_best, used, True
-            if used - last_gain >= _STALL_WINDOW:
-                # stalled; caller restarts
-                return x_best, r_best, res_best, used, False
-    return x_best, r_best, res_best, used, False
+def _not_converged(used, budget, x_best, res_best, broke):
+    """The NotConverged of a spent budget or of _STALLS stalled restarts."""
+    return NotConverged(
+        f"no convergence within {budget} iterations" if used >= budget
+        else f"no convergence within {used} iterations (stalled)",
+        x_best,
+        KrylovStats(used, res_best, False, broke),
+    )
 
 
-def qmr_solve(op, b, x0=None, opts=None):
-    """Solve op x = b by QMR; returns (x, KrylovStats).
+def bicgstab_solve(op, b, x0=None, opts=None):
+    """Solve op x = b by Bi-CGSTAB (van der Vorst, 1992); returns
+    (x, KrylovStats).
 
-    Jacobi-preconditioned on the right (see _qmr_sweep). Returns
-    immediately when x0 already meets the tolerance; otherwise the entry
-    test's residual starts the first sweep, and each later sweep starts
-    from the best iterate and the true residual already formed there, so
-    no sweep recomputes a residual it was handed. On a Lanczos
-    breakdown the iteration restarts from the best iterate as long as each
-    sweep improved the residual. The first breakdown that made no progress
-    is retried once from the best iterate with a fixed pseudo-random
-    shadow vector in place of the residual, which moves the Lanczos pivots
-    off the collapsed ones; only a path that raised Breakdown changes. A
-    stagnant breakdown after that raises Breakdown and a spent iteration
-    budget raises NotConverged, both carrying the best iterate and its
-    stats.
+    For nonsymmetric operators, with products by op alone. Jacobi is
+    applied on the right, p^ = D^-1 p and s^ = D^-1 s, so the recurrence
+    residual stays the residual of op x = b and the tolerance keeps its
+    meaning. A run from a true residual r0 keeps r^ = r0 fixed. It ends at
+    the tolerance, at the budget, at an exact zero pivot (r^T r, r^T v or
+    omega), or when its recurrence residual grows past _GROWTH ||r0||.
+    Every run ends by forming the true residual, and the next run starts
+    there. Two runs in a row that do not lower the best true residual, or
+    a spent iteration budget, raise NotConverged with the best iterate and
+    its stats. It never raises Breakdown: stats.breakdown says that a run
+    ended at a zero pivot.
     """
     opts = opts or KrylovOptions()
     b = np.asarray(b, dtype=np.float64)
@@ -211,39 +127,55 @@ def qmr_solve(op, b, x0=None, opts=None):
     budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
     inv_d = _inverse_diagonal(op)
 
-    total = 0
+    x_best, res_best = x.copy(), res
+    used = 0
+    stalls = 0  # consecutive runs that did not lower res_best
     broke = False
-    shadow = None
-    while True:
-        # each sweep starts from an iterate x and its true residual r
-        entry_res = res
-        try:
-            x, r, res, used, ok = _qmr_sweep(op, b, x, r, res, inv_d, tol,
-                                             budget - total, shadow)
-            total += used
-            if ok:
-                return x, KrylovStats(total, res, True, broke)
-        except _BreakdownSignal as sig:
-            x, r, res, used = sig.args
-            total += used
-            broke = True
-            if res >= 0.99 * entry_res and shadow is None and total < budget:
-                shadow = np.random.default_rng(_SHADOW_SEED).standard_normal(n)
-                continue
-        # restart from the best iterate only while sweeps keep shrinking
-        # the residual; a stagnant sweep would just replay itself
-        if res < 0.99 * entry_res and total < budget:
-            continue
-        stats = KrylovStats(total, res, False, broke)
-        if broke and total < budget:
-            raise Breakdown("Lanczos breakdown without progress", x, stats)
-        raise NotConverged(
-            f"no convergence within {total} iterations (stalled)"
-            if total < budget
-            else f"no convergence within {budget} iterations",
-            x,
-            stats,
-        )
+    while not res <= tol:  # a NaN residual is not converged
+        if used >= budget or stalls >= _STALLS:
+            raise _not_converged(used, budget, x_best, res_best, broke)
+        r_hat = r.copy()
+        rho = float(r_hat @ r)
+        p = r.copy()
+        limit = _GROWTH * res
+        while used < budget:
+            p_hat = p * inv_d
+            v = op.matvec(p_hat)
+            sigma = float(r_hat @ v)
+            if sigma == 0.0:
+                broke = True
+                break
+            alpha = rho / sigma
+            x += alpha * p_hat
+            r -= alpha * v
+            used += 1
+            if _norm(r) <= tol:
+                break
+            s_hat = r * inv_d
+            t = op.matvec(s_hat)
+            tt = float(t @ t)
+            omega = float(t @ r) / tt if tt > 0.0 else 0.0
+            x += omega * s_hat
+            r -= omega * t
+            estimate = _norm(r)
+            if estimate <= tol or not estimate <= limit:
+                break
+            rho_next = float(r_hat @ r)
+            if omega == 0.0 or rho_next == 0.0:
+                broke = True
+                break
+            p -= omega * v
+            p *= (rho_next / rho) * (alpha / omega)
+            p += r
+            rho = rho_next
+        r = b - op.matvec(x)  # re-sync on the true residual
+        res = _norm(r)
+        if res < res_best:
+            x_best, res_best = x.copy(), res
+            stalls = 0
+        else:
+            stalls += 1
+    return x, KrylovStats(used, res, True, broke)
 
 
 def cg_solve(op, b, x0=None, opts=None):
@@ -286,14 +218,8 @@ def cg_solve(op, b, x0=None, opts=None):
     used = 0
     stalls = 0  # consecutive runs that did not lower res_best
     while res > tol:
-        if used >= budget or stalls >= _CG_STALLS:
-            raise NotConverged(
-                f"no convergence within {budget} iterations"
-                if used >= budget
-                else f"no convergence within {used} iterations (stalled)",
-                x_best,
-                KrylovStats(used, res_best, False, False),
-            )
+        if used >= budget or stalls >= _STALLS:
+            raise _not_converged(used, budget, x_best, res_best, False)
         np.multiply(r, inv_d, out=z)
         np.copyto(p, z)
         rz = float(r @ z)

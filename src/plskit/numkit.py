@@ -94,9 +94,6 @@ class SparseMatrix:
     def matvec(self, x):
         return spmv(self, x)
 
-    def rmatvec(self, x):
-        return spmv(self.transpose(), x)
-
     def transpose(self):
         """A^T, cached. A holds A^T but A^T links back to A only weakly,
         so the pair is no reference cycle and A is freed as soon as its
@@ -391,26 +388,19 @@ def _ell_gather(matrix, active):
 
 class EllOperator:
     """A square operator held only in the ELL layout, as active_operator
-    gathers it: products by the ELL kernel, diagonal() for Jacobi, and
-    rmatvec by the same slice of the transpose, built on first use (None
-    for a slice of a symmetric matrix, which is its own transpose)."""
+    gathers it: products by the ELL kernel and diagonal() for Jacobi,
+    all that a Krylov solve asks of it."""
 
-    def __init__(self, values, cols, diagonal, transposed):
+    def __init__(self, values, cols, diagonal):
         self.n_rows = self.n_cols = diagonal.size
         self.shape = (self.n_rows, self.n_cols)
         self._values, self._cols = values, cols
         self._diagonal = diagonal
-        self._transposed = transposed  # a function that builds it
 
     def matvec(self, x):
         padded = np.concatenate((_operand(self, x), _ELL_PAD))
         return _ell_product(self._values, self._cols, padded,
                             np.empty(self._values.shape), np.empty(self.n_rows))
-
-    def rmatvec(self, x):
-        if callable(self._transposed):
-            self._transposed = self._transposed()
-        return (self._transposed or self).matvec(x)
 
     def diagonal(self):
         return self._diagonal
@@ -437,8 +427,7 @@ def active_operator(matrix, mask, shift=0.0):
     if sliced is None:
         sub = principal_submatrix(matrix, mask)
         return sub.add_diagonal(shift) if shift else sub
-    return EllOperator(*sliced, lambda: None if matrix.is_symmetric()
-                       else active_operator(matrix.transpose(), mask, shift))
+    return EllOperator(*sliced)
 
 
 def _ell_slice(matrix, mask, shift):

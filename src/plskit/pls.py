@@ -20,9 +20,10 @@ the inner solution x_A scattered into zeros. The operator T_AA (+ I)
 comes from numkit.active_operator, which gathers the active rows of T's
 CSR arrays straight into a padded (ELL) layout, with no CSR slice per
 step; the operator is the only holder of that layout, and T stays CSR.
-matprops' QMR solves get their slices the same way. The reduced system
-is solved by CG when T is symmetric and by QMR otherwise, both
-Jacobi-preconditioned, as every inner solve is.
+matprops' Krylov solves get their slices the same way. The reduced
+system is solved by CG when T is symmetric and by Bi-CGSTAB otherwise,
+both Jacobi-preconditioned, as every inner solve is, and both with
+products by the operator alone.
 
 Each step records its nonsmooth residual, which takes a product of T
 with max{0,x} (min{0,x} for the MaxPlusTMin form). On the step whose new
@@ -62,8 +63,8 @@ from .krylov import (
     KrylovOptions,
     KrylovStats,
     NotConverged,
+    bicgstab_solve,
     cg_solve,
-    qmr_solve,
     start_stats,
 )
 from .matprops import FAMILY_ALONG_W, NO_SOLUTION, classify_solvability
@@ -213,7 +214,7 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
     module docstring).
     """
     n = T.n_rows
-    inner = cg_solve if T.is_symmetric() else qmr_solve
+    inner = cg_solve if T.is_symmetric() else bicgstab_solve
     given = opts.krylov
     kopts = replace(
         given,
@@ -399,9 +400,14 @@ def lcp_check(T, b, y, kind=ELLIPTIC, tol=1e-8):
     Elliptic: y >= 0, T y >= b, y^T (T y - b) = 0; the parabolic slack is
     y + T y - b. Inequalities are tested against tol scaled by
     max(1, ||b||_inf); the complementarity product against tol ||y|| ||b||.
+    A b or y that does not match T, or an unknown kind, raises.
     """
     y = np.asarray(y, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != y.shape or y.size != T.n_rows:
+        raise DimensionError("operand lengths must match the matrix")
+    if kind not in (ELLIPTIC, PARABOLIC):
+        raise ValueError(f"unknown kind {kind!r}")
     slack = spmv(T, y) - b
     if kind == PARABOLIC:
         slack = y + slack

@@ -372,14 +372,14 @@ def test_spmv_property_dense_and_csr_agree(problem):
     event("ELL" if isinstance(op, EllOperator) else "CSR")
     a = full.to_dense()[np.ix_(mask, mask)] + shift * np.eye(m.n_rows)
     for products, dense in (((spmv(m, x), op.matvec(x)), a),
-                            ((spmv(m.transpose(), x), op.rmatvec(x)), a.T)):
+                            ((spmv(m.transpose(), x),), a.T)):
         scale = (np.abs(dense) @ np.abs(x)).max(initial=0.0)
         for y in products:
             assert np.allclose(y, dense @ x, rtol=0.0, atol=1e-12 * scale)
 
 
 # active_operator gathers T[A][:, A] + shift I from T's CSR arrays; its
-# products, its transpose's products and its diagonal must give the bits
+# products and its diagonal must give the bits
 # of principal_submatrix's CSR slice plus add_diagonal's shift, signed
 # zeros included.
 
@@ -399,7 +399,6 @@ def _assert_active_operator_bits(T, mask, shift, x):
     rng = np.random.default_rng(x.size)
     for v in (x, _vector_with_zeros(rng, x.size)):
         assert _same_bits(op.matvec(v), _csr_product(sub, v))
-        assert _same_bits(op.rmatvec(v), _csr_product(sub.transpose(), v))
         p, apply = reused_product(op, v.size)
         p[:] = v
         assert _same_bits(apply(), _csr_product(sub, v))
@@ -442,9 +441,9 @@ def test_active_operator_matches_csr_slice_bits_on_obstacle_matrices(name, n):
 @pytest.mark.parametrize("n", [25, 50])
 @pytest.mark.parametrize("name", obs.PROBLEM_NAMES)
 def test_ell_product_matches_csr_bits_on_obstacle_matrices(name, n):
-    # the slices matprops solves by QMR, the whole matrix (T x = 1) and the
-    # node-deletion slice (T w = 0), on T and on a nonsymmetric copy with
-    # scaled columns, whose transpose has other values in every row
+    # the slices matprops solves by Bi-CGSTAB, the whole matrix (T x = 1)
+    # and the node-deletion slice (T w = 0), on T and on a nonsymmetric
+    # copy with scaled columns
     rng = np.random.default_rng(n)
     T = _obstacle_matrix(name, n)
     s = rng.uniform(0.5, 2.0, T.n_cols)

@@ -174,7 +174,7 @@ def test_residual_history_is_residual_nonsmooth():
     # the stable step takes T max{0,x} (T min{0,x} for MaxPlusTMin) from
     # the lift's product T x~, which differs from it at most in the sign of
     # a zero; the last residual equals a fresh one bit for bit, on the CG
-    # and QMR paths and with signed zeros in b
+    # and Bi-CGSTAB paths and with signed zeros in b
     rng = np.random.default_rng(9)
     t = random_t1(rng, 8)
     cases = [(t, rng.normal(size=8))]
@@ -205,7 +205,7 @@ def test_residual_history_is_residual_nonsmooth():
 
 
 def test_active_counts_grow_monotonically():
-    # nonsymmetric T takes the QMR inner path, symmetric T the CG path
+    # nonsymmetric T takes the Bi-CGSTAB inner path, symmetric T the CG path
     rng = np.random.default_rng(21)
     for make_t in (random_t1, random_symmetric_t1):
         for _ in range(10):
@@ -287,7 +287,7 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
         symmetric, monkeypatch):
     # a second solve of the same system from its own trail: with the
     # products every nonempty step takes its start without a solver (CG
-    # for a symmetric T, QMR otherwise), and gives exactly what that
+    # for a symmetric T, Bi-CGSTAB otherwise), and gives exactly what that
     # solver returns, 0 iterations, when the products are dropped
     rng = np.random.default_rng(17)
     T = (random_symmetric_t1 if symmetric else random_t1)(rng, 40)
@@ -299,7 +299,7 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
     bare = [(mask, x_active.copy(), None, None, T)
             for mask, x_active, _, _, _ in trail]
     calls = []
-    name = "cg_solve" if symmetric else "qmr_solve"
+    name = "cg_solve" if symmetric else "bicgstab_solve"
     solver = getattr(pls, name)
 
     def counting(*args, **kwargs):
@@ -358,6 +358,19 @@ def test_lcp_check_pass_and_fail():
     bad = lcp_check(csr_from_dense(np.eye(2)), [0.0, 0.0], np.ones(2))
     assert not bad.passed
     assert bad.complementarity == pytest.approx(2.0)
+
+
+def test_lcp_check_rejects_a_right_hand_side_of_another_length():
+    # b = [1.0] broadcast against T y = y, and this y passed
+    t = csr_from_dense(2.0 * np.eye(3))
+    with pytest.raises(DimensionError):
+        lcp_check(t, [1.0], np.full(3, 0.5))
+
+
+def test_lcp_check_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind"):
+        lcp_check(csr_from_dense(T22), [1.0, -1.0], np.array([0.5, 0.0]),
+                  kind="hyperbolic")
 
 
 def test_lcp_check_parabolic_form():
