@@ -160,6 +160,7 @@ def cmd_solve(args):
             ("inner_iterations",
              _joined(sum(s.iterations for s in r.inner_stats) for r in reps)),
             ("residuals", _joined((r.residual_history[-1] for r in reps), _g)),
+            ("replayed_steps", run.replayed_steps),
         ]
         coincidence = obs.coincidence_set(u, disc.psi_vec)
     lines += [

@@ -33,7 +33,6 @@ to its transpose's needs it in one direction only.
 """
 
 import warnings
-import weakref
 
 import numpy as np
 
@@ -78,7 +77,6 @@ class SparseMatrix:
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=_INDEX_DTYPE)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=_INDEX_DTYPE)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._transpose = None
         self._symmetric = None
         self._irreducible = None
         self._diagonal_slots = None
@@ -95,19 +93,7 @@ class SparseMatrix:
         return spmv(self, x)
 
     def transpose(self):
-        """A^T, cached. A holds A^T but A^T links back to A only weakly,
-        so the pair is no reference cycle and A is freed as soon as its
-        last user drops it."""
-        t = self._transpose
-        if isinstance(t, weakref.ref):
-            t = t()
-        if t is None:
-            t = self._transposed()
-            t._transpose = weakref.ref(self)
-            self._transpose = t
-        return t
-
-    def _transposed(self):
+        """A^T, built anew on each call."""
         # a stable sort by column keeps each column's rows in increasing
         # order, so the entries come out as canonical rows of A^T
         order = np.argsort(self.col_indices, kind="stable")
@@ -120,12 +106,10 @@ class SparseMatrix:
     def is_symmetric(self):
         """Exact test A == A^T, made once per matrix.
 
-        Rows are canonical, so A^T must have the same arrays. A^T is built
-        outside the transpose cache, so a symmetric A does not keep a
-        second copy of itself alive.
+        Rows are canonical, so A^T must have the same arrays.
         """
         if self._symmetric is None:
-            t = self._transposed()
+            t = self.transpose()
             self._symmetric = (
                 np.array_equal(t.row_offsets, self.row_offsets)
                 and np.array_equal(t.col_indices, self.col_indices)
@@ -148,7 +132,7 @@ class SparseMatrix:
             elif self.is_symmetric():
                 self._irreducible = True
             else:
-                t = self._transposed()
+                t = self.transpose()
                 self._irreducible = (
                     np.array_equal(t.row_offsets, self.row_offsets)
                     and np.array_equal(t.col_indices, self.col_indices)

@@ -18,7 +18,7 @@ no sort of its entries.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,6 +258,7 @@ class ParabolicRun:
     dt: float
     snapshots: list  # nu + 1 membrane states, the initial one first
     step_results: list  # nu PlsSolution records
+    replayed_steps: int = 0  # the last steps, copied from a settled step
 
 
 def run_parabolic(spec, n, tau, nu, opts=None):
@@ -282,6 +283,16 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     first, lift with the carried s: the same bits as the solver's
     0-iteration return and a new product. A wrong final iterate cannot
     pass the nonsmooth residual gate.
+
+    A time step that returns its input state bit for bit (-0.0 is not
+    0.0) with no inner iteration is settled: the next step has the same
+    right-hand side and T_step, and finds the trail as this one left it,
+    since each nonempty step either took its carried start and rewrote
+    the entry with the same values or made a 0-iteration solve whose
+    stored product passes the same start test. So every later step
+    repeats it, and the run fills them with copies of its state and
+    PlsSolution, each with its own arrays, lists and stats, and calls the
+    solver no more; replayed_steps counts the copies.
     """
     if nu < 1:
         raise GridError("need at least one time step")
@@ -299,10 +310,35 @@ def run_parabolic(spec, n, tau, nu, opts=None):
         b_step = (u - disc.psi_vec) + dt * disc.b
         problem = PlsProblem(T_step, b_step, kind=PARABOLIC)
         result = solve_parabolic_pls(problem, opts, trail=trail)
-        u = result.y + disc.psi_vec
-        snapshots.append(u)
+        state = result.y + disc.psi_vec
+        snapshots.append(state)
         step_results.append(result)
-    return ParabolicRun(disc, tau, nu, dt, snapshots, step_results)
+        if _same_bits(state, u) and not any(
+                st.iterations for st in result.report.inner_stats):
+            break
+        u = state
+    replayed = nu - len(step_results)
+    for _ in range(replayed):
+        snapshots.append(state.copy())
+        step_results.append(_copied_solution(result))
+    return ParabolicRun(disc, tau, nu, dt, snapshots, step_results, replayed)
+
+
+def _same_bits(a, b):
+    """Whether two float arrays hold the same bytes: unlike np.array_equal,
+    it tells -0.0 from 0.0."""
+    return a.tobytes() == b.tobytes()
+
+
+def _copied_solution(result):
+    """A copy of a parabolic step's PlsSolution that shares no array,
+    list or stats object with it."""
+    rep = result.report
+    report = replace(rep, active_counts=list(rep.active_counts),
+                     inner_stats=[replace(st) for st in rep.inner_stats],
+                     residual_history=list(rep.residual_history),
+                     left_counts=list(rep.left_counts))
+    return replace(result, x=result.x.copy(), y=result.y.copy(), report=report)
 
 
 def _boundary_value(disc, interior, x, y, side):

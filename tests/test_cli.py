@@ -46,6 +46,7 @@ def test_solve_parabolic_per_step_report(capsys):
     assert float(report["dt"]) == pytest.approx(100.0 / 3.0)
     assert len(report["K"].split(",")) == 3
     assert len(report["residuals"].split(",")) == 3
+    assert 0 <= int(report["replayed_steps"]) <= 2
 
 
 def test_solve_writes_field_csv(tmp_path, capsys):

@@ -87,13 +87,17 @@ def test_rectangular_and_empty_matrices():
         m.is_irreducible()
 
 
-def test_transpose_round_trip_and_cache():
+def test_transpose_round_trip():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(5, 3))
     m = csr_from_dense(a)
     t = m.transpose()
     assert np.allclose(t.to_dense(), a.T)
-    assert t.transpose() is m  # cached back-link
+    back = t.transpose()
+    assert back is not m
+    for got, ref in ((back.row_offsets, m.row_offsets),
+                     (back.col_indices, m.col_indices), (back.values, m.values)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_transpose_matches_the_triplet_build_bit_for_bit():
@@ -123,9 +127,9 @@ def test_transpose_matches_the_triplet_build_bit_for_bit():
         assert np.array_equal(t.to_dense(), a.T)
 
 
-def test_transpose_cache_does_not_keep_the_matrix_alive():
-    # A -> A^T is strong and A^T -> A weak, so no cycle is left for the
-    # garbage collector: dropping A frees it at once
+def test_transpose_does_not_keep_the_matrix_alive():
+    # A^T holds no reference to A, so dropping A frees it at once, with
+    # no cycle left for the garbage collector
     m = csr_from_dense(np.array([[2.0, -1.0], [0.0, 3.0]]))
     t = m.transpose()
     ref = weakref.ref(m)

@@ -380,11 +380,13 @@ def test_parabolic_trail_products_skip_operators_and_keep_every_bit(
 
 def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
         monkeypatch):
-    # pls's products of T over a time-stepped run: a step lifts with a
-    # product only when it runs a solver (and on the run's first, empty,
-    # step), since an empty step or a carried start that converges repeats
-    # the trail's x~ and its product; every step's residual takes one
-    # product, except the stable step's, which the lift's product serves
+    # pls's products of T over the time steps a run solves: a step lifts
+    # with a product only when it runs a solver (and on the run's first,
+    # empty, step), since an empty step or a carried start that converges
+    # repeats the trail's x~ and its product; every step's residual takes
+    # one product, except the stable step's, which the lift's product
+    # serves. The copied steps after the settled one make no product,
+    # build no operator and call no solver
     products = []
     product = pls.spmv
 
@@ -394,11 +396,91 @@ def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
 
     monkeypatch.setattr(pls, "spmv", counting)
     built = _count_operators(monkeypatch)
+    after_solves = []
+    solve = obs.solve_parabolic_pls
+
+    def solving(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        after_solves.append((len(products), len(built)))
+        return result
+
+    monkeypatch.setattr(obs, "solve_parabolic_pls", solving)
     nu = 20
     run = obs.run_parabolic(obs.problem_spec("torsion", -5.0), 25, 5.0, nu)
-    steps = sum(r.report.outer_iterations for r in run.step_results)
+    solved = len(after_solves)
+    assert (solved, run.replayed_steps) == (13, 7)
+    assert solved + run.replayed_steps == len(run.step_results) == nu
+    steps = sum(r.report.outer_iterations for r in run.step_results[:solved])
     assert all(r.status == CONVERGED for r in run.step_results)
-    assert len(products) == 1 + len(built) + steps - nu
+    assert len(products) == 1 + len(built) + steps - solved == 193
+    assert after_solves[-1] == (len(products), len(built))
+
+
+def _solved_every_step(spec, n, tau, nu):
+    # run_parabolic's time loop without the copy of settled steps: nu
+    # solves sharing one trail
+    disc = obs.assemble_elliptic(spec, n)
+    dt = tau / nu
+    T_step = disc.T.scaled(dt)
+    u = disc.psi_vec.copy()
+    snapshots = [u]
+    step_results = []
+    trail = []
+    for _ in range(nu):
+        b_step = (u - disc.psi_vec) + dt * disc.b
+        result = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
+                                     SolverOptions(), trail=trail)
+        u = result.y + disc.psi_vec
+        snapshots.append(u)
+        step_results.append(result)
+    return snapshots, step_results
+
+
+def _step_record(result):
+    rep = result.report
+    return (result.x.tobytes(), result.y.tobytes(), result.status,
+            rep.outer_iterations, rep.active_counts, rep.left_counts,
+            [(st.iterations, st.final_residual_norm.hex(), st.converged,
+              st.breakdown) for st in rep.inner_stats],
+            [r.hex() for r in rep.residual_history])
+
+
+@pytest.mark.parametrize("name, c, tau, nu, settles", [
+    ("tent", None, 1.0e4, 20, True), ("torsion", -5.0, 5.0, 20, True),
+    ("torsion", -20.0, 5.0, 20, True), ("torsion", -5.0, 0.3, 3, False),
+])
+def test_parabolic_copies_of_settled_steps_keep_every_bit(
+        name, c, tau, nu, settles):
+    # the copied steps must hold what solving every step gives, bit for
+    # bit, and share no array, list or stats object with another step
+    spec = obs.problem_spec(name, c)
+    run = obs.run_parabolic(spec, 25, tau, nu)
+    snapshots, step_results = _solved_every_step(spec, 25, tau, nu)
+    assert (run.replayed_steps > 0) == settles
+    assert [s.tobytes() for s in run.snapshots] == [s.tobytes() for s in snapshots]
+    assert ([_step_record(r) for r in run.step_results]
+            == [_step_record(r) for r in step_results])
+    held = list(run.snapshots)
+    for r in run.step_results:
+        held += [r.x, r.y]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(held) for b in held[i + 1:])
+    reports = [r.report for r in run.step_results]
+    for field in ("active_counts", "left_counts", "residual_history",
+                  "inner_stats"):
+        assert len({id(getattr(rep, field)) for rep in reports}) == nu
+    stats = [st for rep in reports for st in rep.inner_stats]
+    assert len({id(st) for st in stats}) == len(stats)
+
+
+def test_settled_state_test_tells_signed_zeros_apart():
+    # np.array_equal calls 0.0 and -0.0 equal; a step that turns one into
+    # the other has not returned its input state
+    u = np.array([1.0, 0.0, -2.5])
+    flipped = np.array([1.0, -0.0, -2.5])
+    assert np.array_equal(u, flipped)
+    assert not obs._same_bits(u, flipped)
+    assert obs._same_bits(u, u.copy())
 
 
 def test_refinement_shrinks_the_error_on_nested_grids():
