@@ -11,7 +11,9 @@ in the Mathematical Sciences, ch. 6).
 
 - t1: a Z-matrix T is a nonsingular M-matrix iff T x > 0 for some x > 0
   (T x = 1 then has a positive solution). check_t1 tries x = 1, then one
-  solve of T x = 1, and needs each (T x)_i above its rounding bound.
+  solve of T x = 1, and needs each (T x)_i above its rounding bound. A
+  y >= 0 with T y < 0 (or T y ~ 0) disproves it: the solution's |x|, and
+  up to _DENSE_SOLVE_LIMIT the Perron vector of s I - T.
 - t2: an irreducible Z-matrix T with T w = 0 for a w > 0 is a singular
   irreducible M-matrix, so its null spaces are 1-d and positive, its
   proper principal submatrices and every T + D (D >= 0 diagonal, nonzero)
@@ -21,8 +23,10 @@ in the Mathematical Sciences, ch. 6).
   says so before any solve.
 
 Irreducibility, a strongly connected pattern, comes from
-SparseMatrix.is_irreducible, which searches once per matrix, so
-check_t1 and check_t2 on the same matrix share one search.
+SparseMatrix.is_irreducible: a one-pass certificate, else a search, found
+once per matrix, so check_t1 and check_t2 on the same matrix share it.
+The Z-sign test reads the diagonal's slots, which the diagonal test
+caches anyway, and T 1 is T's row sums, with no product.
 """
 
 from dataclasses import dataclass
@@ -81,8 +85,12 @@ def _class_report(matrix):
     """The Z-sign and irreducibility report both checks start from."""
     if matrix.n_rows != matrix.n_cols:
         raise DimensionError(f"matrix is {matrix.shape}, expected square")
-    off = matrix.row_indices() != matrix.col_indices
-    return MatrixClassReport(is_z_matrix=bool(np.all(matrix.values[off] <= 0.0)),
+    # a NaN counts as above zero
+    above = ~(matrix.values <= 0.0)
+    slots = matrix.diagonal_slots()
+    stored = slots >= 0
+    above[matrix.row_offsets[:-1][stored] + slots[stored]] = False
+    return MatrixClassReport(is_z_matrix=not above.any(),
                              is_irreducible=matrix.is_irreducible())
 
 
@@ -91,7 +99,8 @@ def check_t1(matrix):
 
     By the theorem of the module docstring, tried on x = 1 (irreducible
     diagonal dominance), then on one solve of T x = 1. The same products
-    disprove it: T y ~ 0 or T y < 0 for a y >= 0."""
+    disprove it: T y ~ 0 or T y < 0 for a y >= 0, the solution's |x|, or
+    up to _DENSE_SOLVE_LIMIT the Perron vector of s I - T."""
     report = _class_report(matrix)
     report.t1_verdict, note = _t1_verdict(matrix, report)
     report.notes = (note,)
@@ -128,11 +137,27 @@ def _t1_verdict(matrix, report):
     else:
         if y.min() > 0.0 and np.all(spmv(matrix, y) > ulps * spmv(abs_t, y)):
             return PROVEN, "T x > 0 for the positive solution x of T x = 1"
-    y = np.abs(y) / np.abs(y).max()
-    disproof = _t1_disproof(spmv(matrix, y), ulps * spmv(abs_t, y), tnorm)
+
+    def disproof_by(y):
+        y = y / y.max()
+        return _t1_disproof(spmv(matrix, y), ulps * spmv(abs_t, y), tnorm)
+
+    disproof = disproof_by(np.abs(y))
+    if not disproof and n <= _DENSE_SOLVE_LIMIT:
+        disproof = disproof_by(_perron_vector(matrix))
     if disproof:
         return DISPROVEN, disproof
     return INCONCLUSIVE, "solution of T x = 1 neither proves nor disproves t1"
+
+
+def _perron_vector(matrix):
+    """|Perron vector| of B = s I - T, s the largest diagonal entry, by a
+    dense eigensolve. B >= 0 for a Z-matrix, so its Perron root rho(B) is
+    the eigenvalue of largest real part, and T y = (s - rho(B)) y < 0 for
+    the Perron vector y when rho(B) > s."""
+    s = matrix.diagonal().max()
+    values, vectors = np.linalg.eig(s * np.eye(matrix.n_rows) - matrix.to_dense())
+    return np.abs(vectors[:, np.argmax(values.real)].real)
 
 
 def _rounding_ulps(matrix):
@@ -151,7 +176,7 @@ def _ones_test(matrix):
     the norm down."""
     abs_sums = matrix.abs_row_sums()
     tnorm = float(abs_sums.max())
-    row_sums = spmv(matrix, np.ones(matrix.n_cols))
+    row_sums = matrix.row_sums()
     noise = _rounding_ulps(matrix) * abs_sums
     dominant = bool(np.all(row_sums >= 0.0) and np.any(row_sums > noise))
     return tnorm, row_sums, noise, dominant
@@ -223,7 +248,8 @@ def _t2_verdict(matrix, report):
     report.right_null, report.left_null = w, v
 
     resid_w = float(np.abs(spmv(matrix, w)).max())
-    resid_v = float(np.abs(spmv(transpose, v)).max())
+    resid_v = (resid_w if v is w
+               else float(np.abs(spmv(transpose, v)).max()))
     relative = max(resid_w, resid_v) / tnorm
     if relative > 1e-4:
         return DISPROVEN, "no null space found; matrix appears nonsingular"

@@ -27,9 +27,10 @@ buffers through `reused_product`.
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
 with no (row, column) sort. Symmetry and irreducibility are facts about
-one matrix, each computed once and cached on it; irreducibility is a
-breadth-first search over a padded neighbour table, and a pattern equal
-to its transpose's needs it in one direction only.
+one matrix, each computed once and cached on it. Irreducibility is a
+one-pass certificate, else a breadth-first search over a padded
+neighbour table, and a pattern equal to its transpose's needs the search
+in one direction only.
 """
 
 import warnings
@@ -119,13 +120,16 @@ class SparseMatrix:
 
     def is_irreducible(self):
         """Whether the directed pattern is strongly connected, found once
-        per matrix: node 0 reaches every node along the rows of A and
-        along the rows of A^T. A pattern equal to its transpose's, as
-        every symmetric matrix has, needs the first search only."""
+        per matrix. _links_every_node_to_0 proves it in one pass over the
+        stored entries, with no search and no transpose; every 5-point
+        grid matrix passes. Where it does not, node 0 must reach every
+        node along the rows of A and along the rows of A^T. A pattern
+        equal to its transpose's, as every symmetric matrix has, needs
+        the first search only."""
         if self.n_rows != self.n_cols:
             raise DimensionError(f"matrix is {self.shape}, expected square")
         if self._irreducible is None:
-            if self.n_rows == 0:
+            if _links_every_node_to_0(self):
                 self._irreducible = True
             elif not _reaches_all(self):
                 self._irreducible = False
@@ -184,6 +188,11 @@ class SparseMatrix:
             self.n_cols,
         )
 
+    def row_sums(self):
+        """sum_j A_ij for each row i: the bits of spmv(A, ones), as
+        1.0 * v == v."""
+        return _row_sums(self.values, self.row_offsets)
+
     def abs_row_sums(self):
         """sum_j |A_ij| for each row i."""
         return _row_sums(np.abs(self.values), self.row_offsets)
@@ -197,6 +206,23 @@ class SparseMatrix:
         dense = np.zeros((self.n_rows, self.n_cols))
         dense[self.row_indices(), self.col_indices] = self.values
         return dense
+
+
+def _links_every_node_to_0(matrix):
+    """Whether every node i >= 1 of a square matrix has a stored entry
+    (i, j) with j < i and one (r, i) with r < i. Then, by induction on i,
+    every node reaches node 0 along the rows of A and node 0 reaches every
+    node, so the pattern is strongly connected. The converse fails (the
+    cycle 0 -> 2 -> 1 -> 0 is strongly connected with no entry (0, 1)),
+    so a False asks for the search. True for n <= 1.
+    """
+    n = matrix.n_rows
+    rows, cols = matrix.row_indices(), matrix.col_indices
+    down = np.zeros(n, dtype=bool)
+    up = np.zeros(n, dtype=bool)
+    down[rows[cols < rows]] = True
+    up[cols[cols > rows]] = True
+    return bool(down[1:].all() and up[1:].all())
 
 
 def _reaches_all(matrix):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -158,6 +159,67 @@ def test_check_tent_neumann_is_not_certified_t1(capsys):
         assert report["solvability"] == "Unique"
     assert main(["check", "--problem", "tent", "--n", "25"]) == 0
     assert kv(capsys.readouterr().out)["t1_verdict"] == "Proven"
+
+
+_RESIDUAL = "<residual>"
+_DIRICHLET_CHECK = {"is_z_matrix": "True", "is_irreducible": "True",
+                    "t1_verdict": "Proven"}
+
+
+def _neumann_check(null_min, residual, vtb):
+    return {
+        "is_z_matrix": "True", "is_irreducible": "True",
+        "t1_verdict": "Disproven", "t2_verdict": "Proven",
+        "left_null_min": null_min, "left_null_max": 1.0,
+        "right_null_min": null_min, "right_null_max": 1.0,
+        "notes": ("singular: positive vector found in the null space; "
+                  f"positive null vectors, residual {residual} ||T||_inf "
+                  "<= threshold 1e-10"),
+        "solvability": "Unique", "vtb": vtb,
+    }
+
+
+# plskit check on every problem at N = 25 and 200, torsion at C = -7.5:
+# text lines exactly, numbers to 1e-12 relative. The one exception is the
+# residual in the t2 note at N = 25: it comes from a dense LAPACK solve,
+# and its digits move with the BLAS thread count (1.1e-14 with one
+# thread, 1.2e-14 with two on tent-neumann), so it is held to 1e-13
+_CHECK_OUTPUT = {
+    ("tent", 25): {**_DIRICHLET_CHECK, "notes": "irreducibly diagonally dominant"},
+    ("tent", 200): {**_DIRICHLET_CHECK, "notes": "irreducibly diagonally dominant"},
+    # torsion rows sum to noise of either sign at N = 25
+    ("torsion", 25): {**_DIRICHLET_CHECK,
+                      "notes": "T x > 0 for the positive solution x of T x = 1"},
+    ("torsion", 200): {**_DIRICHLET_CHECK,
+                       "notes": "irreducibly diagonally dominant"},
+    ("tent-neumann", 25): _neumann_check(0.99999999999974898, _RESIDUAL,
+                                         -624.99999999987176),
+    ("tent-neumann", 200): _neumann_check(1.0, "0.0e+00", -40000.000000002794),
+    ("torsion-neumann", 25): _neumann_check(0.99999999999995159, _RESIDUAL,
+                                            -2087.4999999999941),
+    ("torsion-neumann", 200): _neumann_check(1.0, "0.0e+00", -139199.99999999785),
+}
+
+
+@pytest.mark.parametrize("problem, n", list(_CHECK_OUTPUT))
+def test_check_output_is_pinned(problem, n, capsys):
+    argv = ["check", "--problem", problem, "--n", str(n)]
+    if problem.startswith("torsion"):
+        argv += ["--c", "-7.5"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    report = kv("\n".join(lines))
+    expected = _CHECK_OUTPUT[problem, n]
+    assert [line.partition("=")[0] for line in lines] == list(expected)
+    for key, value in expected.items():
+        if isinstance(value, float):
+            assert float(report[key]) == pytest.approx(value, rel=1e-12, abs=0)
+        elif _RESIDUAL in value:
+            pattern = re.escape(value).replace(re.escape(_RESIDUAL), r"(\S+)")
+            found = re.fullmatch(pattern, report[key])
+            assert found and float(found[1]) < 1e-13
+        else:
+            assert report[key] == value
 
 
 def _src_env():

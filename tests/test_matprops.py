@@ -20,7 +20,7 @@ from plskit.matprops import (
     UNIQUE,
     InvalidNullVector,
 )
-from plskit import numkit
+from plskit import matprops, numkit
 from plskit.numkit import DimensionError, SparseMatrix
 
 
@@ -146,6 +146,37 @@ def test_t1_property_agrees_with_the_dense_inverse(a):
     rep = check_t1(csr_from_dense(a))
     event(f"M-matrix {m_matrix}: {rep.t1_verdict}")
     assert rep.t1_verdict in ((PROVEN if m_matrix else DISPROVEN), INCONCLUSIVE)
+
+
+def _z_matrix_draw(rng):
+    """One draw from the distribution of _irreducible_z_matrices, by numpy:
+    an off-diagonal entry is a weight with probability 1/3."""
+    n = int(rng.integers(1, 7))
+    a = -rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 1 / 3)
+    a[np.arange(n), (np.arange(n) + 1) % n] = -rng.uniform(0.1, 2.0, n)
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, np.maximum(-a.sum(axis=1), 1.0)
+                     * rng.uniform(0.5, 1.5, n))
+    return a
+
+
+def test_t1_perron_vector_settles_non_m_z_matrices(monkeypatch):
+    # about 1 in 300 of these draws leaves T x = 1 short of a proof or a
+    # disproof; the Perron vector of s I - T then disproves t1
+    perron = []
+    vector = matprops._perron_vector
+    monkeypatch.setattr(matprops, "_perron_vector",
+                        lambda t: perron.append(t.n_rows) or vector(t))
+    rng = np.random.default_rng(1)
+    verdicts = {True: set(), False: set()}
+    for _ in range(2500):
+        a = _z_matrix_draw(rng)
+        if np.linalg.det(a) == 0.0 or np.linalg.cond(a) >= 1e8:
+            continue
+        m_matrix = bool(np.linalg.inv(a).min() >= 0.0)
+        verdicts[m_matrix].add(check_t1(csr_from_dense(a)).t1_verdict)
+    assert verdicts == {True: {PROVEN}, False: {DISPROVEN}}
+    assert len(perron) >= 5
 
 
 def test_t2_proven_on_path_laplacian():
@@ -333,10 +364,7 @@ def test_is_connected_matches_the_queue_search():
     assert len(one_search) > 10 and 0 < sum(m.is_irreducible() for m in one_search)
 
 
-def test_irreducibility_is_searched_once_per_matrix(monkeypatch):
-    # check_t1 is not Proven on the singular Neumann matrix, so the check
-    # flow runs check_t2 on it too; its pattern is its transpose's, so
-    # one search from node 0 answers for both directions
+def _count_searches(monkeypatch):
     searches = []
     search = numkit._reaches_all
 
@@ -345,10 +373,77 @@ def test_irreducibility_is_searched_once_per_matrix(monkeypatch):
         return search(matrix)
 
     monkeypatch.setattr(numkit, "_reaches_all", counted)
+    return searches
+
+
+def _permuted(t, seed):
+    """P T P^T for a seeded permutation P: the same class, relabelled."""
+    p = np.random.default_rng(seed).permutation(t.n_rows)
+    new = np.empty_like(p)
+    new[p] = np.arange(p.size)
+    return csr_from_triplets(
+        zip(new[t.row_indices()], new[t.col_indices], t.values),
+        t.n_rows, t.n_cols)
+
+
+def test_irreducibility_is_searched_once_per_matrix(monkeypatch):
+    # check_t1 is not Proven on the singular Neumann matrix, so the check
+    # flow runs check_t2 on it too. In grid order every node has a
+    # neighbour before it, which certifies the pattern with no search;
+    # relabelled at random it does not, and its pattern is its
+    # transpose's, so one search from node 0 answers for both directions
+    searches = _count_searches(monkeypatch)
     t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), 25).T
     assert check_t1(t).t1_verdict == DISPROVEN
     assert check_t2(t).t2_verdict == PROVEN
+    assert searches == []
+    shuffled = _permuted(t, 4)
+    assert not numkit._links_every_node_to_0(shuffled)
+    assert check_t1(shuffled).t1_verdict == DISPROVEN
+    assert check_t2(shuffled).t2_verdict == PROVEN
     assert searches == [625]
+
+
+def test_t1_on_a_dirichlet_grid_builds_no_transpose(monkeypatch):
+    built = []
+    transpose = SparseMatrix.transpose
+
+    def counted(matrix):
+        built.append(matrix.n_rows)
+        return transpose(matrix)
+
+    monkeypatch.setattr(SparseMatrix, "transpose", counted)
+    searches = _count_searches(monkeypatch)
+    rep = check_t1(obs.assemble_elliptic(obs.problem_spec("tent"), 25).T)
+    assert rep.t1_verdict == PROVEN and rep.is_irreducible
+    assert built == [] and searches == []
+
+
+def test_one_half_of_the_certificate_proves_nothing():
+    # i -> i - 1 gives every node i >= 1 an entry (i, j < i) but no entry
+    # (r < i, i); its reverse the other way round. Both are reducible, as
+    # are a cycle with one empty row and two nodes with no link
+    n = 6
+    down = _pattern(n, [(i, i - 1) for i in range(1, n)])
+    up = _pattern(n, [(i - 1, i) for i in range(1, n)])
+    ring = [(i, i - 1) for i in range(1, n)] + [(0, n - 1)]
+    empty_row = _pattern(n, [(i, j) for i, j in ring if i != 3])
+    for m in (down, up, empty_row, _pattern(2, [(0, 0), (1, 1)])):
+        assert not numkit._links_every_node_to_0(m)
+        assert m.is_irreducible() is False
+        assert queue_is_connected(m) is False
+    # rows and columns both ways certify; n = 1 holds vacuously
+    both = _pattern(n, [(i, i - 1) for i in range(1, n)]
+                    + [(i - 1, i) for i in range(1, n)])
+    for m in (both, _pattern(1, []), _pattern(1, [(0, 0)])):
+        assert numkit._links_every_node_to_0(m)
+        assert m.is_irreducible() is True
+        assert queue_is_connected(m) is True
+    # the certificate is only sufficient: the cycle 0 -> 2 -> 1 -> 0 is
+    # strongly connected, found by the search
+    cycle = _pattern(3, [(0, 2), (2, 1), (1, 0)])
+    assert not numkit._links_every_node_to_0(cycle)
+    assert cycle.is_irreducible() is True
 
 
 def test_t1_dominance_ignores_rounding_in_row_sums():
