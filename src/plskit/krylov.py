@@ -8,9 +8,9 @@ Both share KrylovOptions and KrylovStats, and both confirm convergence
 on the recomputed true residual, never on the recurrence estimate alone;
 both restart from the true residual and give up after _STALLS restarts
 in a row that find no better iterate. Both test their start with
-`start_stats` and return a start that already meets the tolerance as it
-is, with 0 iterations; a caller holding op x0 can make the same test
-without the operator.
+`_start_stats` and return a start that already meets the tolerance as it
+is, bit for bit, with 0 iterations. Every product runs through
+numkit.reused_product, on buffers that one solve allocates once.
 """
 
 import math
@@ -70,13 +70,13 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def start_stats(b, product, opts):
+def _start_stats(b, product, opts):
     """The entry test of both solvers at a start x0, given product = op x0.
 
     Returns (r, tol, stats): the residual r = b - op x0, the tolerance
     rel_tol ||b|| + abs_tol, and KrylovStats(0, ||r||, ||r|| <= tol,
-    False). A converged start is the solve's result, returned with these
-    stats, so a caller that holds op x0 gets it without the operator.
+    False). A converged start is the solve's result, returned as it is
+    with these stats.
     """
     tol = opts.rel_tol * _norm(b) + opts.abs_tol
     r = b - product
@@ -115,12 +115,19 @@ def bicgstab_solve(op, b, x0=None, opts=None):
     a spent iteration budget, raise NotConverged with the best iterate and
     its stats. It never raises Breakdown: stats.breakdown says that a run
     ended at a zero pivot.
+
+    Its products run on two numkit.reused_product pairs, as cg_solve's
+    do: p^ and s^ live in the pairs' vectors, and v survives the product
+    with s^. The start and the true residual borrow p^ for x.
     """
     opts = opts or KrylovOptions()
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r, tol, start = start_stats(b, op.matvec(x), opts)
+    p_hat, apply_p = reused_product(op, n)
+    s_hat, apply_s = reused_product(op, n)
+    np.copyto(p_hat, x)  # p^ is free until a run starts, so it carries x
+    r, tol, start = _start_stats(b, apply_p(), opts)
     if start.converged:
         return x, start
     res = start.final_residual_norm
@@ -139,8 +146,8 @@ def bicgstab_solve(op, b, x0=None, opts=None):
         p = r.copy()
         limit = _GROWTH * res
         while used < budget:
-            p_hat = p * inv_d
-            v = op.matvec(p_hat)
+            np.multiply(p, inv_d, out=p_hat)
+            v = apply_p()
             sigma = float(r_hat @ v)
             if sigma == 0.0:
                 broke = True
@@ -151,8 +158,8 @@ def bicgstab_solve(op, b, x0=None, opts=None):
             used += 1
             if _norm(r) <= tol:
                 break
-            s_hat = r * inv_d
-            t = op.matvec(s_hat)
+            np.multiply(r, inv_d, out=s_hat)
+            t = apply_s()
             tt = float(t @ t)
             omega = float(t @ r) / tt if tt > 0.0 else 0.0
             x += omega * s_hat
@@ -168,7 +175,8 @@ def bicgstab_solve(op, b, x0=None, opts=None):
             p *= (rho_next / rho) * (alpha / omega)
             p += r
             rho = rho_next
-        r = b - op.matvec(x)  # re-sync on the true residual
+        np.copyto(p_hat, x)
+        r = b - apply_p()  # re-sync on the true residual
         res = _norm(r)
         if res < res_best:
             x_best, res_best = x.copy(), res
@@ -205,7 +213,7 @@ def cg_solve(op, b, x0=None, opts=None):
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     p, apply = reused_product(op, n)
     np.copyto(p, x)  # p is free until a run starts, so it carries x
-    r, tol, start = start_stats(b, apply(), opts)
+    r, tol, start = _start_stats(b, apply(), opts)
     if start.converged:
         return x, start
     res = start.final_residual_norm

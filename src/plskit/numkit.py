@@ -21,8 +21,9 @@ adds a row of at most 8 entries in. So both kernels give the same bits,
 signed zeros included; this is checked on numpy 2.4 only. `EllOperator`
 is the only holder of the layout: a slice with a row longer than 8
 stays on CSR, as do T itself, every `SparseMatrix` and every one-shot
-product (`spmv`). A Krylov loop runs the operator's kernel on reused
-buffers through `reused_product`.
+product (`spmv`). `reused_product` is the only way a step operator is
+applied: a Krylov loop runs the operator's kernel on reused buffers
+through it, and the operator has no product method of its own.
 
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
@@ -339,8 +340,9 @@ def reused_product(op, n):
     """(v, apply) for the many products of one Krylov solve: fill the
     length-n vector v, and apply() returns op v in a buffer that the next
     call overwrites. An EllOperator keeps v inside its padded direction
-    vector and runs its kernel on reused scratch; any other operator
-    takes op.matvec(v)."""
+    vector and runs its kernel on reused scratch; any other operator, such
+    as a CSR slice, takes op.matvec(v). This is the only way a step
+    operator is applied."""
     if not isinstance(op, EllOperator):
         v = np.empty(n)
         return v, lambda: op.matvec(v)
@@ -398,19 +400,15 @@ def _ell_gather(matrix, active):
 
 class EllOperator:
     """A square operator held only in the ELL layout, as active_operator
-    gathers it: products by the ELL kernel and diagonal() for Jacobi,
-    all that a Krylov solve asks of it."""
+    gathers it: its diagonal() for Jacobi, and its products by the ELL
+    kernel, which only reused_product runs. That is all a Krylov solve
+    asks of it."""
 
     def __init__(self, values, cols, diagonal):
         self.n_rows = self.n_cols = diagonal.size
         self.shape = (self.n_rows, self.n_cols)
         self._values, self._cols = values, cols
         self._diagonal = diagonal
-
-    def matvec(self, x):
-        padded = np.concatenate((_operand(self, x), _ELL_PAD))
-        return _ell_product(self._values, self._cols, padded,
-                            np.empty(self._values.shape), np.empty(self.n_rows))
 
     def diagonal(self):
         return self._diagonal

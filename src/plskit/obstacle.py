@@ -275,24 +275,22 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     inner solve from the solution that step j of the time step before
     found on the same mask (the trail of solve_parabolic_pls), rather than
     from the current iterate. The trail holds one time step's
-    (mask, x_A, M x_A, s, T) entries at a time, M the step's operator and
-    s = T x~ its lift's product, all made with this run's T_step, and ends
-    with the run; no report keeps it. A step whose start already meets
-    the inner tolerance returns it without building M or calling a
-    solver. It, and the empty first step of every time step after the
-    first, lift with the carried s: the same bits as the solver's
-    0-iteration return and a new product. A wrong final iterate cannot
-    pass the nonsmooth residual gate.
+    (mask, x_A, s, T) entries at a time, s = T x~ the lift's product, all
+    made with this run's T_step, and ends with the run; no report keeps
+    it. A solve whose carried start already meets the inner tolerance
+    returns it bit for bit with 0 iterations. Such a step, and the empty
+    first step of every time step after the first, lift with the carried
+    s: the same bits as a new product. A wrong final iterate cannot pass
+    the nonsmooth residual gate.
 
     A time step that returns its input state bit for bit (-0.0 is not
     0.0) with no inner iteration is settled: the next step has the same
     right-hand side and T_step, and finds the trail as this one left it,
-    since each nonempty step either took its carried start and rewrote
-    the entry with the same values or made a 0-iteration solve whose
-    stored product passes the same start test. So every later step
-    repeats it, and the run fills them with copies of its state and
-    PlsSolution, each with its own arrays, lists and stats, and calls the
-    solver no more; replayed_steps counts the copies.
+    since each of its nonempty steps made a 0-iteration solve, which
+    returns its start, and left that start and its product in the entry.
+    So every later step repeats it, and the run fills them with copies of
+    its state and PlsSolution, each with its own arrays, lists and stats,
+    and calls the solver no more; replayed_steps counts the copies.
     """
     if nu < 1:
         raise GridError("need at least one time step")

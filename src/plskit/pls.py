@@ -26,24 +26,23 @@ both Jacobi-preconditioned, as every inner solve is, and both with
 products by the operator alone.
 
 Each step records its nonsmooth residual, which takes a product of T
-with max{0,x} (min{0,x} for the MaxPlusTMin form). On the step whose new
-mask equals its operator mask, that vector differs from x~ at most in
-the sign of a zero, so the lift's s serves the residual with the same
-max-norm. Every product of T goes through numkit.spmv.
+with max{0,x}. On the step whose new mask equals its operator mask, that
+vector differs from x~ at most in the sign of a zero, so the lift's s
+serves the residual with the same max-norm. Every product of T goes
+through numkit.spmv, and every product of a step operator through
+numkit.reused_product, inside the solvers.
 
-A trail (solve_parabolic_pls) carries each step's entry
-(mask, x_A, M x_A, s, T) into the next time step: its mask, inner
-solution x_A, that solution's product with the step's operator
-M = T_AA (+ I), the lift's product s, and the matrix T it was made with.
-A step ignores an entry made with another matrix. Step j on the same
-mask starts from x_A, and when b_A - M x_A already meets the inner
-tolerance it takes x_A as its solution with the 0-iteration stats both
-solvers return for such a start, without gathering M. Such a step, and
-the empty first step, repeat the entry's x~, so they lift with its s
-and make no product: the same bits, for a fraction of the work. So a
-step makes one product of T for its lift unless it repeats the entry's
-x~, and one for its residual unless its mask repeats. A wrong final
-iterate cannot pass the nonsmooth residual gate.
+A trail (solve_parabolic_pls) carries each step's entry (mask, x_A, s, T)
+into the next time step: its mask, inner solution x_A, the lift's
+product s and the matrix T it was made with. A step ignores an entry
+made with another matrix. Step j on the same mask gathers its operator
+and starts the solver from x_A; when b_A - M x_A already meets the inner
+tolerance, the solver's entry test returns x_A bit for bit with 0
+iterations. Such a step, and the empty first step, repeat the entry's
+x~, so they lift with its s and make no product. So a step makes one
+product of T for its lift unless it repeats the entry's x~, and one for
+its residual unless its mask repeats. A wrong final iterate cannot pass
+the nonsmooth residual gate.
 """
 
 from dataclasses import dataclass, field, replace
@@ -65,7 +64,6 @@ from .krylov import (
     NotConverged,
     bicgstab_solve,
     cg_solve,
-    start_stats,
 )
 from .matprops import FAMILY_ALONG_W, NO_SOLUTION, classify_solvability
 
@@ -146,27 +144,19 @@ def _step(T, b, kind, mask, x, inner, kopts, trail=None, j=0):
     An empty mask gives x = b - T 0 with no operator and no solve, and the
     stats both solvers give a 0 x 0 system.
 
-    Given a trail (see _picard), entry j = (mask, x_A, M x_A, s, T) made
-    with this T on this step's mask gives the start x_A instead, and the
-    step leaves its own entry in slot j, with M x_A taken by the kernel of
-    the solvers' first product. When b_A - M x_A already meets the inner
-    tolerance (krylov.start_stats), x_A is the solve's result: the step
-    returns it with the stats either solver gives such a start, builds no
-    operator and calls no solver. Such a step, and an empty one, repeats
-    the entry's x~, so it lifts with the entry's s and makes no product.
-    A product or s of None is never used.
+    Given a trail (see _picard), entry j = (mask, x_A, s, T) made with this
+    T on this step's mask gives the start x_A instead, and the step leaves
+    its own entry in slot j. A solve that makes 0 iterations returns its
+    start bit for bit, so a carried step that does, and an empty one,
+    repeat the entry's x~: they lift with the entry's s and make no
+    product.
     """
     carried = trail[j] if trail is not None and j < len(trail) else None
-    if carried is not None and (carried[4] is not T
+    if carried is not None and (carried[3] is not T
                                 or not np.array_equal(carried[0], mask)):
         carried = None
-    product = lifted = None
     if not mask.any():
         x_active, stats = np.zeros(0), KrylovStats(0, 0.0, True, False)
-        lifted = None if carried is None else carried[3]
-    elif carried is not None and carried[2] is not None and (
-            stats := start_stats(b[mask], carried[2], kopts)[2]).converged:
-        x_active, product, lifted = carried[1], carried[2], carried[3]
     else:
         op = active_operator(T, mask, 1.0 if kind == PARABOLIC else 0.0)
         try:
@@ -176,35 +166,29 @@ def _step(T, b, kind, mask, x, inner, kopts, trail=None, j=0):
         except (NotConverged, Breakdown) as exc:
             exc.x = _lift(T, b, mask, exc.x)[0]
             raise
-        if trail is not None:
-            product = op.matvec(x_active)
         del op  # the operator and the solve's scratch are freed before the lift
-    x, lifted = _lift(T, b, mask, x_active, lifted)
-    # x's active part is the inner solution, bit for bit; an entry on the
-    # same mask is overwritten in place
-    if carried is not None:
-        np.compress(mask, x, out=carried[1])
-        trail[j] = (carried[0], carried[1], product, lifted, T)
-    elif trail is not None:
-        trail[j:j + 1] = [(mask, x[mask], product, lifted, T)]  # replace or append
+    repeats = carried is not None and stats.iterations == 0
+    x, lifted = _lift(T, b, mask, x_active, carried[2] if repeats else None)
+    if trail is not None:
+        # x's active part is the inner solution, bit for bit
+        trail[j:j + 1] = [(mask, x[mask], lifted, T)]  # replace or append
     return x, lifted, stats
 
 
-def _picard(T, b, kind, opts, complement=False, trail=None):
+def _picard(T, b, kind, opts, trail=None):
     """Masked Picard loop; returns the PlsSolution.
 
     The operator mask starts empty and each step is rebuilt from the signs
-    of the new iterate, x >= 0 (complemented for the MaxPlusTMin form), and the
-    report counts the components each step drops. Stops when the mask
-    repeats or flips only at exact zeros. Each linear solve is
-    warm-started from the previous iterate, or, given a trail, from the
-    trail's x_A for this step when its mask equals this step's: trail is
-    a list of (mask, x_A, M x_A, s, T) entries, entry j from step j of an
-    earlier solve, M its step operator and s = T x~ its lift's product
-    (either may be None), and each step overwrites its entry, so on return
-    the trail holds this solve's entries only. An entry made with another
-    matrix than this T is ignored. A step whose carried start already
-    meets the inner tolerance takes it without a solve (see _step). The
+    of the new iterate, x >= 0, and the report counts the components each
+    step drops. Stops when the mask repeats or flips only at exact zeros.
+    Each linear solve is warm-started from the previous iterate, or, given
+    a trail, from the trail's x_A for this step when its mask equals this
+    step's: trail is a list of (mask, x_A, s, T) entries, entry j from
+    step j of an earlier solve and s = T x~ its lift's product, and each
+    step overwrites its entry, so on return the trail holds this solve's
+    entries only. An entry made with another matrix than this T is
+    ignored. A carried start that already meets the inner tolerance is
+    returned by the solver's entry test with 0 iterations (see _step). The
     start changes only the rounding and the inner iteration count. The
     inner tolerance is measured against the full ||b|| and the default
     budget stays 10 n, so the reduced solve meets the same residual bound
@@ -223,7 +207,6 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
         max_iters=given.max_iters if given.max_iters is not None else 10 * max(n, 1),
     )
     gate = _residual_gate(b, opts)
-    form = MAX_PLUS_TMIN if complement else MIN_PLUS_TMAX
     x = np.zeros(n)
     opmask = np.zeros(n, dtype=bool)
     active_counts = [0]
@@ -237,14 +220,13 @@ def _picard(T, b, kind, opts, complement=False, trail=None):
         x, lifted, stats = _step(T, b, kind, opmask, x, inner, kopts, trail, outer)
         outer += 1
         inner_stats.append(stats)
-        signs = x >= 0.0  # the tie is active
-        newmask = ~signs if complement else signs
+        newmask = x >= 0.0  # the tie is active
         flips = newmask != opmask
         stable = not flips.any()
         active_counts.append(int(newmask.sum()))
         left_counts.append(int(np.count_nonzero(flips & opmask)))
         residual_history.append(
-            _residual(T, b, x, kind, form, product=lifted if stable else None))
+            _residual(T, b, x, kind, product=lifted if stable else None))
         if stable:
             break
         # the step operators differ only in columns where the mask flipped;
@@ -310,16 +292,15 @@ def solve_elliptic_pls(problem, opts=None):
 def solve_parabolic_pls(problem, opts=None, trail=None):
     """Solve x + T max{0,x} = b; this form always has a unique solution.
 
-    trail, a list, carries each outer step's (mask, x_A, M x_A, s, T)
-    entry, its inner solution, that solution's product with the step's
-    operator M, the lift's product s = T x~ and the matrix it was made
+    trail, a list, carries each outer step's (mask, x_A, s, T) entry, its
+    inner solution, the lift's product s = T x~ and the matrix it was made
     with, from one call to the next on the same T (see _picard): a
     time-stepping caller passes the same list to every step, and a step
     whose mask sequence repeats the last one's starts each inner solve
-    from there, or skips the solve and the lift's product when that start
-    already meets the inner tolerance. Entries made with another matrix
-    are ignored. A wrong final iterate cannot pass the nonsmooth residual
-    gate.
+    from there. When that start already meets the inner tolerance, the
+    solver returns it with 0 iterations and the step lifts with the
+    carried s. Entries made with another matrix are ignored. A wrong final
+    iterate cannot pass the nonsmooth residual gate.
     """
     if problem.kind != PARABOLIC:
         raise ValueError("problem kind must be parabolic")
@@ -331,10 +312,14 @@ def solve_shifted(T, b, xi, form, opts=None):
     """Solve the shifted forms with thresholds xi instead of zero.
 
     MinPlusTMax: min{xi,x} + T max{xi,x} = b. MaxPlusTMin swaps min and
-    max. Both reduce to the plain elliptic iteration in z = x - xi with
-    right-hand side b - (I+T) xi; the second form runs on the complemented
-    mask. The solution, and the iterate carried by NotConverged or
-    Breakdown, are in the unshifted variable x = z + xi.
+    max. In z = x - xi both become an elliptic system with right-hand side
+    b2 = b - (I+T) xi: MinPlusTMax is min{0,z} + T max{0,z} = b2, which
+    the plain elliptic loop solves, and MaxPlusTMin is max{0,z} +
+    T min{0,z} = b2, that is min{0,w} + T max{0,w} = -b2 in w = -z, which
+    the same loop solves on -b2. Negation is exact, so the second form
+    gives x = xi - w and y = max{0,-w}, with the tie rule of every other
+    solve (w_i = 0 is active). The solution, and the iterate carried by
+    NotConverged or Breakdown, are in the unshifted variable x.
     """
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
@@ -344,22 +329,29 @@ def solve_shifted(T, b, xi, form, opts=None):
     if b.size != T.n_rows or xi.size != T.n_rows:
         raise DimensionError("operand lengths must match the matrix")
     b2 = b - xi - spmv(T, xi)
+    sign = 1.0 if form == MIN_PLUS_TMAX else -1.0  # z, or w = -z
     try:
-        sol = _picard(T, b2, ELLIPTIC, opts, complement=(form == MAX_PLUS_TMIN))
+        sol = _picard(T, sign * b2, ELLIPTIC, opts)
     except (NotConverged, Breakdown) as exc:
-        exc.x = exc.x + xi
+        exc.x = xi + sign * exc.x
         raise
-    sol.x = sol.x + xi
+    z = sign * sol.x
+    sol.x, sol.y = xi + z, np.maximum(z, 0.0)
     return sol
 
 
 def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):
     """Max-norm residual of the nonsmooth equation at x. The shift xi and
     the MaxPlusTMin form are elliptic only; the parabolic kind rejects
-    them rather than return the residual of another equation."""
+    them rather than return the residual of another equation. A given xi
+    must be a finite vector of T's dimension. MaxPlusTMin is the
+    MinPlusTMax residual at -b, -x and -xi, whose r is the negated r of
+    the form: negation is exact, so max |r| keeps its bits."""
     b = np.asarray(b, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if b.shape != x.shape or x.size != T.n_rows:
+    base = 0.0 if xi is None else as_vector(xi)
+    if (b.shape != x.shape or x.size != T.n_rows
+            or np.shape(base) not in ((), (T.n_rows,))):
         raise DimensionError("operand lengths must match the matrix")
     if kind not in (ELLIPTIC, PARABOLIC):
         raise ValueError(f"unknown kind {kind!r}")
@@ -368,20 +360,20 @@ def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):
     if kind == PARABOLIC and (xi is not None or form != MIN_PLUS_TMAX):
         raise ValueError("the parabolic residual takes no shift xi and no "
                          "MaxPlusTMin form")
-    base = 0.0 if xi is None else np.asarray(xi, dtype=np.float64)
-    return _residual(T, b, x, kind, form, base)
+    if form == MAX_PLUS_TMIN:
+        b, x, base = -b, -x, -base
+    return _residual(T, b, x, kind, base)
 
 
-def _residual(T, b, x, kind, form, base=0.0, product=None):
-    """max |r| for r = x + T max{0,x} - b (parabolic), min{base,x} +
-    T max{base,x} - b (MinPlusTMax) or max{base,x} + T min{base,x} - b
-    (MaxPlusTMin). A given product stands for the product with T; one that
-    differs from it at most in the sign of a zero leaves max |r| as is."""
+def _residual(T, b, x, kind, base=0.0, product=None):
+    """max |r| for r = x + T max{0,x} - b (parabolic) or min{base,x} +
+    T max{base,x} - b (elliptic). A given product stands for the product
+    with T; one that differs from it at most in the sign of a zero leaves
+    max |r| as is."""
     if kind == PARABOLIC:
         u, v = x, np.maximum(x, 0.0)
     else:
-        lo, hi = np.minimum(x, base), np.maximum(x, base)
-        u, v = (lo, hi) if form == MIN_PLUS_TMAX else (hi, lo)
+        u, v = np.minimum(x, base), np.maximum(x, base)
     r = u + (spmv(T, v) if product is None else product) - b
     return float(np.abs(r).max()) if r.size else 0.0
 

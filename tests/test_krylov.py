@@ -153,9 +153,12 @@ def test_reduced_step_matches_dense_solve(kind, symmetric):
             assert np.array_equal(x, b)
 
 
-def test_cg_on_the_gathered_operator_keeps_the_csr_bits():
-    # the gathered ELL operator runs CG's products on reused buffers; every
-    # iterate, count and residual must match CG on the plain CSR slice
+@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve],
+                         ids=["cg", "bicgstab"])
+def test_solves_on_the_gathered_operator_keep_the_csr_bits(solve):
+    # the gathered ELL operator runs every product of CG and Bi-CGSTAB on
+    # reused buffers; every iterate, count and residual must match the
+    # same solver on the plain CSR slice plus its shift
     rng = np.random.default_rng(12)
     T = obstacle.assemble_elliptic(obstacle.problem_spec(obstacle.TORSION, -10.0), 20).T
     for shift in (0.0, 1.0):
@@ -164,11 +167,12 @@ def test_cg_on_the_gathered_operator_keeps_the_csr_bits():
             b = rng.normal(size=int(mask.sum()))
             op = active_operator(T, mask, shift)
             assert isinstance(op, EllOperator)
-            x, stats = cg_solve(op, b)
+            x, stats = solve(op, b)
             sub = principal_submatrix(T, mask)
-            x_csr, stats_csr = cg_solve(sub.add_diagonal(shift) if shift else sub, b)
+            x_csr, stats_csr = solve(sub.add_diagonal(shift) if shift else sub, b)
             assert stats.iterations == stats_csr.iterations > 0
             assert stats.final_residual_norm == stats_csr.final_residual_norm
+            assert stats.breakdown == stats_csr.breakdown
             assert np.array_equal(x.view(np.int64), x_csr.view(np.int64))
 
 

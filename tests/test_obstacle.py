@@ -1,5 +1,4 @@
 import csv
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,6 @@ from plskit import (
 )
 from plskit import obstacle as obs
 from plskit import pls
-from plskit.numkit import active_operator
 from plskit.pls import CONVERGED, NO_SOLUTION_CERTIFIED, SolverOptions
 
 
@@ -269,10 +267,10 @@ def test_parabolic_trail_ignores_a_pair_on_another_mask():
     assert [int(m.sum()) for m, *_ in trail] == alone.report.active_counts[:-1]
     assert np.array_equal(first.x, alone.x)
     rng = np.random.default_rng(3)
-    stale = [(~mask, rng.normal(size=int((~mask).sum())), None, None, problem.T)
+    stale = [(~mask, rng.normal(size=int((~mask).sum())), None, problem.T)
              for mask, *_ in trail]
     full = np.ones(disc.T.n_rows, dtype=bool)
-    stale += [(full, rng.normal(size=disc.T.n_rows), None, None, problem.T)]
+    stale += [(full, rng.normal(size=disc.T.n_rows), None, problem.T)]
     again = solve_parabolic_pls(problem, opts, trail=stale)
     assert np.array_equal(again.x, alone.x)
     assert again.report.inner_stats == alone.report.inner_stats
@@ -300,7 +298,7 @@ def test_parabolic_trail_from_another_matrix_gives_no_start(monkeypatch):
     assert again.report.inner_stats == alone.report.inner_stats
     assert again.report.residual_history == alone.report.residual_history
     assert len(trail) == alone.report.outer_iterations
-    assert all(entry[4] is other.T for entry in trail)
+    assert all(entry[3] is other.T for entry in trail)
 
 
 def _count_operators(monkeypatch):
@@ -315,78 +313,73 @@ def _count_operators(monkeypatch):
     return built
 
 
-def test_parabolic_trail_solves_a_pair_whose_product_misses_the_tolerance(
-        monkeypatch):
-    # each triple holds the mask and the start a solve without a trail
-    # uses at that step, but a product whose residual misses the inner
-    # tolerance: every nonempty step must gather its operator and solve,
-    # with the bits of the solve without a trail, and store the true product
-    disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
-    T = disc.T.scaled(0.25)
-    problem = PlsProblem(T, 0.25 * disc.b, kind=PARABOLIC)
-    opts = SolverOptions()
-    alone = solve_parabolic_pls(problem, opts)
-    steps = alone.report.outer_iterations
-    assert steps >= 3
-    trail = [(np.zeros(T.n_rows, dtype=bool), np.zeros(0), None, None, T)]
-    for j in range(1, steps):
-        # the iterate after j steps, and the mask step j solves on
-        x = solve_parabolic_pls(problem, replace(opts, max_outer=j)).x
-        mask = x >= 0.0
-        trail.append((mask, x[mask], problem.b[mask] + 1.0, None, T))
-    built = _count_operators(monkeypatch)
-    again = solve_parabolic_pls(problem, opts, trail=trail)
-    assert len(built) == steps - 1
-    assert np.array_equal(again.x, alone.x)
-    assert again.report.inner_stats == alone.report.inner_stats
-    assert again.report.residual_history == alone.report.residual_history
-    for mask, x_active, product, _, _ in trail[1:]:
-        op = active_operator(T, mask, 1.0)
-        assert np.array_equal(product, op.matvec(x_active))
-
-
 @pytest.mark.parametrize("name, c, tau", [
     ("tent", None, 1.0e4), ("torsion", -5.0, 5.0),
 ])
 def test_parabolic_trail_products_skip_operators_and_keep_every_bit(
         name, c, tau, monkeypatch):
-    # run_parabolic as is, and the same time loop with every product in
-    # the trail dropped after each time step, so that every step solves:
-    # the same x, inner stats and residuals bit for bit, with fewer
-    # operators built when the products are kept
-    built = _count_operators(monkeypatch)
+    # run_parabolic as is, and the same time loop with every product s in
+    # the trail dropped after each time step, so that every step lifts
+    # with a product of its own: the same x, inner stats and residuals bit
+    # for bit. Only the carried 0-iteration solves, which return their
+    # start bit for bit, lift a nonempty mask with the carried product
+    carried = _count_carried_lifts(monkeypatch)
     spec = obs.problem_spec(name, c)
     run = obs.run_parabolic(spec, 25, tau, 20)
-    with_products = len(built)
+    kept = len(carried)
+    assert kept > 0
     disc, dt = run.disc, run.dt
     T_step = disc.T.scaled(dt)
     opts = SolverOptions()
     u = disc.psi_vec.copy()
     trail = []
-    del built[:]
     for result in run.step_results:
         b_step = (u - disc.psi_vec) + dt * disc.b
         plain = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
                                     opts, trail=trail)
-        trail[:] = [(mask, x_active, None, None, T_step)
+        trail[:] = [(mask, x_active, None, T_step)
                     for mask, x_active, *_ in trail]
         assert plain.status == result.status == CONVERGED
         assert np.array_equal(plain.x, result.x)
         assert plain.report.inner_stats == result.report.inner_stats
         assert plain.report.residual_history == result.report.residual_history
         u = plain.y + disc.psi_vec
-    assert with_products < len(built)
+    assert len(carried) == kept
+
+
+def _count_carried_lifts(monkeypatch):
+    """Record each lift of a nonempty mask that takes a carried product:
+    the step's solve made 0 iterations from the trail's x_A, so its
+    x_active must be that start, whose product the entry holds."""
+    carried = []
+    lift = pls._lift
+
+    def counting(T, b, mask, x_active, lifted=None):
+        if lifted is not None and mask.any():
+            assert np.array_equal(lifted, spmv(T, _scattered(mask, x_active)))
+            carried.append(1)
+        return lift(T, b, mask, x_active, lifted)
+
+    monkeypatch.setattr(pls, "_lift", counting)
+    return carried
+
+
+def _scattered(mask, x_active):
+    x = np.zeros(mask.size)
+    x[mask] = x_active
+    return x
 
 
 def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
         monkeypatch):
-    # pls's products of T over the time steps a run solves: a step lifts
-    # with a product only when it runs a solver (and on the run's first,
-    # empty, step), since an empty step or a carried start that converges
-    # repeats the trail's x~ and its product; every step's residual takes
-    # one product, except the stable step's, which the lift's product
-    # serves. The copied steps after the settled one make no product,
-    # build no operator and call no solver
+    # pls's products of T over the time steps a run solves: every
+    # nonempty step builds its operator and runs a solver, and it lifts
+    # with a product unless that solve returned its carried start with 0
+    # iterations; the run's first, empty, step lifts with a product too,
+    # and every later empty step repeats the trail's x~ and its product.
+    # Every step's residual takes one product, except the stable step's,
+    # which the lift's product serves. The copied steps after the settled
+    # one make no product, build no operator and call no solver
     products = []
     product = pls.spmv
 
@@ -396,6 +389,7 @@ def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
 
     monkeypatch.setattr(pls, "spmv", counting)
     built = _count_operators(monkeypatch)
+    carried = _count_carried_lifts(monkeypatch)
     after_solves = []
     solve = obs.solve_parabolic_pls
 
@@ -410,9 +404,12 @@ def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
     solved = len(after_solves)
     assert (solved, run.replayed_steps) == (13, 7)
     assert solved + run.replayed_steps == len(run.step_results) == nu
-    steps = sum(r.report.outer_iterations for r in run.step_results[:solved])
+    reports = [r.report for r in run.step_results[:solved]]
+    steps = sum(r.outer_iterations for r in reports)
+    nonempty = sum(count > 0 for r in reports for count in r.active_counts[:-1])
     assert all(r.status == CONVERGED for r in run.step_results)
-    assert len(products) == 1 + len(built) + steps - solved == 193
+    assert len(built) == nonempty
+    assert len(products) == 1 + nonempty - len(carried) + steps - solved == 193
     assert after_solves[-1] == (len(products), len(built))
 
 

@@ -171,10 +171,10 @@ def test_shifted_errors_carry_the_unshifted_iterate():
 
 
 def test_residual_history_is_residual_nonsmooth():
-    # the stable step takes T max{0,x} (T min{0,x} for MaxPlusTMin) from
-    # the lift's product T x~, which differs from it at most in the sign of
-    # a zero; the last residual equals a fresh one bit for bit, on the CG
-    # and Bi-CGSTAB paths and with signed zeros in b
+    # the stable step takes T max{0,x} from the lift's product T x~, which
+    # differs from it at most in the sign of a zero; the last residual
+    # equals a fresh one bit for bit, on the CG and Bi-CGSTAB paths and
+    # with signed zeros in b
     rng = np.random.default_rng(9)
     t = random_t1(rng, 8)
     cases = [(t, rng.normal(size=8))]
@@ -194,14 +194,65 @@ def test_residual_history_is_residual_nonsmooth():
             assert sol.report.residual_history[-1] == residual_nonsmooth(
                 t, b, sol.x, kind=kind
             )
-        # a zero shift changes b and x at most in the sign of a zero, so
-        # the comparison stays bitwise
-        for form in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
-            sol = solve_shifted(t, b, np.zeros(b.size), form)
+        # a shifted solve records the residual in z = x - xi, against
+        # b - (I+T) xi, and MaxPlusTMin records it at -z and -b2; the
+        # residual of the form at x agrees up to the rounding of the
+        # shift, while the other form's is far off
+        xi = rng.normal(size=b.size)
+        xi[::3] = 0.0
+        scale = np.finfo(np.float64).eps * (np.abs(b).max() + 4.0 * np.abs(xi).max())
+        for form, other in ((MIN_PLUS_TMAX, MAX_PLUS_TMIN),
+                            (MAX_PLUS_TMIN, MIN_PLUS_TMAX)):
+            sol = solve_shifted(t, b, xi, form)
             assert sol.status == CONVERGED
-            assert sol.report.residual_history[-1] == residual_nonsmooth(
-                t, b, sol.x, form=form
-            )
+            recorded = sol.report.residual_history[-1]
+            fresh = residual_nonsmooth(t, b, sol.x, xi=xi, form=form)
+            assert abs(recorded - fresh) <= 64.0 * scale
+            assert residual_nonsmooth(t, b, sol.x, xi=xi, form=other) > 1e-3
+
+
+def test_max_plus_tmin_is_the_elliptic_loop_on_the_negated_load():
+    # max{xi,x} + T min{xi,x} = b is min{0,w} + T max{0,w} = -b2 in
+    # w = xi - x, b2 = b - (I+T) xi: the shifted solve returns
+    # x = xi - w and y = max{0,-w} bit for bit, with w the elliptic
+    # solution on -b2, exact zeros in b2 and xi included (the tie w_i = 0
+    # is active, as in every other solve)
+    rng = np.random.default_rng(41)
+    zeros = 0
+    for symmetric in (True, False):
+        for _ in range(10):
+            n = int(rng.integers(4, 20))
+            t = _integer_m_matrix(rng, n, symmetric)
+            assert t.is_symmetric() == symmetric
+            # small integers keep b2 = b - xi - T xi exact, so its zeros
+            # are the ones drawn
+            xi = rng.integers(-2, 3, n) * (rng.random(n) < 0.5)
+            b2 = rng.integers(-3, 4, n) * (rng.random(n) < 0.8)
+            b = b2 + xi + t.to_dense() @ xi
+            assert np.array_equal(b - xi - spmv(t, xi), b2)
+            zeros += int(np.count_nonzero(b2 == 0))
+            w = solve_elliptic_pls(PlsProblem(t, -b2.astype(float)))
+            sol = solve_shifted(t, b, xi, MAX_PLUS_TMIN)
+            assert sol.status == w.status == CONVERGED
+            assert _same_bits(sol.x, xi - w.x)
+            assert _same_bits(sol.y, np.maximum(-w.x, 0.0))
+            assert sol.report.residual_history == w.report.residual_history
+            assert sol.report.active_counts == w.report.active_counts
+    assert zeros > 0
+
+
+def _integer_m_matrix(rng, n, symmetric):
+    """A diagonally dominant M-matrix with small integer entries."""
+    a = -rng.integers(0, 3, (n, n)).astype(float)
+    np.fill_diagonal(a, 0.0)
+    if symmetric:
+        a = np.triu(a) + np.triu(a).T
+    np.fill_diagonal(a, -a.sum(axis=1) + 1.0)
+    return csr_from_dense(a)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_active_counts_grow_monotonically():
@@ -285,10 +336,11 @@ def test_unclassified_infeasible_t2_system_fails_loudly():
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
         symmetric, monkeypatch):
-    # a second solve of the same system from its own trail: with the
-    # products every nonempty step takes its start without a solver (CG
-    # for a symmetric T, Bi-CGSTAB otherwise), and gives exactly what that
-    # solver returns, 0 iterations, when the products are dropped
+    # a second solve of the same system from its own trail: every nonempty
+    # step's solver (CG for a symmetric T, Bi-CGSTAB otherwise) returns its
+    # carried start with 0 iterations, the solve returns the same x, and
+    # each lift takes the carried product, so the only products of T are
+    # the residuals of the steps whose mask does not repeat
     rng = np.random.default_rng(17)
     T = (random_symmetric_t1 if symmetric else random_t1)(rng, 40)
     assert T.is_symmetric() == symmetric
@@ -296,30 +348,20 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
     trail = []
     first = solve_parabolic_pls(problem, trail=trail)
     assert first.report.outer_iterations >= 3
-    bare = [(mask, x_active.copy(), None, None, T)
-            for mask, x_active, _, _, _ in trail]
-    calls = []
-    name = "cg_solve" if symmetric else "bicgstab_solve"
-    solver = getattr(pls, name)
+    products = []
+    product = pls.spmv
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return solver(*args, **kwargs)
+        products.append(1)
+        return product(*args, **kwargs)
 
-    monkeypatch.setattr(pls, name, counting)
-    shortcut = solve_parabolic_pls(problem, trail=trail)
-    assert calls == []
-    solved = solve_parabolic_pls(problem, trail=bare)
-    assert len(calls) == first.report.outer_iterations - 1
-    assert np.array_equal(shortcut.x, solved.x)
-    assert np.array_equal(shortcut.x, first.x)
-    assert shortcut.report.inner_stats == solved.report.inner_stats
+    monkeypatch.setattr(pls, "spmv", counting)
+    again = solve_parabolic_pls(problem, trail=trail)
+    assert np.array_equal(again.x, first.x)
+    assert again.report.active_counts == first.report.active_counts
     assert all(st.iterations == 0 and st.converged
-               for st in shortcut.report.inner_stats)
-    for (_, a, p, s, _), (_, a_bare, p_bare, s_bare, _) in zip(trail[1:],
-                                                               bare[1:]):
-        assert np.array_equal(a, a_bare) and np.array_equal(p, p_bare)
-        assert np.array_equal(s, s_bare)
+               for st in again.report.inner_stats)
+    assert len(products) == again.report.outer_iterations - 1
 
 
 def test_residual_nonsmooth_forms():
@@ -346,6 +388,17 @@ def test_residual_nonsmooth_rejects_what_it_cannot_form(kwargs):
     # unshifted x + T max{0,x} - b, the residual of another equation
     with pytest.raises(ValueError):
         residual_nonsmooth(csr_from_dense(T22), [1.0, -1.0], [0.5, -0.5], **kwargs)
+
+
+@pytest.mark.parametrize("xi, error", [
+    ([5.0], DimensionError),  # would broadcast against x
+    ([5.0, 5.0], DimensionError),  # would not broadcast
+    ([np.nan, 0.0, 0.0], ValueError),  # not finite
+])
+def test_residual_nonsmooth_validates_xi(xi, error):
+    t = csr_from_dense(2.0 * np.eye(3))
+    with pytest.raises(error):
+        residual_nonsmooth(t, np.ones(3), np.full(3, 0.5), xi=xi)
 
 
 def test_lcp_check_pass_and_fail():
