@@ -18,7 +18,7 @@ from . import obstacle as obs
 from .krylov import Breakdown, KrylovOptions, NotConverged
 from .matprops import PROVEN, check_t1, check_t2, classify_solvability
 from .numkit import ELLIPTIC, csr_from_triplets, load_matrix_market
-from .oracle import TooLarge, enumerate_solutions
+from .oracle import TooLarge, _on_family, enumerate_solutions
 from .pls import (
     CONVERGED,
     NO_SOLUTION_CERTIFIED,
@@ -384,14 +384,6 @@ def cmd_check(args):
     return 0
 
 
-def _family_holds(fam, x):
-    d = fam.direction
-    alpha = float(d @ (x - fam.base)) / float(d @ d)
-    if not (fam.alpha_min - 1e-8 <= alpha <= fam.alpha_max + 1e-8):
-        return False
-    return bool(np.allclose(fam.base + alpha * d, x, rtol=0, atol=1e-6 * (1 + np.abs(x).max())))
-
-
 def cmd_oracle(args):
     if (args.mm is None) == (args.problem is None):
         raise _UsageError("give exactly one of --problem or --mm")
@@ -435,7 +427,7 @@ def cmd_oracle(args):
         agree = any(
             np.allclose(x, sol.x, rtol=0, atol=1e-6 * (1 + np.abs(x).max()))
             for x in result.point_solutions
-        ) or any(_family_holds(fam, sol.x) for fam in result.families)
+        ) or any(_on_family(sol.x, fam, 1e-6) for fam in result.families)
     else:
         agree = empty
     print(f"agree={'yes' if agree else 'no'}")

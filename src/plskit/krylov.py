@@ -1,16 +1,25 @@
 """Krylov inner solvers for the sparse systems of each outer step.
 
 `cg_solve` is conjugate gradients for symmetric positive (semi)definite
-systems; `bicgstab_solve` is Bi-CGSTAB for nonsymmetric ones. Both need
-products with the operator alone (matvec) and its diagonal(), and both
-always apply Jacobi (diagonal) preconditioning, the only kind there is.
-Both share KrylovOptions and KrylovStats, and both confirm convergence
-on the recomputed true residual, never on the recurrence estimate alone;
-both restart from the true residual and give up after _STALLS restarts
-in a row that find no better iterate. Both test their start with
-`_start_stats` and return a start that already meets the tolerance as it
-is, bit for bit, with 0 iterations. Every product runs through
-numkit.reused_product, on buffers that one solve allocates once.
+systems; `bicgstab_solve` is Bi-CGSTAB for nonsymmetric ones. Each
+supplies only its recurrence, run from a true residual; both share one
+restart loop, `_restarted`, and KrylovOptions and KrylovStats.
+
+The loop copies x0 and tests it first: with r = b - op x0 and the
+tolerance tol = rel_tol ||b|| + abs_tol, a start with ||r|| <= tol is the
+result as it is, bit for bit, with 0 iterations. Otherwise it builds
+Jacobi's D^-1 (always applied; it is the only preconditioner) and runs
+the recurrence from r, within a budget of max_iters iterations, 10 n by
+default. Every run ends by forming the true residual, and convergence is
+confirmed there, never on the recurrence estimate alone; the next run
+starts from it. The solve ends with NotConverged when the budget is spent
+or when _STALLS runs in a row find no better true residual, and with
+Breakdown when a CG run breaks down short of the tolerance; both carry
+the best iterate and its stats. A residual that is not <= tol, NaN
+included, is never converged. Each solve needs products with the
+operator alone, and every product runs through numkit.reused_product, on
+buffers that the solve allocates once; between runs the first pair's
+vector carries x for the true residual.
 """
 
 import math
@@ -70,88 +79,98 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def _start_stats(b, product, opts):
-    """The entry test of both solvers at a start x0, given product = op x0.
-
-    Returns (r, tol, stats): the residual r = b - op x0, the tolerance
-    rel_tol ||b|| + abs_tol, and KrylovStats(0, ||r||, ||r|| <= tol,
-    False). A converged start is the solve's result, returned as it is
-    with these stats.
-    """
-    tol = opts.rel_tol * _norm(b) + opts.abs_tol
-    r = b - product
-    res = _norm(r)
-    return r, tol, KrylovStats(0, res, res <= tol, False)
-
-
 def _inverse_diagonal(op):
     """Jacobi's D^-1, a zero diagonal entry read as 1."""
     d = np.asarray(op.diagonal(), dtype=np.float64)
     return 1.0 / np.where(np.abs(d) > 0.0, d, 1.0)
 
 
-def _not_converged(used, budget, x_best, res_best, broke):
-    """The NotConverged of a spent budget or of _STALLS stalled restarts."""
-    return NotConverged(
-        f"no convergence within {budget} iterations" if used >= budget
-        else f"no convergence within {used} iterations (stalled)",
-        x_best,
-        KrylovStats(used, res_best, False, broke),
-    )
+def _restarted(op, b, x0, opts, runs, fatal=None):
+    """The restart loop of both solvers (see the module docstring);
+    returns (x, KrylovStats).
+
+    runs(op, x, r, tol, inv_d, v, apply), called once after the entry
+    test, allocates a solver's scratch and returns run(left, res): one run
+    of its recurrence from the true residual r, res = ||r||, that updates
+    x and r in place within left iterations and returns (iterations,
+    broke). (v, apply) is the first reused_product pair. fatal is the
+    Breakdown message of a solver whose broken run ends the solve when the
+    true residual misses tol, or None; stats.breakdown then stays False.
+    """
+    opts = opts or KrylovOptions()
+    b = np.asarray(b, dtype=np.float64)
+    n = b.size
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    v, apply = reused_product(op, n)
+    np.copyto(v, x)  # v is free until a run starts, so it carries x
+    tol = opts.rel_tol * _norm(b) + opts.abs_tol
+    r = b - apply()
+    res = _norm(r)
+    if res <= tol:
+        return x, KrylovStats(0, res, True, False)
+    budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
+    x_best, res_best = x.copy(), res
+    run = runs(op, x, r, tol, _inverse_diagonal(op), v, apply)
+    used = 0
+    stalls = 0  # consecutive runs that did not lower res_best
+    broke = False
+    while not res <= tol:  # a NaN residual is not converged
+        if used >= budget or stalls >= _STALLS:
+            raise NotConverged(
+                f"no convergence within {budget} iterations" if used >= budget
+                else f"no convergence within {used} iterations (stalled)",
+                x_best,
+                KrylovStats(used, res_best, False, broke),
+            )
+        iterations, run_broke = run(budget - used, res)
+        used += iterations
+        broke = broke or run_broke
+        np.copyto(v, x)
+        np.subtract(b, apply(), out=r)  # re-sync on the true residual
+        res = _norm(r)
+        if res < res_best:
+            x_best, res_best = x.copy(), res
+            stalls = 0
+        else:
+            stalls += 1
+        if run_broke and fatal and not res <= tol:
+            raise Breakdown(fatal, x_best, KrylovStats(used, res_best, False, True))
+    return x, KrylovStats(used, res, True, broke and not fatal)
 
 
 def bicgstab_solve(op, b, x0=None, opts=None):
     """Solve op x = b by Bi-CGSTAB (van der Vorst, 1992); returns
     (x, KrylovStats).
 
-    For nonsymmetric operators, with products by op alone. Jacobi is
-    applied on the right, p^ = D^-1 p and s^ = D^-1 s, so the recurrence
-    residual stays the residual of op x = b and the tolerance keeps its
-    meaning. A run from a true residual r0 keeps r^ = r0 fixed. It ends at
-    the tolerance, at the budget, at an exact zero pivot (r^T r, r^T v or
-    omega), or when its recurrence residual grows past _GROWTH ||r0||.
-    Every run ends by forming the true residual, and the next run starts
-    there. Two runs in a row that do not lower the best true residual, or
-    a spent iteration budget, raise NotConverged with the best iterate and
-    its stats. It never raises Breakdown: stats.breakdown says that a run
-    ended at a zero pivot.
-
-    Its products run on two numkit.reused_product pairs, as cg_solve's
-    do: p^ and s^ live in the pairs' vectors, and v survives the product
-    with s^. The start and the true residual borrow p^ for x.
+    For nonsymmetric operators. Jacobi is applied on the right, p^ = D^-1
+    p and s^ = D^-1 s, so the recurrence residual stays the residual of
+    op x = b and the tolerance keeps its meaning. A run from a true
+    residual r0 keeps r^ = r0 fixed. It ends at the tolerance, at the
+    budget, at an exact zero pivot (r^T r, r^T v or omega), or when its
+    recurrence residual grows past _GROWTH ||r0||. It never raises
+    Breakdown: stats.breakdown says that a run ended at a zero pivot.
+    p^ lives in the first reused_product pair's vector and s^ in a second
+    pair's; v survives the product with s^.
     """
-    opts = opts or KrylovOptions()
-    b = np.asarray(b, dtype=np.float64)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    p_hat, apply_p = reused_product(op, n)
-    s_hat, apply_s = reused_product(op, n)
-    np.copyto(p_hat, x)  # p^ is free until a run starts, so it carries x
-    r, tol, start = _start_stats(b, apply_p(), opts)
-    if start.converged:
-        return x, start
-    res = start.final_residual_norm
-    budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
-    inv_d = _inverse_diagonal(op)
+    return _restarted(op, b, x0, opts, _bicgstab_runs)
 
-    x_best, res_best = x.copy(), res
-    used = 0
-    stalls = 0  # consecutive runs that did not lower res_best
-    broke = False
-    while not res <= tol:  # a NaN residual is not converged
-        if used >= budget or stalls >= _STALLS:
-            raise _not_converged(used, budget, x_best, res_best, broke)
+
+def _bicgstab_runs(op, x, r, tol, inv_d, p_hat, apply_p):
+    s_hat, apply_s = reused_product(op, x.size)
+
+    def run(left, res):
+        nonlocal x, r  # updated in place
         r_hat = r.copy()
         rho = float(r_hat @ r)
         p = r.copy()
         limit = _GROWTH * res
-        while used < budget:
+        used = 0
+        while used < left:
             np.multiply(p, inv_d, out=p_hat)
             v = apply_p()
             sigma = float(r_hat @ v)
             if sigma == 0.0:
-                broke = True
-                break
+                return used, True
             alpha = rho / sigma
             x += alpha * p_hat
             r -= alpha * v
@@ -169,75 +188,52 @@ def bicgstab_solve(op, b, x0=None, opts=None):
                 break
             rho_next = float(r_hat @ r)
             if omega == 0.0 or rho_next == 0.0:
-                broke = True
-                break
+                return used, True
             p -= omega * v
             p *= (rho_next / rho) * (alpha / omega)
             p += r
             rho = rho_next
-        np.copyto(p_hat, x)
-        r = b - apply_p()  # re-sync on the true residual
-        res = _norm(r)
-        if res < res_best:
-            x_best, res_best = x.copy(), res
-            stalls = 0
-        else:
-            stalls += 1
-    return x, KrylovStats(used, res, True, broke)
+        return used, False
+
+    return run
 
 
 def cg_solve(op, b, x0=None, opts=None):
     """Solve op x = b by conjugate gradients; returns (x, KrylovStats).
 
     For symmetric positive (semi)definite operators, preconditioned by
-    Jacobi, z = D^-1 r. The recurrence residual only says when to look:
-    convergence is confirmed on the true residual, and when the two
-    disagree the iteration restarts from the true residual. A nonpositive
-    curvature p^T A p or r^T z raises Breakdown; a spent iteration
-    budget, or two restarts in a row that do not lower the best true
-    residual (the tolerance is below the attainable accuracy), raise
-    NotConverged. Both carry the best iterate and its stats.
+    Jacobi, z = D^-1 r. The recurrence residual only says when to look.
+    A nonpositive curvature p^T A p or r^T z ends the run; when the true
+    residual then misses the tolerance, the solve raises Breakdown, and a
+    converged solve reports breakdown=False.
 
-    One solve allocates its vectors once: x, r, z and the direction p are
-    updated in place, and every product runs on numkit.reused_product's
-    buffers (for a numkit.EllOperator, the only holder of the ELL layout,
-    p lives in its padded direction vector, so no product copies or pads
-    it; the true residual borrows p for x). A CSR matrix, such as
-    active_operator's fallback slice, takes its plain matvec.
+    The direction p lives in the first reused_product pair's vector (for
+    a numkit.EllOperator, the only holder of the ELL layout, its padded
+    direction vector, so no product copies or pads it); z and the step
+    alpha p, then alpha q, are allocated once per solve. A CSR matrix,
+    such as active_operator's fallback slice, takes its plain matvec.
     Every operation keeps the bits of the textbook form, such as
     x += alpha p.
     """
-    opts = opts or KrylovOptions()
-    b = np.asarray(b, dtype=np.float64)
-    n = b.size
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    p, apply = reused_product(op, n)
-    np.copyto(p, x)  # p is free until a run starts, so it carries x
-    r, tol, start = _start_stats(b, apply(), opts)
-    if start.converged:
-        return x, start
-    res = start.final_residual_norm
-    budget = opts.max_iters if opts.max_iters is not None else 10 * max(n, 1)
-    inv_d = _inverse_diagonal(op)
+    return _restarted(op, b, x0, opts, _cg_runs,
+                      "nonpositive curvature; the operator is not positive definite")
 
-    x_best, res_best = x.copy(), res
-    z = np.empty(n)
-    step = np.empty(n)  # alpha p, then alpha q
-    used = 0
-    stalls = 0  # consecutive runs that did not lower res_best
-    while res > tol:
-        if used >= budget or stalls >= _STALLS:
-            raise _not_converged(used, budget, x_best, res_best, False)
+
+def _cg_runs(op, x, r, tol, inv_d, p, apply):
+    z = np.empty(x.size)
+    step = np.empty(x.size)  # alpha p, then alpha q
+
+    def run(left, res):
+        nonlocal x, r, p  # updated in place
         np.multiply(r, inv_d, out=z)
         np.copyto(p, z)
         rz = float(r @ z)
-        broke = False
-        while used < budget:
+        used = 0
+        while used < left:
             q = apply()
             curvature = float(p @ q)
             if not (curvature > 0.0 and rz > 0.0):
-                broke = True
-                break
+                return used, True
             alpha = rz / curvature
             x += np.multiply(p, alpha, out=step)
             r -= np.multiply(q, alpha, out=step)
@@ -249,18 +245,6 @@ def cg_solve(op, b, x0=None, opts=None):
             p *= rz_next / rz
             p += z
             rz = rz_next
-        np.copyto(p, x)
-        np.subtract(b, apply(), out=r)  # re-sync on the true residual
-        res = _norm(r)
-        if res < res_best:
-            x_best, res_best = x.copy(), res
-            stalls = 0
-        else:
-            stalls += 1
-        if broke and res > tol:
-            raise Breakdown(
-                "nonpositive curvature; the operator is not positive definite",
-                x_best,
-                KrylovStats(used, res_best, False, True),
-            )
-    return x, KrylovStats(used, res, True, False)
+        return used, False
+
+    return run

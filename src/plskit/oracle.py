@@ -129,12 +129,12 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
     return OracleResult(points, families, 1 << n)
 
 
-def _on_family(x, fam):
+def _on_family(x, fam, tol=1e-9):
     """Whether x is base + alpha direction for an alpha in the family's
-    range, up to rounding."""
+    range, up to tol (1 + max |x|) in every entry."""
     d = fam.direction
     alpha = float((x - fam.base) @ d) / float(d @ d)
     alpha = min(max(alpha, fam.alpha_min), fam.alpha_max)
     gap = np.abs(x - fam.base - alpha * d).max()
-    return gap <= 1e-9 * (1.0 + np.abs(x).max())
+    return gap <= tol * (1.0 + np.abs(x).max())
 

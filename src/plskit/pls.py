@@ -247,7 +247,7 @@ def _picard(T, b, kind, opts, trail=None):
                              left_counts=left_counts)
     if not stable:
         return PlsSolution(x, np.maximum(x, 0.0), MAX_OUTER_EXCEEDED, report)
-    if residual_history[-1] > gate:
+    if not residual_history[-1] <= gate:  # a NaN residual misses it
         raise NotConverged(
             "mask stabilized but the nonsmooth residual misses the gate; "
             "tighten the inner tolerance",

@@ -7,6 +7,7 @@ from plskit import (
     PARABOLIC,
     Breakdown,
     KrylovOptions,
+    KrylovStats,
     NotConverged,
     bicgstab_solve,
     cg_solve,
@@ -14,6 +15,11 @@ from plskit import (
 from plskit import obstacle
 from plskit.numkit import EllOperator, active_operator, principal_submatrix
 from plskit.pls import _step
+
+# runs a test on both solvers; the restart loop they share (its entry
+# test, budget, stall exit and NaN rule) must hold for either recurrence
+SOLVERS = pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve],
+                                  ids=["cg", "bicgstab"])
 
 
 def test_identity_converges_within_one_iteration():
@@ -36,13 +42,6 @@ def test_upper_triangular_two_by_two():
     op = csr_from_dense(np.array([[2.0, 1.0], [0.0, 1.0]]))
     x, _ = bicgstab_solve(op, np.array([3.0, 1.0]))
     assert np.allclose(x, [1.0, 1.0])
-
-
-def test_exact_starting_point_costs_nothing():
-    op = csr_from_dense(np.diag([2.0, 4.0]))
-    x, stats = bicgstab_solve(op, np.array([2.0, 4.0]), x0=np.array([1.0, 1.0]))
-    assert stats.iterations == 0
-    assert stats.converged
 
 
 def test_options_validation():
@@ -110,19 +109,6 @@ def test_jacobi_handles_badly_scaled_columns():
     assert np.linalg.norm(b - a @ x) <= opts.rel_tol * np.linalg.norm(b)
 
 
-def test_not_converged_carries_best_iterate_and_stats():
-    rng = np.random.default_rng(9)
-    n = 25
-    a = rng.normal(size=(n, n)) + n * np.eye(n)
-    b = rng.normal(size=n)
-    with pytest.raises(NotConverged) as err:
-        bicgstab_solve(csr_from_dense(a), b, opts=KrylovOptions(max_iters=3))
-    assert err.value.x.shape == (n,)
-    assert err.value.stats.iterations <= 3
-    assert not err.value.stats.converged
-    assert err.value.stats.final_residual_norm >= 0.0
-
-
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
 @pytest.mark.parametrize("kind", [ELLIPTIC, PARABOLIC])
 def test_reduced_step_matches_dense_solve(kind, symmetric):
@@ -153,8 +139,7 @@ def test_reduced_step_matches_dense_solve(kind, symmetric):
             assert np.array_equal(x, b)
 
 
-@pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve],
-                         ids=["cg", "bicgstab"])
+@SOLVERS
 def test_solves_on_the_gathered_operator_keep_the_csr_bits(solve):
     # the gathered ELL operator runs every product of CG and Bi-CGSTAB on
     # reused buffers; every iterate, count and residual must match the
@@ -202,20 +187,22 @@ def test_cg_confirms_convergence_on_the_true_residual():
     assert true_res <= opts.rel_tol * np.linalg.norm(b)
 
 
-def test_cg_warm_start_at_the_solution_costs_nothing():
+@SOLVERS
+def test_warm_start_at_the_solution_costs_nothing(solve):
     op = csr_from_dense(np.array([[4.0, -1.0], [-1.0, 2.0]]))
-    x, stats = cg_solve(op, np.array([3.0, 1.0]), x0=np.array([1.0, 1.0]))
-    assert stats.iterations == 0
-    assert stats.converged
-    assert np.array_equal(x, [1.0, 1.0])
+    x0 = np.array([1.0, 1.0])
+    x, stats = solve(op, np.array([3.0, 1.0]), x0=x0)
+    assert stats == KrylovStats(0, 0.0, True, False)
+    assert np.array_equal(x, x0) and x is not x0
 
 
-def test_cg_spent_budget_carries_best_iterate():
+@SOLVERS
+def test_spent_budget_carries_best_iterate(solve):
     n = 40
     a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     b = np.ones(n)
-    with pytest.raises(NotConverged) as err:
-        cg_solve(csr_from_dense(a), b, opts=KrylovOptions(max_iters=3))
+    with pytest.raises(NotConverged, match="within 3 iterations$") as err:
+        solve(csr_from_dense(a), b, opts=KrylovOptions(max_iters=3))
     stats = err.value.stats
     assert err.value.x.shape == (n,)
     assert stats.iterations == 3
@@ -266,7 +253,8 @@ def test_spd_laplacian_converges_with_defaults():
     assert np.allclose(x, np.linalg.solve(a, b))
 
 
-def test_cg_stops_when_restarts_stall():
+@SOLVERS
+def test_stops_when_restarts_stall(solve):
     # below the attainable accuracy every restart from the true residual
     # ends after an iteration or so without a new best residual; two such
     # restarts in a row end the solve instead of the 10 n budget
@@ -274,7 +262,7 @@ def test_cg_stops_when_restarts_stall():
     a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     b = np.random.default_rng(0).standard_normal(n)
     with pytest.raises(NotConverged, match="stalled") as err:
-        cg_solve(csr_from_dense(a), b, opts=KrylovOptions(rel_tol=1e-14))
+        solve(csr_from_dense(a), b, opts=KrylovOptions(rel_tol=1e-14))
     stats = err.value.stats
     assert stats.iterations <= 2 * n
     assert not stats.converged
@@ -299,3 +287,14 @@ def test_bicgstab_restarts_past_zero_pivots_on_node_deletion_systems():
         broke += stats.breakdown
         assert np.allclose(x, w[1:] / w[0], rtol=1e-4)
     assert broke >= 1
+
+
+@SOLVERS
+def test_a_nan_start_is_never_converged(solve):
+    # a NaN residual fails `res <= tol`, so the solve runs and gives up; it
+    # must not report the NaN start as converged
+    op = csr_from_dense(np.array([[4.0, -1.0], [-1.0, 2.0]]))
+    with pytest.raises((NotConverged, Breakdown)) as err:
+        solve(op, np.array([3.0, 1.0]), x0=np.array([np.nan, 0.0]))
+    assert not err.value.stats.converged
+    assert np.isnan(err.value.stats.final_residual_norm)

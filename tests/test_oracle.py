@@ -25,7 +25,7 @@ from plskit import (
     spmv,
 )
 from plskit.numkit import DimensionError
-from plskit.oracle import _CHUNK, TooLarge, _on_family
+from plskit.oracle import _CHUNK, Family, TooLarge, _on_family
 from plskit.pls import MAX_PLUS_TMIN, MIN_PLUS_TMAX, NO_SOLUTION_CERTIFIED
 
 T22 = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -288,3 +288,15 @@ def test_path_laplacian_solution_counts_are_exact():
         res = enumerate_solutions(path_laplacian(n), r - (r.sum() - vtb) / n)
         expected = {-1.0: (1, 0), 0.0: (0, 1), 1.0: (0, 0)}[vtb]
         assert (len(res.point_solutions), len(res.families)) == expected, i
+
+
+def test_family_membership_tolerance():
+    # the enumeration's own test is tight (1e-9); plskit oracle passes a
+    # solver iterate at 1e-6 (1 + max |x|). An alpha past the range is
+    # clamped to it, so a point beyond the base is off the family either way
+    fam = Family(np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.0, np.inf)
+    assert _on_family(np.array([3.0, 2.0]), fam)
+    near = np.array([3.0, 2.0 + 1e-7])
+    assert not _on_family(near, fam)
+    assert _on_family(near, fam, 1e-6)
+    assert not _on_family(np.array([0.5, -0.5]), fam, 1e-6)

@@ -317,6 +317,22 @@ def test_loose_inner_tolerance_trips_the_residual_gate():
     assert err.value.x.shape == (8,)
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("solve", [
+    lambda t, b: solve_elliptic_pls(PlsProblem(t, b)),
+    lambda t, b: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
+    lambda t, b: solve_shifted(t, b, np.zeros(2), MIN_PLUS_TMAX),
+    lambda t, b: solve_shifted(t, b, np.zeros(2), MAX_PLUS_TMIN),
+], ids=["elliptic", "parabolic", "min-plus-tmax", "max-plus-tmin"])
+def test_a_non_finite_entry_of_t_never_converges(solve, entry):
+    # the iterate picks up a NaN, and so does its nonsmooth residual; a
+    # NaN residual misses the gate, so the solve raises and is never
+    # reported as converged
+    t = csr_from_dense(np.array([[entry, -1.0], [-1.0, 2.0]]))
+    with np.errstate(invalid="ignore"), pytest.raises((NotConverged, Breakdown)):
+        solve(t, np.ones(2))
+
+
 def test_max_outer_cap_reports_instead_of_looping():
     sol = solve_elliptic_pls(
         PlsProblem(csr_from_dense(T22), [1.0, -1.0]), SolverOptions(max_outer=1)
