@@ -18,7 +18,10 @@ in the Mathematical Sciences, ch. 6).
   irreducible M-matrix, so its null spaces are 1-d and positive, its
   proper principal submatrices and every T + D (D >= 0 diagonal, nonzero)
   are nonsingular M-matrices. check_t2 needs positive w and v with
-  residuals |T w|, |T^T v| <= 1e-10 ||T||_inf. An irreducibly diagonally
+  residuals |T w|, |T^T v| <= 1e-10 ||T||_inf. Each is tried as 1 on T's
+  row sums (T^T's for v) first, and found by a node-deletion solve only
+  when that start misses the solve's tolerance; either way it faces the
+  same residual and positivity tests. An irreducibly diagonally
   dominant T (the x = 1 test of check_t1) is nonsingular, and check_t2
   says so before any solve.
 
@@ -131,7 +134,7 @@ def _t1_verdict(matrix, report):
         y = _solve(matrix, np.ones(n, dtype=bool), np.ones(n), _T1_SOLVE_TOL)
     except _SOLVE_FAILED:
         try:
-            y = _positive_null_vector(matrix, tnorm)
+            y = _positive_null_vector(matrix, tnorm, row_sums)
         except _SOLVE_FAILED:
             return INCONCLUSIVE, "solves of T x = 1 and T w = 0 failed"
     else:
@@ -203,14 +206,19 @@ def _solve(matrix, mask, rhs, abs_tol):
                           x0=np.ones(rhs.size), opts=opts)[0]
 
 
-def _positive_null_vector(matrix, tnorm):
-    """w with w_0 = 1 and T_{-0,-0} w_{-0} = -T_{-0,0}, scaled to max 1.
-    A Krylov solve starts from ones (the answer if T 1 = 0) and stops at
-    0.1 _NULL_RESIDUAL ||T||_inf / sqrt(n) on rows 1..n-1, as v^T T w = 0
-    bounds row 0 by sqrt(n) max v/v_0; tnorm is ||T||_inf."""
+def _positive_null_vector(matrix, tnorm, row_sums):
+    """w with w_0 = 1 and T_{-0,-0} w_{-0} = -T_{-0,0}, scaled to max 1,
+    to |residual|_2 <= 0.1 _NULL_RESIDUAL ||T||_inf / sqrt(n) on rows
+    1..n-1, as v^T T w = 0 bounds row 0 by sqrt(n) max v/v_0; tnorm is
+    ||T||_inf and row_sums is T 1. Rows 1..n-1 of T 1 are the residual
+    at w = 1, so w = 1 is returned with no solve when they meet that
+    bound. Otherwise the node-deletion system is solved (a Krylov solve
+    starts from ones). The caller checks w either way."""
     n = matrix.n_rows
-    rhs = -spmv(matrix, np.eye(1, n)[0])[1:]
     abs_tol = 0.1 * _NULL_RESIDUAL * tnorm / np.sqrt(n)
+    if np.linalg.norm(row_sums[1:]) <= abs_tol:
+        return np.ones(n)
+    rhs = -spmv(matrix, np.eye(1, n)[0])[1:]
     w = np.concatenate([[1.0], _solve(matrix, np.arange(n) > 0, rhs, abs_tol)])
     return w / w.max()
 
@@ -219,7 +227,9 @@ def check_t2(matrix):
     """Decide whether T is singular irreducible with positive 1-d null spaces.
 
     By the Berman & Plemmons theorem of the module docstring, with w and v
-    from one node-deletion solve each (v = w for symmetric T)."""
+    from one node-deletion solve each (v = w for symmetric T), or equal
+    to 1 with no solve when T's (T^T's) row sums already meet its
+    tolerance."""
     report = _class_report(matrix)
     report.t2_verdict, note = _t2_verdict(matrix, report)
     report.notes = (note,)
@@ -233,16 +243,17 @@ def _t2_verdict(matrix, report):
         return DISPROVEN, "empty matrix"
     if not report.is_z_matrix or not report.is_irreducible:
         return DISPROVEN, "needs an irreducible Z-pattern"
-    tnorm, _, _, dominant = _ones_test(matrix)
+    tnorm, row_sums, _, dominant = _ones_test(matrix)
     if tnorm == 0.0:
         return DISPROVEN, "zero matrix"
     if dominant:
         return DISPROVEN, "nonsingular: " + _DOMINANT
     transpose = matrix if matrix.is_symmetric() else matrix.transpose()
     try:
-        w = _positive_null_vector(matrix, tnorm)
+        w = _positive_null_vector(matrix, tnorm, row_sums)
         v = (w if transpose is matrix
-             else _positive_null_vector(transpose, transpose.norm_inf()))
+             else _positive_null_vector(transpose, transpose.norm_inf(),
+                                        transpose.row_sums()))
     except _SOLVE_FAILED:
         return INCONCLUSIVE, "solve for the null vectors failed"
     report.right_null, report.left_null = w, v

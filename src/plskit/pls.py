@@ -75,6 +75,12 @@ MIN_PLUS_TMAX = "MinPlusTMax"
 MAX_PLUS_TMIN = "MaxPlusTMin"
 
 
+def _require_finite(T):
+    """Reject a NaN or infinite entry of T, as as_vector does for b."""
+    if not np.isfinite(T.values).all():
+        raise ValueError("matrix entries must be finite")
+
+
 @dataclass
 class PlsProblem:
     T: object
@@ -85,6 +91,7 @@ class PlsProblem:
     def __post_init__(self):
         if self.T.n_rows != self.T.n_cols:
             raise DimensionError(f"matrix is {self.T.shape}, expected square")
+        _require_finite(self.T)
         self.b = as_vector(self.b)
         if self.b.size != self.T.n_rows:
             raise DimensionError("right-hand side length must match the matrix")
@@ -324,6 +331,7 @@ def solve_shifted(T, b, xi, form, opts=None):
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
     opts = opts or SolverOptions()
+    _require_finite(T)
     b = as_vector(b)
     xi = as_vector(xi)
     if b.size != T.n_rows or xi.size != T.n_rows:

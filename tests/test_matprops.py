@@ -238,17 +238,33 @@ def test_t1_disproven_on_random_nonsymmetric_t2_family(seed):
     assert exactly_singular > 0
 
 
+def _count_solves(monkeypatch):
+    """The system sizes of every matprops._solve call from here on."""
+    sizes = []
+    solve = matprops._solve
+
+    def counted(matrix, mask, rhs, abs_tol):
+        sizes.append(rhs.size)
+        return solve(matrix, mask, rhs, abs_tol)
+
+    monkeypatch.setattr(matprops, "_solve", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("n", [33, 200])
-def test_t2_proven_on_column_scaled_neumann_matrix(n):
-    # nonsymmetric and above the dense limit, so Bi-CGSTAB finds both
-    # vectors, up to the largest table size
+def test_t2_proven_on_column_scaled_neumann_matrix(n, monkeypatch):
+    # nonsymmetric and above the dense limit, so Bi-CGSTAB finds w = 1/s,
+    # up to the largest table size; T diag(s) keeps T^T 1 = 0, so v = 1
+    # passes on the row sums of T^T with no solve
     scaled, s = column_scaled(
         obs.assemble_elliptic(obs.problem_spec("tent-neumann"), n).T)
     assert scaled.n_rows > _DENSE_SOLVE_LIMIT and not scaled.is_symmetric()
+    solves = _count_solves(monkeypatch)
     rep = check_t2(scaled)
     assert rep.t2_verdict == PROVEN
     assert np.allclose(rep.right_null, (1 / s) / (1 / s).max(), rtol=1e-8, atol=0)
-    assert rep.left_null.min() > 0.0
+    assert np.array_equal(rep.left_null, np.ones(scaled.n_rows))
+    assert solves == [scaled.n_rows - 1]
 
 
 @pytest.mark.parametrize("name, verdict", [
@@ -517,3 +533,31 @@ def test_each_t2_exit_keeps_its_verdict_note_and_null_vectors(
     assert (rep.t2_verdict, rep.notes) == (verdict, (note,))
     assert (rep.right_null is not None, rep.left_null is not None) == (
         has_null, has_null)
+
+
+@pytest.mark.parametrize("n", [25, 50])
+@pytest.mark.parametrize("name", ["tent-neumann", "torsion-neumann"])
+def test_t2_takes_null_vectors_of_ones_from_the_row_sums(name, n, monkeypatch):
+    # T 1 = 0 to rounding on both Neumann grids, so w = v = 1 passes the
+    # node-deletion tolerance with no solve, below the dense-solve limit
+    # (n = 25) and above it (n = 50)
+    t = obs.assemble_elliptic(obs.problem_spec(name), n).T
+    assert (t.n_rows <= _DENSE_SOLVE_LIMIT) == (n == 25)
+    solves = _count_solves(monkeypatch)
+    rep = check_t2(t)
+    assert rep.t2_verdict == PROVEN
+    assert np.array_equal(rep.right_null, np.ones(t.n_rows))
+    assert np.array_equal(rep.left_null, np.ones(t.n_rows))
+    assert solves == []
+
+
+def test_t2_solves_where_the_row_sums_do_not_vanish(monkeypatch):
+    # T = A diag(s) has T (1/s) = 0 but T 1 != 0, and T^T 1 != 0 too
+    t, w = random_t2(np.random.default_rng(1), 12)
+    assert np.linalg.norm(t.row_sums()[1:]) > 1e-3
+    assert np.linalg.norm(t.transpose().row_sums()[1:]) > 1e-3
+    solves = _count_solves(monkeypatch)
+    rep = check_t2(t)
+    assert rep.t2_verdict == PROVEN
+    assert np.allclose(rep.right_null, w / w.max(), rtol=1e-8, atol=0)
+    assert solves == [11, 11]

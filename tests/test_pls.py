@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import csr_from_dense, path_laplacian, random_symmetric_t1, random_t1
@@ -325,12 +327,14 @@ def test_loose_inner_tolerance_trips_the_residual_gate():
     lambda t, b: solve_shifted(t, b, np.zeros(2), MAX_PLUS_TMIN),
 ], ids=["elliptic", "parabolic", "min-plus-tmax", "max-plus-tmin"])
 def test_a_non_finite_entry_of_t_never_converges(solve, entry):
-    # the iterate picks up a NaN, and so does its nonsmooth residual; a
-    # NaN residual misses the gate, so the solve raises and is never
-    # reported as converged
+    # refused at entry, as a non-finite b is, before any product could
+    # spread a NaN into the iterate and end the solve with a misleading
+    # NotConverged or Breakdown
     t = csr_from_dense(np.array([[entry, -1.0], [-1.0, 2.0]]))
-    with np.errstate(invalid="ignore"), pytest.raises((NotConverged, Breakdown)):
-        solve(t, np.ones(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            solve(t, np.ones(2))
 
 
 def test_max_outer_cap_reports_instead_of_looping():
