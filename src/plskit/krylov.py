@@ -40,8 +40,8 @@ class KrylovOptions:
     max_iters: int | None = None  # defaults to 10 n at solve time
 
     def __post_init__(self):
-        if self.rel_tol < 0 or self.abs_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

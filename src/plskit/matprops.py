@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    DimensionError, SparseMatrix, active_operator, as_vector, principal_submatrix,
-    spmv,
+    DimensionError, SparseMatrix, _require_finite, active_operator, as_vector,
+    principal_submatrix, spmv,
 )
 from .krylov import KrylovOptions, NotConverged, bicgstab_solve
 
@@ -85,11 +85,12 @@ class Solvability:
 
 
 def _class_report(matrix):
-    """The Z-sign and irreducibility report both checks start from."""
+    """The Z-sign and irreducibility report both checks start from; a
+    non-finite entry is refused before either."""
     if matrix.n_rows != matrix.n_cols:
         raise DimensionError(f"matrix is {matrix.shape}, expected square")
-    # a NaN counts as above zero
-    above = ~(matrix.values <= 0.0)
+    _require_finite(matrix)
+    above = matrix.values > 0.0
     slots = matrix.diagonal_slots()
     stored = slots >= 0
     above[matrix.row_offsets[:-1][stored] + slots[stored]] = False

@@ -29,9 +29,9 @@ A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
 with no (row, column) sort. Symmetry and irreducibility are facts about
 one matrix, each computed once and cached on it. Irreducibility is a
-one-pass certificate, else a breadth-first search over a padded
-neighbour table, and a pattern equal to its transpose's needs the search
-in one direction only.
+one-pass certificate, else a breadth-first search that reads each
+frontier's columns straight from the CSR arrays, run on A and on A^T; a
+symmetric matrix needs the first search only.
 """
 
 import warnings
@@ -64,6 +64,13 @@ def as_vector(values):
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must be finite")
     return v
+
+
+def _require_finite(matrix):
+    """Reject a NaN or infinite entry of a matrix, as as_vector does for
+    a vector."""
+    if not np.isfinite(matrix.values).all():
+        raise ValueError("matrix entries must be finite")
 
 
 class SparseMatrix:
@@ -124,24 +131,14 @@ class SparseMatrix:
         per matrix. _links_every_node_to_0 proves it in one pass over the
         stored entries, with no search and no transpose; every 5-point
         grid matrix passes. Where it does not, node 0 must reach every
-        node along the rows of A and along the rows of A^T. A pattern
-        equal to its transpose's, as every symmetric matrix has, needs
-        the first search only."""
+        node along the rows of A and, unless A is symmetric, along the
+        rows of A^T."""
         if self.n_rows != self.n_cols:
             raise DimensionError(f"matrix is {self.shape}, expected square")
         if self._irreducible is None:
-            if _links_every_node_to_0(self):
-                self._irreducible = True
-            elif not _reaches_all(self):
-                self._irreducible = False
-            elif self.is_symmetric():
-                self._irreducible = True
-            else:
-                t = self.transpose()
-                self._irreducible = (
-                    np.array_equal(t.row_offsets, self.row_offsets)
-                    and np.array_equal(t.col_indices, self.col_indices)
-                ) or _reaches_all(t)
+            self._irreducible = _links_every_node_to_0(self) or (
+                _reaches_all(self)
+                and (self.is_symmetric() or _reaches_all(self.transpose())))
         return self._irreducible
 
     def row_indices(self):
@@ -230,36 +227,23 @@ def _reaches_all(matrix):
     """Whether node 0 reaches every node along the rows of a nonempty
     square matrix.
 
-    Breadth-first, one level at a time, over a padded (n, width) table of
-    each row's columns. The padding is column n, which starts out seen,
-    so it never enters a frontier. A stamp array keeps one copy of each
-    node a frontier reaches: stamp[r] = position, then keep the position
-    stamp[r] names. The table is as wide as a row may be at twice the
-    mean row length (at least 8); the tails of longer rows are read when
-    their node enters a frontier, so one dense row does not make the
-    table n x n.
+    Breadth-first, one level at a time: the frontier's rows are read
+    straight from the CSR arrays, each entry's position being its row's
+    start plus its place in that row. A stamp array keeps one copy of each
+    unseen node a level reaches: stamp[r] = position, then keep the
+    position stamp[r] names.
     """
     n = matrix.n_rows
     offsets, columns = matrix.row_offsets, matrix.col_indices
-    lengths = np.diff(offsets)
-    longest = int(lengths.max())
-    width = min(longest, max(8, -(-2 * columns.size // n)))
-    heads = columns
-    if longest > width:
-        slot = np.arange(columns.size) - np.repeat(offsets[:-1], lengths)
-        heads = columns[slot < width]
-    table = np.full((n, width), n, dtype=_INDEX_DTYPE)
-    table[np.arange(width) < np.minimum(lengths, width)[:, None]] = heads
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[[0, n]] = True
-    stamp = np.empty(n + 1, dtype=_INDEX_DTYPE)
+    seen = np.arange(n) == 0
+    stamp = np.empty(n, dtype=_INDEX_DTYPE)
     frontier = np.zeros(1, dtype=_INDEX_DTYPE)
     while frontier.size:
-        reached = table[frontier].ravel()
-        if longest > width:
-            tails = [columns[offsets[r] + width:offsets[r + 1]]
-                     for r in frontier[lengths[frontier] > width]]
-            reached = np.concatenate([reached, *tails])
+        starts = offsets[frontier]
+        lengths = offsets[frontier + 1] - starts
+        ends = np.cumsum(lengths)  # where each row's run ends in the level
+        reached = columns[np.arange(ends[-1])
+                          + np.repeat(starts - (ends - lengths), lengths)]
         reached = reached[~seen[reached]]
         position = np.arange(reached.size)
         stamp[reached] = position

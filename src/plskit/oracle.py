@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import ELLIPTIC, PARABOLIC, DimensionError
+from .numkit import ELLIPTIC, PARABOLIC, DimensionError, _require_finite
 
 _MAX_N = 20
 _SING_TOL = 1e-12  # smallest singular value relative to the largest
@@ -91,6 +91,7 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
     """
     if matrix.n_rows != matrix.n_cols:
         raise DimensionError(f"matrix is {matrix.shape}, expected square")
+    _require_finite(matrix)
     n = matrix.n_rows
     if n > _MAX_N:
         raise TooLarge(f"n = {n} exceeds the enumeration limit {_MAX_N}")

@@ -53,6 +53,7 @@ from .numkit import (
     ELLIPTIC,
     PARABOLIC,
     DimensionError,
+    _require_finite,
     as_vector,
     active_operator,
     spmv,
@@ -73,12 +74,6 @@ MAX_OUTER_EXCEEDED = "MaxOuterExceeded"
 
 MIN_PLUS_TMAX = "MinPlusTMax"
 MAX_PLUS_TMIN = "MaxPlusTMin"
-
-
-def _require_finite(T):
-    """Reject a NaN or infinite entry of T, as as_vector does for b."""
-    if not np.isfinite(T.values).all():
-        raise ValueError("matrix entries must be finite")
 
 
 @dataclass
@@ -127,6 +122,8 @@ class SolverOptions:
     krylov: KrylovOptions = field(default_factory=KrylovOptions)
 
     def __post_init__(self):
+        if not 0.0 <= self.res_tol < np.inf:
+            raise ValueError("res_tol must be finite and nonnegative")
         if self.max_outer is not None and self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
 

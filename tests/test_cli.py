@@ -77,6 +77,16 @@ def test_solve_accepts_solver_flags(capsys):
     assert kv(capsys.readouterr().out)["status"] == "Converged"
 
 
+def test_a_nan_krylov_tolerance_is_refused(capsys):
+    rc = main(["solve", "--problem", "torsion", "--c", "-10", "--n", "25",
+               "--krylov-tol", "nan"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "plskit: error: tolerances must be finite and nonnegative\n")
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["solve", "--n", "5"]) == 64
     assert main(["solve", "--problem", "tent"]) == 64

@@ -45,8 +45,11 @@ def test_upper_triangular_two_by_two():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        KrylovOptions(rel_tol=-1.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            KrylovOptions(rel_tol=tol)
+        with pytest.raises(ValueError):
+            KrylovOptions(abs_tol=tol)
     with pytest.raises(ValueError):
         KrylovOptions(max_iters=0)
 

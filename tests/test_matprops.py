@@ -333,7 +333,7 @@ def _random_edges(rng, nodes, count):
     return list(zip(rng.choice(nodes, count), rng.choice(nodes, count)))
 
 
-def test_is_connected_matches_the_queue_search():
+def test_is_connected_matches_the_queue_search(monkeypatch):
     rng = np.random.default_rng(7)
     cases = [_pattern(1, [(0, 0)]), _pattern(1, []), _pattern(3, [])]
     for _ in range(40):
@@ -376,8 +376,27 @@ def test_is_connected_matches_the_queue_search():
     assert verdicts == [queue_is_connected(m) for m in cases]
     assert 0 < sum(verdicts) < len(verdicts)
     assert verdicts[:3] == [True, True, False]
-    one_search = [m for m in cases[-22:] if not m.is_symmetric()]
-    assert len(one_search) > 10 and 0 < sum(m.is_irreducible() for m in one_search)
+    both_searches = [m for m in cases[-22:] if not m.is_symmetric()]
+    assert (len(both_searches) > 10
+            and 0 < sum(m.is_irreducible() for m in both_searches))
+    # frontiers of hundreds of nodes: the tent-neumann N = 25 grid
+    # relabelled so the one-pass certificate fails, which is symmetric and
+    # needs one search; its column-scaled copy, whose values are not, and
+    # which needs both; and the grid with one row emptied, which is
+    # reducible, as only the search along A^T finds
+    shuffled = _permuted(
+        obs.assemble_elliptic(obs.problem_spec("tent-neumann"), 25).T, 4)
+    rows = shuffled.row_indices()
+    keep = rows != 300
+    emptied = csr_from_triplets(
+        zip(rows[keep], shuffled.col_indices[keep], shuffled.values[keep]),
+        625, 625)
+    large = [shuffled, column_scaled(shuffled)[0], emptied]
+    searches = _count_searches(monkeypatch)
+    assert not any(numkit._links_every_node_to_0(m) for m in large)
+    assert [m.is_irreducible() for m in large] == [True, True, False]
+    assert [queue_is_connected(m) for m in large] == [True, True, False]
+    assert searches == [625] * 5
 
 
 def _count_searches(monkeypatch):
@@ -406,8 +425,8 @@ def test_irreducibility_is_searched_once_per_matrix(monkeypatch):
     # check_t1 is not Proven on the singular Neumann matrix, so the check
     # flow runs check_t2 on it too. In grid order every node has a
     # neighbour before it, which certifies the pattern with no search;
-    # relabelled at random it does not, and its pattern is its
-    # transpose's, so one search from node 0 answers for both directions
+    # relabelled at random it does not, and it is symmetric, so one search
+    # from node 0 answers for both directions
     searches = _count_searches(monkeypatch)
     t = obs.assemble_elliptic(obs.problem_spec("tent-neumann"), 25).T
     assert check_t1(t).t1_verdict == DISPROVEN

@@ -14,6 +14,9 @@ from plskit import (
     PlsProblem,
     PlsSolution,
     SolverOptions,
+    check_t1,
+    check_t2,
+    enumerate_solutions,
     lcp_check,
     residual_nonsmooth,
     solve_elliptic_pls,
@@ -57,6 +60,9 @@ def test_problem_validation():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_outer=0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverOptions(res_tol=tol)
 
 
 def test_elliptic_all_negative_rhs_is_one_step():
@@ -325,11 +331,16 @@ def test_loose_inner_tolerance_trips_the_residual_gate():
     lambda t, b: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
     lambda t, b: solve_shifted(t, b, np.zeros(2), MIN_PLUS_TMAX),
     lambda t, b: solve_shifted(t, b, np.zeros(2), MAX_PLUS_TMIN),
-], ids=["elliptic", "parabolic", "min-plus-tmax", "max-plus-tmin"])
+    lambda t, b: check_t1(t),
+    lambda t, b: check_t2(t),
+    lambda t, b: enumerate_solutions(t, b),
+], ids=["elliptic", "parabolic", "min-plus-tmax", "max-plus-tmin",
+        "check-t1", "check-t2", "oracle"])
 def test_a_non_finite_entry_of_t_never_converges(solve, entry):
     # refused at entry, as a non-finite b is, before any product could
     # spread a NaN into the iterate and end the solve with a misleading
-    # NotConverged or Breakdown
+    # NotConverged or Breakdown, a check with a certificate for it, or
+    # the oracle with a failed SVD
     t = csr_from_dense(np.array([[entry, -1.0], [-1.0, 2.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
