@@ -124,6 +124,52 @@ def test_bench_csv_is_byte_stable(capsys):
     assert "wall time" in first.err  # human summary goes to stderr
 
 
+BENCH_SUMMARIES_N25 = {
+    1: """table 1
+                N=25
+           K       5
+         K_V      13
+mismatched cells: 2/2
+""",
+    2: """table 2
+                N=25
+        C=-5       9
+       C=-10       5
+       C=-15       4
+       C=-20       4
+mismatched cells: 0/4
+""",
+    3: """table 3
+                N=25
+              step 1       5
+            steps 2+       5
+mismatched cells: 0/20
+""",
+    4: """table 4
+                N=25
+         C=-5 step 1       9
+       C=-5 steps 2+       9
+        C=-10 step 1       5
+      C=-10 steps 2+       5
+        C=-15 step 1       4
+      C=-15 steps 2+       4
+        C=-20 step 1       4
+      C=-20 steps 2+       4
+mismatched cells: 0/80
+""",
+}
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4])
+def test_bench_summary_is_pinned(table, capsys):
+    # table 1's tent counts differ from the paper's (see ROADMAP), so two
+    # of its cells mismatch
+    main(["bench", "--table", str(table), "--n", "25"])
+    lines = capsys.readouterr().err.splitlines(keepends=True)
+    assert lines[-1].startswith("wall time: ")
+    assert "".join(lines[:-1]) == BENCH_SUMMARIES_N25[table]
+
+
 def test_bench_writes_csv_file(tmp_path, capsys):
     out = tmp_path / "t2.csv"
     rc = main(["bench", "--table", "2", "--n", "25", "--out", str(out)])

@@ -1,4 +1,5 @@
 import csv
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -584,3 +585,29 @@ def test_solution_csv_layout(tmp_path):
     again = tmp_path / "tent2.csv"
     obs.write_solution_csv(again, sol.disc, sol.u, sol.coincidence)
     assert path.read_bytes() == again.read_bytes()
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _golden_fields():
+    """(file name, disc, u, coincidence, corner rule) of each golden field
+    CSV in tests/data, which the per-node writer of an earlier version
+    wrote: torsion-neumann solved at N = 5 under all three corner rules,
+    and a varying flux, whose corners differ between the edge rules."""
+    sol = obs.solve_obstacle(obs.problem_spec("torsion-neumann", c=-20.0), 5)
+    for corner in (obs.CORNER_AVERAGE, obs.CORNER_XEDGE, obs.CORNER_YEDGE):
+        yield (f"field_torsion_neumann_{corner}.csv", sol.disc, sol.u,
+               sol.coincidence, corner)
+    d = obs.assemble_elliptic(_varying_flux_spec(), 4)
+    u = np.sin(np.arange(16.0)) / 3.0
+    for corner in (obs.CORNER_XEDGE, obs.CORNER_YEDGE):
+        yield (f"field_varying_flux_{corner}.csv", d, u,
+               obs.coincidence_set(u, d.psi_vec), corner)
+
+
+def test_solution_csv_matches_the_golden_files(tmp_path):
+    for name, disc, u, coincidence, corner in _golden_fields():
+        path = tmp_path / name
+        obs.write_solution_csv(path, disc, u, coincidence, corner)
+        assert path.read_bytes() == (DATA / name).read_bytes(), name
