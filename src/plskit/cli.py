@@ -11,13 +11,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import obstacle as obs
 from .krylov import Breakdown, KrylovOptions, NotConverged
 from .matprops import PROVEN, check_t1, check_t2, classify_solvability
-from .numkit import ELLIPTIC, csr_from_triplets, load_matrix_market
+from .numkit import ELLIPTIC, PARABOLIC, csr_from_triplets, load_matrix_market
 from .oracle import TooLarge, _on_family, enumerate_solutions
 from .pls import (
     CONVERGED,
@@ -200,71 +201,74 @@ class BenchTable:
     wall_times_ms: list
 
 
-def _elliptic_cell(problem, n, c, k_ref, opts):
-    spec = obs.problem_spec(problem, c)
-    sol = obs.solve_obstacle(spec, n, opts)
-    k = sol.result.report.outer_iterations
-    return [BenchRecord(problem, n, c, None, None, None, k, k_ref,
-                        "yes" if k == k_ref else "no", sol.result, sol.disc,
-                        sol.disc.T, sol.disc.b)]
+@dataclass(frozen=True)
+class _Table:
+    """One reference table: per problem, the label of its summary rows
+    and its reference K of each (n, C, step); the loads C; the horizon,
+    None for the stationary tables."""
+
+    problems: tuple  # (problem, label, k_ref(n, c, step)) triples
+    loads: tuple = (None,)
+    tau: float | None = None
 
 
-def _parabolic_cell(problem, n, c, tau, ref_by_step, opts):
+_TABLES = {
+    1: _Table(((obs.TENT, "K", lambda n, c, step: TABLE1_K[n]),
+               (obs.TENT_NEUMANN, "K_V", lambda n, c, step: TABLE1_KV[n]))),
+    2: _Table(((obs.TORSION, "", lambda n, c, step: TABLE2_K[(c, n)]),), C_VALUES),
+    3: _Table(((obs.TENT, "", lambda n, c, step: (
+        TABLE3_STEP1 if step == 1 else TABLE3_LATER)[n]),), tau=TENT_TAU),
+    4: _Table(((obs.TORSION, "", lambda n, c, step: TABLE4_K[(c, n)]),),
+              C_VALUES, TORSION_TAU),
+}
+
+
+def _cell_records(problem, n, c, tau, k_ref, opts):
+    """One record for a stationary cell, one per time step otherwise,
+    each with the matrix and right-hand side its solve was given."""
     spec = obs.problem_spec(problem, c)
-    run = obs.run_parabolic(spec, n, tau, BENCH_NU, opts)
+    if tau is None:
+        sol = obs.solve_obstacle(spec, n, opts)
+        disc, nu, kind = sol.disc, None, ELLIPTIC
+        steps = [(None, sol.result, disc.T, disc.b)]
+    else:
+        run = obs.run_parabolic(spec, n, tau, BENCH_NU, opts)
+        disc, nu, kind = run.disc, BENCH_NU, PARABOLIC
+        T_step = disc.T.scaled(run.dt)
+        steps = [(step, result, T_step,
+                  (run.snapshots[step - 1] - disc.psi_vec) + run.dt * disc.b)
+                 for step, result in enumerate(run.step_results, start=1)]
     records = []
-    u = run.disc.psi_vec.copy()
-    dt = run.dt
-    T_step = run.disc.T.scaled(dt)
-    for step, result in enumerate(run.step_results, start=1):
-        b_step = (u - run.disc.psi_vec) + dt * run.disc.b
-        u = run.snapshots[step]
-        k = result.report.outer_iterations
-        k_ref = ref_by_step(step)
-        records.append(BenchRecord(problem, n, c, tau, BENCH_NU, step, k, k_ref,
-                                   "yes" if k == k_ref else "no", result,
-                                   run.disc, T_step, b_step, kind="parabolic"))
+    for step, result, T, b in steps:
+        k, ref = result.report.outer_iterations, k_ref(n, c, step)
+        records.append(BenchRecord(problem, n, c, tau, nu, step, k, ref,
+                                   "yes" if k == ref else "no", result, disc,
+                                   T, b, kind))
     return records
 
 
 def run_table(table_id, n_filter=None, opts=None):
-    """Sweep one reference table; returns records plus per-cell wall times."""
+    """Sweep one reference table, problem by problem, then C, then n;
+    returns records plus per-cell wall times. A failed cell leaves one
+    record with no K that keeps the cell's C, tau and nu."""
     opts = opts or SolverOptions()
     n_values = [n for n in N_VALUES if n_filter is None or n == n_filter]
     if not n_values:
         raise ValueError(f"--n must be one of {N_VALUES} for bench")
-    cells = []
-    if table_id == 1:
-        cells += [(obs.TENT, n, None, lambda n=n: _elliptic_cell(
-            obs.TENT, n, None, TABLE1_K[n], opts)) for n in n_values]
-        cells += [(obs.TENT_NEUMANN, n, None, lambda n=n: _elliptic_cell(
-            obs.TENT_NEUMANN, n, None, TABLE1_KV[n], opts)) for n in n_values]
-    elif table_id == 2:
-        cells += [(obs.TORSION, n, c, lambda n=n, c=c: _elliptic_cell(
-            obs.TORSION, n, c, TABLE2_K[(c, n)], opts))
-            for c in C_VALUES for n in n_values]
-    elif table_id == 3:
-        cells += [(obs.TENT, n, None, lambda n=n: _parabolic_cell(
-            obs.TENT, n, None, TENT_TAU,
-            lambda s, n=n: TABLE3_STEP1[n] if s == 1 else TABLE3_LATER[n], opts))
-            for n in n_values]
-    elif table_id == 4:
-        cells += [(obs.TORSION, n, c, lambda n=n, c=c: _parabolic_cell(
-            obs.TORSION, n, c, TORSION_TAU,
-            lambda s, c=c, n=n: TABLE4_K[(c, n)], opts))
-            for c in C_VALUES for n in n_values]
-    else:
+    if table_id not in _TABLES:
         raise ValueError(f"unknown table {table_id}")
+    table = _TABLES[table_id]
     rows = []
     wall_times_ms = []
     failed = False
-    for problem, n, c, runner in cells:
+    for (problem, _, k_ref), c, n in product(table.problems, table.loads, n_values):
         start = time.perf_counter()
         try:
-            rows.extend(runner())
-        except (NotConverged, Breakdown, RuntimeError) as exc:
+            rows.extend(_cell_records(problem, n, c, table.tau, k_ref, opts))
+        except RuntimeError as exc:  # NotConverged and Breakdown among them
             failed = True
-            rows.append(BenchRecord(problem, n, c, None, None, None, None, 0,
+            nu = None if table.tau is None else BENCH_NU
+            rows.append(BenchRecord(problem, n, c, table.tau, nu, None, None, 0,
                                     f"error: {exc}"))
         wall_times_ms.append(1000.0 * (time.perf_counter() - start))
     return BenchTable(table_id, rows, wall_times_ms), failed
@@ -284,51 +288,40 @@ def _bench_csv(table, stream):
         ]) + "\n")
 
 
+def _summary_cell(picked):
+    if not picked:
+        return "-"
+    if any(r.k is None for r in picked):
+        return "err"
+    ks = sorted({r.k for r in picked})
+    return str(ks[0]) if len(ks) == 1 else f"{ks[0]}-{ks[-1]}"
+
+
 def _bench_text(table, stream):
-    rows = table.rows
-    n_values = sorted({r.n for r in rows})
-    header = "".join(f"{'N=' + str(n):>8}" for n in n_values)
-
-    def cell(match, subset):
-        picked = [r for r in subset if match(r)]
-        if not picked:
-            return "-"
-        if any(r.k is None for r in picked):
-            return "err"
-        ks = sorted({r.k for r in picked})
-        return str(ks[0]) if len(ks) == 1 else f"{ks[0]}-{ks[-1]}"
-
-    print(f"table {table.table_id}", file=stream)
-    if table.table_id == 1:
-        print(f"{'':>12}{header}", file=stream)
-        for problem, label in ((obs.TENT, "K"), (obs.TENT_NEUMANN, "K_V")):
-            sub = [r for r in rows if r.problem == problem]
-            line = "".join(f"{cell(lambda r, n=n: r.n == n, sub):>8}" for n in n_values)
-            print(f"{label:>12}{line}", file=stream)
-    elif table.table_id == 2:
-        print(f"{'':>12}{header}", file=stream)
-        for c in C_VALUES:
-            sub = [r for r in rows if r.c == c]
-            if not sub:
-                continue
-            line = "".join(f"{cell(lambda r, n=n: r.n == n, sub):>8}" for n in n_values)
-            print(f"{'C=' + _g(c):>12}{line}", file=stream)
+    """Summary on stream: a row of K per problem, C and, for the
+    time-stepped tables, step 1 and steps 2+; a failed cell, which has no
+    step, reads err in every row."""
+    desc = _TABLES[table.table_id]
+    n_values = sorted({r.n for r in table.rows})
+    if desc.tau is None:
+        steps, width = [("", lambda r: True)], 12
     else:
-        print(f"{'':>12}{header}", file=stream)
-        groups = [("step 1", lambda r: r.step == 1),
-                  ("steps 2+", lambda r: r.step is not None and r.step > 1)]
-        cs = sorted({r.c for r in rows}, reverse=True) if table.table_id == 4 else [None]
-        for c in cs:
-            for label, pick in groups:
-                sub = [r for r in rows if pick(r) and (c is None or r.c == c)]
-                if not sub:
-                    continue
-                line = "".join(
-                    f"{cell(lambda r, n=n: r.n == n, sub):>8}" for n in n_values)
-                tag = label if c is None else f"C={_g(c)} {label}"
-                print(f"{tag:>20}{line}", file=stream)
-    mismatches = sum(1 for r in rows if r.match != "yes")
-    print(f"mismatched cells: {mismatches}/{len(rows)}", file=stream)
+        steps, width = [("step 1", lambda r: r.step in (None, 1)),
+                        ("steps 2+", lambda r: r.step != 1)], 20
+    print(f"table {table.table_id}", file=stream)
+    print(f"{'':>12}" + "".join(f"{'N=' + str(n):>8}" for n in n_values), file=stream)
+    for (problem, label, _), c, (step_label, pick) in product(
+            desc.problems, desc.loads, steps):
+        sub = [r for r in table.rows if r.problem == problem and r.c == c and pick(r)]
+        if not sub:
+            continue
+        load = "" if c is None else f"C={_g(c)}"
+        tag = " ".join(t for t in (label, load, step_label) if t)
+        line = "".join(f"{_summary_cell([r for r in sub if r.n == n]):>8}"
+                       for n in n_values)
+        print(f"{tag:>{width}}{line}", file=stream)
+    mismatches = sum(1 for r in table.rows if r.match != "yes")
+    print(f"mismatched cells: {mismatches}/{len(table.rows)}", file=stream)
     print(f"wall time: {sum(table.wall_times_ms) / 1000.0:.1f} s", file=stream)
 
 

@@ -17,7 +17,6 @@ grid. Written row by row, that is already sorted CSR, so assembly needs
 no sort of its entries.
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,8 +90,7 @@ class ObstacleSpec:
     `psi`, `f` and `flux` are called with numpy arrays x, y of node (or
     boundary point) coordinates and must work elementwise, e.g. with
     np.minimum and np.abs in place of min and abs. A scalar result is
-    broadcast to every node, so a constant lambda is fine. They are also
-    called with plain floats when the solution is written out.
+    broadcast to every node, so a constant lambda is fine.
     """
 
     name: str
@@ -339,45 +337,33 @@ def _copied_solution(result):
     return replace(result, x=result.x.copy(), y=result.y.copy(), report=report)
 
 
-def _boundary_value(disc, interior, x, y, side):
-    """Membrane value at a boundary node: the Dirichlet datum, or the
-    ghost formula u_B = u_adj + h g matching the Neumann elimination."""
-    spec = disc.spec
-    if spec.bc_kind == DIRICHLET:
-        return spec.bc_value
-    g = spec.flux(x, y)
-    if side == "x":
-        return interior + disc.grid.dx * g
-    return interior + disc.grid.dy * g
-
-
 def full_grid_solution(disc, u, corner=CORNER_AVERAGE):
     """Membrane values on the full (n+2) x (n+2) grid including the
-    reconstructed boundary ring; corners come from the chosen edge rule."""
+    reconstructed boundary ring: the Dirichlet datum, or the ghost formula
+    u_B = u_adj + h g matching the Neumann elimination. Each corner is
+    lifted from its neighbour on the x edge (along x, by dx) or on the y
+    edge (along y, by dy), or is the mean of the two, by the corner rule."""
     if corner not in (CORNER_AVERAGE, CORNER_XEDGE, CORNER_YEDGE):
         raise ValueError(f"unknown corner rule {corner!r}")
     n = disc.grid.nx
-    xs = disc.grid.x_coords()
-    ys = disc.grid.y_coords()
+    spec = disc.spec
+    X, Y = np.meshgrid(disc.grid.x_coords(), disc.grid.y_coords())
     full = np.empty((n + 2, n + 2))  # [row = y index][col = x index]
     full[1:-1, 1:-1] = np.asarray(u, dtype=np.float64).reshape(n, n)
-    for i in range(1, n + 1):
-        full[0, i] = _boundary_value(disc, full[1, i], xs[i], ys[0], "y")
-        full[n + 1, i] = _boundary_value(disc, full[n, i], xs[i], ys[n + 1], "y")
-    for j in range(1, n + 1):
-        full[j, 0] = _boundary_value(disc, full[j, 1], xs[0], ys[j], "x")
-        full[j, n + 1] = _boundary_value(disc, full[j, n], xs[n + 1], ys[j], "x")
-    for jj, ii in ((0, 0), (0, n + 1), (n + 1, 0), (n + 1, n + 1)):
-        from_x = _boundary_value(disc, full[jj, 1 if ii == 0 else n],
-                                 xs[ii], ys[jj], "x")
-        from_y = _boundary_value(disc, full[1 if jj == 0 else n, ii],
-                                 xs[ii], ys[jj], "y")
-        if corner == CORNER_XEDGE:
-            full[jj, ii] = from_x
-        elif corner == CORNER_YEDGE:
-            full[jj, ii] = from_y
-        else:
-            full[jj, ii] = 0.5 * (from_x + from_y)
+
+    def lift(rows, cols, adjacent, h):
+        if spec.bc_kind == DIRICHLET:
+            return spec.bc_value
+        return adjacent + h * _on_nodes(spec.flux, X[rows, cols], Y[rows, cols])
+
+    ends, inner = [0, n + 1], slice(1, -1)
+    full[ends, inner] = lift(ends, inner, full[[1, n], inner], disc.grid.dy)
+    full[inner, ends] = lift(inner, ends, full[inner, [1, n]], disc.grid.dx)
+    rows, cols = np.array([0, 0, n + 1, n + 1]), np.array([0, n + 1, 0, n + 1])
+    from_x = lift(rows, cols, full[rows, np.where(cols, n, 1)], disc.grid.dx)
+    from_y = lift(rows, cols, full[np.where(rows, n, 1), cols], disc.grid.dy)
+    full[rows, cols] = from_x if corner == CORNER_XEDGE else (
+        from_y if corner == CORNER_YEDGE else 0.5 * (from_x + from_y))
     return full
 
 
@@ -385,21 +371,12 @@ def write_solution_csv(path, disc, u, coincidence, corner=CORNER_AVERAGE):
     """Write x,y,u,psi,active rows for the full grid, row-major in y then
     x, 17 significant digits."""
     n = disc.grid.nx
-    xs = disc.grid.x_coords()
-    ys = disc.grid.y_coords()
+    X, Y = np.meshgrid(disc.grid.x_coords(), disc.grid.y_coords())
     full = full_grid_solution(disc, u, corner)
     act = np.zeros((n + 2, n + 2), dtype=int)
     act[1:-1, 1:-1] = np.asarray(coincidence, dtype=bool).reshape(n, n)
+    columns = (X, Y, full, _on_nodes(disc.spec.psi, X, Y), act)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y", "u", "psi", "active"])
-        for jj in range(n + 2):
-            for ii in range(n + 2):
-                x, y = xs[ii], ys[jj]
-                writer.writerow([
-                    format(x, ".17g"),
-                    format(y, ".17g"),
-                    format(full[jj, ii], ".17g"),
-                    format(disc.spec.psi(x, y), ".17g"),
-                    act[jj, ii],
-                ])
+        fh.write("x,y,u,psi,active\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%d\n" % row
+                      for row in zip(*(a.ravel().tolist() for a in columns)))

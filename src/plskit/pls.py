@@ -199,9 +199,16 @@ def _picard(T, b, kind, opts, trail=None):
     as a solve over all n unknowns. A stable mask whose nonsmooth
     residual misses the gate raises NotConverged. The step whose mask
     repeats takes its residual's product from the lift's s (see the
-    module docstring).
+    module docstring). A b with max|b_i| above sqrt(DBL_MAX / n), where
+    ||b||^2, and with it the inner tolerance and the solvers' dot
+    products, may overflow, is refused with ValueError before any product.
     """
     n = T.n_rows
+    scale = float(np.abs(b).max()) if b.size else 0.0
+    if scale > np.sqrt(np.finfo(np.float64).max / max(n, 1)):
+        raise ValueError(
+            f"right-hand side too large: max|b_i| = {scale:.3g}, so ||b||^2 "
+            "overflows; scale the system down")
     inner = cg_solve if T.is_symmetric() else bicgstab_solve
     given = opts.krylov
     kopts = replace(
@@ -210,7 +217,7 @@ def _picard(T, b, kind, opts, trail=None):
         abs_tol=given.rel_tol * float(np.linalg.norm(b)) + given.abs_tol,
         max_iters=given.max_iters if given.max_iters is not None else 10 * max(n, 1),
     )
-    gate = _residual_gate(b, opts)
+    gate = opts.res_tol * (scale if scale > 0.0 else 1.0)  # relative to ||b||_inf
     x = np.zeros(n)
     opmask = np.zeros(n, dtype=bool)
     active_counts = [0]
@@ -259,11 +266,6 @@ def _picard(T, b, kind, opts, trail=None):
             inner_stats[-1],
         )
     return PlsSolution(x, np.maximum(x, 0.0), CONVERGED, report)
-
-
-def _residual_gate(b, opts):
-    scale = float(np.abs(b).max()) if b.size else 0.0
-    return opts.res_tol * (scale if scale > 0.0 else 1.0)
 
 
 def solve_elliptic_pls(problem, opts=None):

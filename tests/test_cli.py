@@ -5,7 +5,9 @@ import sys
 import pytest
 
 import plskit
+from plskit import obstacle as obs
 from plskit.cli import main
+from plskit.krylov import NotConverged
 
 
 def kv(out):
@@ -168,6 +170,31 @@ def test_bench_summary_is_pinned(table, capsys):
     lines = capsys.readouterr().err.splitlines(keepends=True)
     assert lines[-1].startswith("wall time: ")
     assert "".join(lines[:-1]) == BENCH_SUMMARIES_N25[table]
+
+
+@pytest.mark.parametrize("table, failing, csv_row, summary", [
+    (1, ("tent-neumann", None), "1,tent-neumann,25,,,,,,0,error: injected",
+     ["         K_V     err"]),
+    (3, ("tent", None), "3,tent,25,,10000,20,,,0,error: injected",
+     ["              step 1     err", "            steps 2+     err"]),
+    (4, ("torsion", -10.0), "4,torsion,25,-10,5,20,,,0,error: injected",
+     ["        C=-10 step 1     err", "      C=-10 steps 2+     err"]),
+])
+def test_a_failed_bench_cell_keeps_its_fields_and_reads_err(
+        table, failing, csv_row, summary, monkeypatch, capsys):
+    def fail_one_cell(real):
+        def run(spec, *args):
+            if (spec.name, spec.c) == failing:
+                raise NotConverged("injected", None, None)
+            return real(spec, *args)
+        return run
+
+    monkeypatch.setattr(obs, "solve_obstacle", fail_one_cell(obs.solve_obstacle))
+    monkeypatch.setattr(obs, "run_parabolic", fail_one_cell(obs.run_parabolic))
+    assert main(["bench", "--table", str(table), "--n", "25"]) == 1
+    out, err = capsys.readouterr()
+    assert [r for r in out.splitlines() if "error" in r] == [csv_row]
+    assert [r for r in err.splitlines() if "err" in r.split()] == summary
 
 
 def test_bench_writes_csv_file(tmp_path, capsys):

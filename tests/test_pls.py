@@ -348,6 +348,27 @@ def test_a_non_finite_entry_of_t_never_converges(solve, entry):
             solve(t, np.ones(2))
 
 
+@pytest.mark.parametrize("b, smaller", [([1e200, -1e200], [1e153, -1e153]),
+                                        ([1e154, 1e154], [1e153, 1e153])])
+@pytest.mark.parametrize("solve", [
+    lambda t, b: solve_elliptic_pls(PlsProblem(t, b)),
+    lambda t, b: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
+    lambda t, b: solve_shifted(t, b, np.zeros(2), MIN_PLUS_TMAX),
+    lambda t, b: solve_shifted(t, b, np.zeros(2), MAX_PLUS_TMIN),
+], ids=["elliptic", "parabolic", "min-plus-tmax", "max-plus-tmin"])
+def test_a_right_hand_side_whose_norm_overflows_is_refused(solve, b, smaller):
+    # ||b||^2 overflows, and with it the inner tolerance and the solvers'
+    # dot products; refused before any product, so no overflow warning,
+    # while a b ten times below sqrt(DBL_MAX / 2) still converges
+    t = csr_from_dense(T22)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^right-hand side too large"):
+            solve(t, b)
+        sol = solve(t, smaller)
+    assert sol.status == CONVERGED
+
+
 def test_max_outer_cap_reports_instead_of_looping():
     sol = solve_elliptic_pls(
         PlsProblem(csr_from_dense(T22), [1.0, -1.0]), SolverOptions(max_outer=1)
