@@ -207,8 +207,8 @@ def _picard(T, b, kind, opts, trail=None):
     scale = float(np.abs(b).max()) if b.size else 0.0
     if scale > np.sqrt(np.finfo(np.float64).max / max(n, 1)):
         raise ValueError(
-            f"right-hand side too large: max|b_i| = {scale:.3g}, so ||b||^2 "
-            "overflows; scale the system down")
+            f"right-hand side too large: max|b_i| = {scale:.3g}, so ||b||^2 may "
+            "overflow; scale the system down")
     inner = cg_solve if T.is_symmetric() else bicgstab_solve
     given = opts.krylov
     kopts = replace(
