@@ -414,15 +414,11 @@ def cmd_oracle(args):
     except (NotConverged, Breakdown) as exc:
         sol, status = None, type(exc).__name__
     print(f"solver_status={status}")
-    if status == NO_SOLUTION_CERTIFIED or sol is None:
-        agree = empty
-    elif status == CONVERGED:
-        agree = any(
-            np.allclose(x, sol.x, rtol=0, atol=1e-6 * (1 + np.abs(x).max()))
-            for x in result.point_solutions
-        ) or any(_on_family(sol.x, fam, 1e-6) for fam in result.families)
-    else:
-        agree = empty
+    agree = (
+        any(np.allclose(x, sol.x, rtol=0, atol=1e-6 * (1 + np.abs(x).max()))
+            for x in result.point_solutions)
+        or any(_on_family(sol.x, fam, 1e-6) for fam in result.families)
+    ) if status == CONVERGED else empty
     print(f"agree={'yes' if agree else 'no'}")
     return 0 if agree else 1
 

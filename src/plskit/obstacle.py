@@ -17,7 +17,8 @@ grid. Written row by row, that is already sorted CSR, so assembly needs
 no sort of its entries.
 """
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def _tent_psi(x, y):
 
 def problem_spec(name, c=None):
     """Named benchmark instances; c is the constant load of the torsion
-    family and must be negative there."""
+    family and must be finite and negative there."""
     if name == TENT:
         return ObstacleSpec(TENT, (-1.0, 1.0, -2.0, 2.0), _tent_psi,
                             lambda x, y: 0.0, DIRICHLET, bc_value=0.5)
@@ -119,8 +120,8 @@ def problem_spec(name, c=None):
     if name in (TORSION, TORSION_NEUMANN):
         if c is None:
             c = -20.0
-        if c >= 0.0:
-            raise ValueError("the torsion load constant must be negative")
+        if not -np.inf < c < 0.0:
+            raise ValueError("the torsion load constant must be finite and negative")
 
         def psi(x, y):
             return -np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
@@ -187,21 +188,26 @@ def assemble_elliptic(spec, n):
     # one direction at a time, in this order, so diag and f_vec round as a
     # node-by-node loop does; a Kronecker sum would round the Neumann
     # diagonal differently, and b's exact zeros depend on those bits
-    for slot, di, dj, c in ((1, -1, 0, cx), (3, 1, 0, cx),
-                            (0, 0, -1, cy), (4, 0, 1, cy)):
-        ii, jj = i + di, j + dj
-        inside[:, slot] = (0 <= ii) & (ii < n) & (0 <= jj) & (jj < n)
-        out = ~inside[:, slot]
-        lengths -= out
-        if neumann:
-            # ghost elimination u_B = u_adj + h g keeps T symmetric
-            diag[out] -= c
-            h = dx if di else dy
-            bx = x[out] + di * dx if di else x[out]
-            by = y[out] + dj * dy if dj else y[out]
-            f_vec[out] += c * h * _on_nodes(spec.flux, bx, by)
-        else:
-            f_vec[out] += c * spec.bc_value
+    # data that fold to inf or NaN are refused below, with no warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slot, di, dj, c in ((1, -1, 0, cx), (3, 1, 0, cx),
+                                (0, 0, -1, cy), (4, 0, 1, cy)):
+            ii, jj = i + di, j + dj
+            inside[:, slot] = (0 <= ii) & (ii < n) & (0 <= jj) & (jj < n)
+            out = ~inside[:, slot]
+            lengths -= out
+            if neumann:
+                # ghost elimination u_B = u_adj + h g keeps T symmetric
+                diag[out] -= c
+                h = dx if di else dy
+                bx = x[out] + di * dx if di else x[out]
+                by = y[out] + dj * dy if dj else y[out]
+                f_vec[out] += c * h * _on_nodes(spec.flux, bx, by)
+            else:
+                f_vec[out] += c * spec.bc_value
+    if not (np.isfinite(f_vec).all() and np.isfinite(psi_vec).all()):
+        raise ValueError("the load, its boundary terms and the obstacle must be "
+                         "finite at every node")
     vals[:, 2] = diag
     row_offsets = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(lengths, out=row_offsets[1:])
@@ -272,28 +278,25 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     through the same masks, so step j of one time step's loop starts its
     inner solve from the solution that step j of the time step before
     found on the same mask (the trail of solve_parabolic_pls), rather than
-    from the current iterate. The trail holds one time step's
-    (mask, x_A, s, T) entries at a time, s = T x~ the lift's product, all
-    made with this run's T_step, and ends with the run; no report keeps
-    it. A solve whose carried start already meets the inner tolerance
-    returns it bit for bit with 0 iterations. Such a step, and the empty
-    first step of every time step after the first, lift with the carried
-    s: the same bits as a new product. A wrong final iterate cannot pass
-    the nonsmooth residual gate.
+    from the current iterate. The trail holds one time step's (mask, x_A)
+    entries at a time and ends with the run; no report keeps it. A solve
+    whose carried start already meets the inner tolerance returns it bit
+    for bit with 0 iterations. A wrong final iterate cannot pass the
+    nonsmooth residual gate.
 
     A time step that returns its input state bit for bit (-0.0 is not
     0.0) with no inner iteration is settled: the next step has the same
     right-hand side and T_step, and finds the trail as this one left it,
     since each of its nonempty steps made a 0-iteration solve, which
-    returns its start, and left that start and its product in the entry.
-    So every later step repeats it, and the run fills them with copies of
-    its state and PlsSolution, each with its own arrays, lists and stats,
-    and calls the solver no more; replayed_steps counts the copies.
+    returns its start, and left that start in the entry. So every later
+    step repeats it, and the run fills them with deep copies of its state
+    and PlsSolution, and calls the solver no more; replayed_steps counts
+    the copies.
     """
     if nu < 1:
         raise GridError("need at least one time step")
-    if tau <= 0.0:
-        raise GridError("the horizon must be positive")
+    if not 0.0 < tau < np.inf:
+        raise GridError("the horizon must be positive and finite")
     opts = opts or SolverOptions()
     disc = assemble_elliptic(spec, n)
     dt = tau / nu
@@ -316,7 +319,7 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     replayed = nu - len(step_results)
     for _ in range(replayed):
         snapshots.append(state.copy())
-        step_results.append(_copied_solution(result))
+        step_results.append(copy.deepcopy(result))
     return ParabolicRun(disc, tau, nu, dt, snapshots, step_results, replayed)
 
 
@@ -324,17 +327,6 @@ def _same_bits(a, b):
     """Whether two float arrays hold the same bytes: unlike np.array_equal,
     it tells -0.0 from 0.0."""
     return a.tobytes() == b.tobytes()
-
-
-def _copied_solution(result):
-    """A copy of a parabolic step's PlsSolution that shares no array,
-    list or stats object with it."""
-    rep = result.report
-    report = replace(rep, active_counts=list(rep.active_counts),
-                     inner_stats=[replace(st) for st in rep.inner_stats],
-                     residual_history=list(rep.residual_history),
-                     left_counts=list(rep.left_counts))
-    return replace(result, x=result.x.copy(), y=result.y.copy(), report=report)
 
 
 def full_grid_solution(disc, u, corner=CORNER_AVERAGE):

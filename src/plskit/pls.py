@@ -32,17 +32,14 @@ serves the residual with the same max-norm. Every product of T goes
 through numkit.spmv, and every product of a step operator through
 numkit.reused_product, inside the solvers.
 
-A trail (solve_parabolic_pls) carries each step's entry (mask, x_A, s, T)
-into the next time step: its mask, inner solution x_A, the lift's
-product s and the matrix T it was made with. A step ignores an entry
-made with another matrix. Step j on the same mask gathers its operator
-and starts the solver from x_A; when b_A - M x_A already meets the inner
+A trail (solve_parabolic_pls) carries each step's entry (mask, x_A), its
+mask and inner solution, into the next time step. Step j on the same mask
+starts the solver from x_A; when b_A - M x_A already meets the inner
 tolerance, the solver's entry test returns x_A bit for bit with 0
-iterations. Such a step, and the empty first step, repeat the entry's
-x~, so they lift with its s and make no product. So a step makes one
-product of T for its lift unless it repeats the entry's x~, and one for
-its residual unless its mask repeats. A wrong final iterate cannot pass
-the nonsmooth residual gate.
+iterations. A start only seeds the solver: the entry test uses the step's
+own operator, and a wrong final iterate cannot pass the nonsmooth
+residual gate. A step makes one product of T for its lift unless its
+mask is empty, and one for its residual unless its mask repeats.
 """
 
 from dataclasses import dataclass, field, replace
@@ -128,55 +125,36 @@ class SolverOptions:
             raise ValueError("max_outer must be at least 1")
 
 
-def _lift(T, b, mask, x_active, lifted=None):
+def _lift(T, b, mask, x_active):
     """(x, s): the full iterate from the active part, x_I = b_I - s_I,
-    and s = T x~, where x~ is x_active scattered into zeros. Given the s
-    of the same x~ (lifted), it makes no product."""
-    if lifted is None:
-        x_tilde = np.zeros(T.n_rows)
-        x_tilde[mask] = x_active
-        lifted = spmv(T, x_tilde)
-    x = b - lifted
+    and s = T x~, where x~ is x_active scattered into zeros."""
+    x_tilde = np.zeros(T.n_rows)
+    x_tilde[mask] = x_active
+    s = spmv(T, x_tilde)
+    x = b - s
     x[mask] = x_active
-    return x, lifted
+    return x, s
 
 
-def _step(T, b, kind, mask, x, inner, kopts, trail=None, j=0):
+def _step(T, b, kind, mask, x, inner, kopts, start=None):
     """One outer step (I - P + T P) x = b or (I + T P) x = b, solved on the
     active set A with the step's operator M = T_AA (+ I), from x's active
-    part; returns (x, s, stats), s = T x~ the lift's product (see _lift).
-    An empty mask gives x = b - T 0 with no operator and no solve, and the
-    stats both solvers give a 0 x 0 system.
-
-    Given a trail (see _picard), entry j = (mask, x_A, s, T) made with this
-    T on this step's mask gives the start x_A instead, and the step leaves
-    its own entry in slot j. A solve that makes 0 iterations returns its
-    start bit for bit, so a carried step that does, and an empty one,
-    repeat the entry's x~: they lift with the entry's s and make no
-    product.
+    part or from start, given; returns (x, s, stats), s = T x~ the lift's
+    product (see _lift). An empty mask gives x = b and s = 0 with no
+    operator, no solve and no product, and the stats both solvers give a
+    0 x 0 system.
     """
-    carried = trail[j] if trail is not None and j < len(trail) else None
-    if carried is not None and (carried[3] is not T
-                                or not np.array_equal(carried[0], mask)):
-        carried = None
     if not mask.any():
-        x_active, stats = np.zeros(0), KrylovStats(0, 0.0, True, False)
-    else:
-        op = active_operator(T, mask, 1.0 if kind == PARABOLIC else 0.0)
-        try:
-            x_active, stats = inner(op, b[mask],
-                                    x0=x[mask] if carried is None else carried[1],
-                                    opts=kopts)
-        except (NotConverged, Breakdown) as exc:
-            exc.x = _lift(T, b, mask, exc.x)[0]
-            raise
-        del op  # the operator and the solve's scratch are freed before the lift
-    repeats = carried is not None and stats.iterations == 0
-    x, lifted = _lift(T, b, mask, x_active, carried[2] if repeats else None)
-    if trail is not None:
-        # x's active part is the inner solution, bit for bit
-        trail[j:j + 1] = [(mask, x[mask], lifted, T)]  # replace or append
-    return x, lifted, stats
+        return b.copy(), np.zeros(T.n_rows), KrylovStats(0, 0.0, True, False)
+    op = active_operator(T, mask, 1.0 if kind == PARABOLIC else 0.0)
+    try:
+        x_active, stats = inner(op, b[mask], x0=x[mask] if start is None else start,
+                                opts=kopts)
+    except (NotConverged, Breakdown) as exc:
+        exc.x = _lift(T, b, mask, exc.x)[0]
+        raise
+    del op  # the operator and the solve's scratch are freed before the lift
+    return (*_lift(T, b, mask, x_active), stats)
 
 
 def _picard(T, b, kind, opts, trail=None):
@@ -187,20 +165,18 @@ def _picard(T, b, kind, opts, trail=None):
     step drops. Stops when the mask repeats or flips only at exact zeros.
     Each linear solve is warm-started from the previous iterate, or, given
     a trail, from the trail's x_A for this step when its mask equals this
-    step's: trail is a list of (mask, x_A, s, T) entries, entry j from
-    step j of an earlier solve and s = T x~ its lift's product, and each
-    step overwrites its entry, so on return the trail holds this solve's
-    entries only. An entry made with another matrix than this T is
-    ignored. A carried start that already meets the inner tolerance is
-    returned by the solver's entry test with 0 iterations (see _step). The
-    start changes only the rounding and the inner iteration count. The
-    inner tolerance is measured against the full ||b|| and the default
-    budget stays 10 n, so the reduced solve meets the same residual bound
-    as a solve over all n unknowns. A stable mask whose nonsmooth
-    residual misses the gate raises NotConverged. The step whose mask
-    repeats takes its residual's product from the lift's s (see the
-    module docstring). A b with max|b_i| above sqrt(DBL_MAX / n), where
-    ||b||^2, and with it the inner tolerance and the solvers' dot
+    step's: trail is a list of (mask, x_A) entries, entry j from step j of
+    an earlier solve, and each step overwrites its entry, so on return the
+    trail holds this solve's entries only. A carried start that already
+    meets the inner tolerance is returned by the solver's entry test with
+    0 iterations. The start changes only the rounding and the inner
+    iteration count. The inner tolerance is measured against the full
+    ||b|| and the default budget stays 10 n, so the reduced solve meets
+    the same residual bound as a solve over all n unknowns. A stable mask
+    whose nonsmooth residual misses the gate raises NotConverged. The step
+    whose mask repeats takes its residual's product from the lift's s
+    (see the module docstring). A b with max|b_i| above sqrt(DBL_MAX / n),
+    where ||b||^2, and with it the inner tolerance and the solvers' dot
     products, may overflow, is refused with ValueError before any product.
     """
     n = T.n_rows
@@ -228,7 +204,13 @@ def _picard(T, b, kind, opts, trail=None):
     stable = False
     outer = 0
     for _ in range(max_outer):
-        x, lifted, stats = _step(T, b, kind, opmask, x, inner, kopts, trail, outer)
+        carried = trail[outer] if trail is not None and outer < len(trail) else None
+        start = (carried[1] if carried is not None
+                 and np.array_equal(carried[0], opmask) else None)
+        x, lifted, stats = _step(T, b, kind, opmask, x, inner, kopts, start)
+        if trail is not None:
+            # x's active part is the inner solution, bit for bit
+            trail[outer:outer + 1] = [(opmask, x[opmask])]  # replace or append
         outer += 1
         inner_stats.append(stats)
         newmask = x >= 0.0  # the tie is active
@@ -298,15 +280,11 @@ def solve_elliptic_pls(problem, opts=None):
 def solve_parabolic_pls(problem, opts=None, trail=None):
     """Solve x + T max{0,x} = b; this form always has a unique solution.
 
-    trail, a list, carries each outer step's (mask, x_A, s, T) entry, its
-    inner solution, the lift's product s = T x~ and the matrix it was made
-    with, from one call to the next on the same T (see _picard): a
-    time-stepping caller passes the same list to every step, and a step
-    whose mask sequence repeats the last one's starts each inner solve
-    from there. When that start already meets the inner tolerance, the
-    solver returns it with 0 iterations and the step lifts with the
-    carried s. Entries made with another matrix are ignored. A wrong final
-    iterate cannot pass the nonsmooth residual gate.
+    trail, a list, carries each outer step's (mask, x_A) entry, its inner
+    solution, from one call to the next (see _picard): a time-stepping
+    caller passes the same list to every step, and a step whose mask
+    sequence repeats the last one's starts each inner solve from there. A
+    wrong final iterate cannot pass the nonsmooth residual gate.
     """
     if problem.kind != PARABOLIC:
         raise ValueError("problem kind must be parabolic")

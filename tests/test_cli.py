@@ -89,6 +89,20 @@ def test_a_nan_krylov_tolerance_is_refused(capsys):
         "plskit: error: tolerances must be finite and nonnegative\n")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--c=-inf"], "the torsion load constant must be finite and negative"),
+    (["--c", "nan"], "the torsion load constant must be finite and negative"),
+    (["--tau", "inf", "--nu", "3"], "the horizon must be positive and finite"),
+    (["--tau", "nan", "--nu", "3"], "the horizon must be positive and finite"),
+])
+def test_non_finite_problem_data_is_refused(flags, message, capsys):
+    rc = main(["solve", "--problem", "torsion", "--n", "5", *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"plskit: error: {message}\n"
+
+
 def test_usage_errors_exit_64(capsys):
     assert main(["solve", "--n", "5"]) == 64
     assert main(["solve", "--problem", "tent"]) == 64

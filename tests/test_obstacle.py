@@ -1,5 +1,6 @@
 import csv
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,9 @@ def test_problem_spec_rejects_bad_input():
         obs.problem_spec("torsion", c=1.0)
     with pytest.raises(ValueError):
         obs.problem_spec("torsion", c=0.0)
+    for c in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="finite and negative"):
+            obs.problem_spec("torsion-neumann", c=c)
     with pytest.raises(ValueError):
         obs.problem_spec("drum")
 
@@ -73,6 +77,21 @@ def test_assembly_guards():
         obs.run_parabolic(obs.problem_spec("tent"), 5, tau=1.0, nu=0)
     with pytest.raises(obs.GridError):
         obs.run_parabolic(obs.problem_spec("tent"), 5, tau=-1.0, nu=2)
+    for tau in (np.inf, np.nan):
+        with pytest.raises(obs.GridError, match="positive and finite"):
+            obs.run_parabolic(obs.problem_spec("tent"), 5, tau=tau, nu=2)
+    # an infinite load would pass the exact-zero rule as 0, since its
+    # rounding scale is infinite too; every datum is checked before b
+    for change in ({"f": lambda x, y: -np.inf},
+                   {"f": lambda x, y: np.where(x > 0.5, np.nan, -20.0)},
+                   {"psi": lambda x, y: np.where(y > 0.5, np.inf, 0.0)},
+                   {"bc_kind": obs.NEUMANN, "flux": lambda x, y: np.inf},
+                   {"bc_kind": obs.NEUMANN, "flux": lambda x, y: 1e308},
+                   {"f": lambda x, y: np.inf, "bc_value": -np.inf},
+                   {"bc_value": np.nan}):
+        spec = replace(obs.problem_spec("torsion", -20.0), **change)
+        with pytest.raises(ValueError, match="must be finite at every node"):
+            obs.assemble_elliptic(spec, 5)
 
 
 def test_dirichlet_stencil_and_boundary_fold():
@@ -265,26 +284,27 @@ def test_parabolic_trail_ignores_a_pair_on_another_mask():
     alone = solve_parabolic_pls(problem, opts)
     trail = []
     first = solve_parabolic_pls(problem, opts, trail=trail)
-    assert [int(m.sum()) for m, *_ in trail] == alone.report.active_counts[:-1]
+    assert [int(m.sum()) for m, _ in trail] == alone.report.active_counts[:-1]
     assert np.array_equal(first.x, alone.x)
     rng = np.random.default_rng(3)
-    stale = [(~mask, rng.normal(size=int((~mask).sum())), None, problem.T)
-             for mask, *_ in trail]
+    stale = [(~mask, rng.normal(size=int((~mask).sum()))) for mask, _ in trail]
     full = np.ones(disc.T.n_rows, dtype=bool)
-    stale += [(full, rng.normal(size=disc.T.n_rows), None, problem.T)]
+    stale += [(full, rng.normal(size=disc.T.n_rows))]
     again = solve_parabolic_pls(problem, opts, trail=stale)
     assert np.array_equal(again.x, alone.x)
     assert again.report.inner_stats == alone.report.inner_stats
     assert len(stale) == alone.report.outer_iterations
 
 
-def test_parabolic_trail_from_another_matrix_gives_no_start(monkeypatch):
-    # a trail made on T is ignored by a solve on 2 T, although the first
-    # two masks agree (both solves start from the empty mask and then take
-    # the signs of b): every nonempty step gathers its operator and solves,
-    # with the bits of a solve without a trail, and the trail ends with
-    # this solve's entries
-    disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
+@pytest.mark.parametrize("c, n", [(-10.0, 15), (-5.0, 25), (-20.0, 25)])
+def test_parabolic_trail_from_another_matrix_only_seeds_the_solve(c, n):
+    # a trail made on T seeds a solve on 2 T, whose first two masks agree
+    # with it (both solves start from the empty mask and then take the
+    # signs of b): the solve's own operators judge the starts, so it
+    # matches a solve without a trail in status, K and active counts,
+    # agrees in x to a relative 1e-9, passes lcp_check, and ends with
+    # this solve's entries in the trail
+    disc = obs.assemble_elliptic(obs.problem_spec("torsion", c), n)
     T = disc.T.scaled(0.25)
     b = 0.25 * disc.b
     trail = []
@@ -292,14 +312,13 @@ def test_parabolic_trail_from_another_matrix_gives_no_start(monkeypatch):
     other = PlsProblem(T.scaled(2.0), b, kind=PARABOLIC)
     alone = solve_parabolic_pls(other)
     assert np.array_equal(trail[1][0], b >= 0.0)
-    built = _count_operators(monkeypatch)
     again = solve_parabolic_pls(other, trail=trail)
-    assert len(built) == alone.report.outer_iterations - 1
-    assert np.array_equal(again.x, alone.x)
-    assert again.report.inner_stats == alone.report.inner_stats
-    assert again.report.residual_history == alone.report.residual_history
-    assert len(trail) == alone.report.outer_iterations
-    assert all(entry[3] is other.T for entry in trail)
+    assert again.status == alone.status == CONVERGED
+    assert again.report.outer_iterations == alone.report.outer_iterations
+    assert again.report.active_counts == alone.report.active_counts
+    assert np.abs(again.x - alone.x).max() <= 1e-9 * max(np.abs(alone.x).max(), 1.0)
+    assert lcp_check(other.T, b, again.y, kind=PARABOLIC).passed
+    assert [int(m.sum()) for m, _ in trail] == alone.report.active_counts[:-1]
 
 
 def _count_operators(monkeypatch):
@@ -314,73 +333,7 @@ def _count_operators(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("name, c, tau", [
-    ("tent", None, 1.0e4), ("torsion", -5.0, 5.0),
-])
-def test_parabolic_trail_products_skip_operators_and_keep_every_bit(
-        name, c, tau, monkeypatch):
-    # run_parabolic as is, and the same time loop with every product s in
-    # the trail dropped after each time step, so that every step lifts
-    # with a product of its own: the same x, inner stats and residuals bit
-    # for bit. Only the carried 0-iteration solves, which return their
-    # start bit for bit, lift a nonempty mask with the carried product
-    carried = _count_carried_lifts(monkeypatch)
-    spec = obs.problem_spec(name, c)
-    run = obs.run_parabolic(spec, 25, tau, 20)
-    kept = len(carried)
-    assert kept > 0
-    disc, dt = run.disc, run.dt
-    T_step = disc.T.scaled(dt)
-    opts = SolverOptions()
-    u = disc.psi_vec.copy()
-    trail = []
-    for result in run.step_results:
-        b_step = (u - disc.psi_vec) + dt * disc.b
-        plain = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
-                                    opts, trail=trail)
-        trail[:] = [(mask, x_active, None, T_step)
-                    for mask, x_active, *_ in trail]
-        assert plain.status == result.status == CONVERGED
-        assert np.array_equal(plain.x, result.x)
-        assert plain.report.inner_stats == result.report.inner_stats
-        assert plain.report.residual_history == result.report.residual_history
-        u = plain.y + disc.psi_vec
-    assert len(carried) == kept
-
-
-def _count_carried_lifts(monkeypatch):
-    """Record each lift of a nonempty mask that takes a carried product:
-    the step's solve made 0 iterations from the trail's x_A, so its
-    x_active must be that start, whose product the entry holds."""
-    carried = []
-    lift = pls._lift
-
-    def counting(T, b, mask, x_active, lifted=None):
-        if lifted is not None and mask.any():
-            assert np.array_equal(lifted, spmv(T, _scattered(mask, x_active)))
-            carried.append(1)
-        return lift(T, b, mask, x_active, lifted)
-
-    monkeypatch.setattr(pls, "_lift", counting)
-    return carried
-
-
-def _scattered(mask, x_active):
-    x = np.zeros(mask.size)
-    x[mask] = x_active
-    return x
-
-
-def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
-        monkeypatch):
-    # pls's products of T over the time steps a run solves: every
-    # nonempty step builds its operator and runs a solver, and it lifts
-    # with a product unless that solve returned its carried start with 0
-    # iterations; the run's first, empty, step lifts with a product too,
-    # and every later empty step repeats the trail's x~ and its product.
-    # Every step's residual takes one product, except the stable step's,
-    # which the lift's product serves. The copied steps after the settled
-    # one make no product, build no operator and call no solver
+def _count_products(monkeypatch):
     products = []
     product = pls.spmv
 
@@ -389,8 +342,19 @@ def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
         return product(*args, **kwargs)
 
     monkeypatch.setattr(pls, "spmv", counting)
+    return products
+
+
+def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
+        monkeypatch):
+    # pls's products of T over the time steps a run solves: every
+    # nonempty step builds its operator, runs a solver and lifts with a
+    # product, and an empty step makes none. Every step's residual takes
+    # one product, except the stable step's, which the lift's product
+    # serves. The copied steps after the settled one make no product,
+    # build no operator and call no solver
+    products = _count_products(monkeypatch)
     built = _count_operators(monkeypatch)
-    carried = _count_carried_lifts(monkeypatch)
     after_solves = []
     solve = obs.solve_parabolic_pls
 
@@ -410,8 +374,22 @@ def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
     nonempty = sum(count > 0 for r in reports for count in r.active_counts[:-1])
     assert all(r.status == CONVERGED for r in run.step_results)
     assert len(built) == nonempty
-    assert len(products) == 1 + nonempty - len(carried) + steps - solved == 193
+    assert len(products) == nonempty + steps - solved == 208
     assert after_solves[-1] == (len(products), len(built))
+
+
+@pytest.mark.parametrize("name, c, products", [
+    ("tent", None, 8), ("torsion", -20.0, 6), ("tent-neumann", None, 24),
+])
+def test_an_elliptic_solve_makes_two_products_per_step_after_the_first(
+        name, c, products, monkeypatch):
+    # the first step's mask is empty, so it lifts with no product; each
+    # later step lifts with one, and every step but the stable one takes
+    # one for its residual
+    counted = _count_products(monkeypatch)
+    sol = obs.solve_obstacle(obs.problem_spec(name, c), 25)
+    assert sol.result.status == CONVERGED
+    assert len(counted) == 2 * (sol.result.report.outer_iterations - 1) == products
 
 
 def _solved_every_step(spec, n, tau, nu):

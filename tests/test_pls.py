@@ -390,9 +390,9 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
         symmetric, monkeypatch):
     # a second solve of the same system from its own trail: every nonempty
     # step's solver (CG for a symmetric T, Bi-CGSTAB otherwise) returns its
-    # carried start with 0 iterations, the solve returns the same x, and
-    # each lift takes the carried product, so the only products of T are
-    # the residuals of the steps whose mask does not repeat
+    # carried start with 0 iterations and the solve returns the same x.
+    # The products of T are the lifts of the K - 1 nonempty steps and the
+    # residuals of the K - 1 steps whose mask does not repeat
     rng = np.random.default_rng(17)
     T = (random_symmetric_t1 if symmetric else random_t1)(rng, 40)
     assert T.is_symmetric() == symmetric
@@ -413,7 +413,7 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
     assert again.report.active_counts == first.report.active_counts
     assert all(st.iterations == 0 and st.converged
                for st in again.report.inner_stats)
-    assert len(products) == again.report.outer_iterations - 1
+    assert len(products) == 2 * (again.report.outer_iterations - 1)
 
 
 def test_residual_nonsmooth_forms():
