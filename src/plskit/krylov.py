@@ -129,8 +129,9 @@ def _restarted(op, b, x0, opts, runs, fatal=None):
         np.subtract(b, apply(), out=r)  # re-sync on the true residual
         res = _norm(r)
         if res < res_best:
-            x_best, res_best = x.copy(), res
-            stalls = 0
+            res_best, stalls = res, 0
+            if not res <= tol:  # a converged x is returned as it is
+                x_best = x.copy()
         else:
             stalls += 1
         if run_broke and fatal and not res <= tol:

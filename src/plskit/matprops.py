@@ -29,7 +29,9 @@ Irreducibility, a strongly connected pattern, comes from
 SparseMatrix.is_irreducible: a one-pass certificate, else a search, found
 once per matrix, so check_t1 and check_t2 on the same matrix share it.
 The Z-sign test reads the diagonal's slots, which the diagonal test
-caches anyway, and T 1 is T's row sums, with no product.
+caches anyway, and T 1 is T's row sums, with no product. The row sums
+and absolute row sums are cached on T, read-only, so check_t2 reads the
+ones check_t1 made on the same matrix.
 """
 
 from dataclasses import dataclass
@@ -177,7 +179,7 @@ def _ones_test(matrix):
     makes T irreducibly diagonally dominant, so nonsingular. A row sum
     counts as positive only above the noise of the sum that formed it, or
     a singular Laplacian would pass. Each check calls it once and passes
-    the norm down."""
+    the norm down; both sums are T's cached ones."""
     abs_sums = matrix.abs_row_sums()
     tnorm = float(abs_sums.max())
     row_sums = matrix.row_sums()

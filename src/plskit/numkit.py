@@ -25,13 +25,23 @@ product (`spmv`). `reused_product` is the only way a step operator is
 applied: a Krylov loop runs the operator's kernel on reused buffers
 through it, and the operator has no product method of its own.
 
+A matrix caches what it finds about itself, each item once and on first
+use: its symmetry and irreducibility, and O(n) data about its rows (row
+lengths, the diagonal's slots and values, the rows the last shift asked
+for cannot land on, whether a row is empty, the row sums and absolute
+row sums). It never caches a layout: a step's layout is O(width k), and
+a layout cached on T cost too much peak memory. So each step's gather
+reads its row lengths and diagonal from the matrix instead of finding
+them again, each CSR product knows whether its rows need the empty-row
+path, and check_t2 reads the row sums that check_t1 made. `scaled` hands
+the pattern facts and a True symmetry verdict to its copy.
+
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
-with no (row, column) sort. Symmetry and irreducibility are facts about
-one matrix, each computed once and cached on it. Irreducibility is a
-one-pass certificate, else a breadth-first search that reads each
-frontier's columns straight from the CSR arrays, run on A and on A^T; a
-symmetric matrix needs the first search only.
+with no (row, column) sort. Irreducibility is a one-pass certificate,
+else a breadth-first search that reads each frontier's columns straight
+from the CSR arrays, run on A and on A^T; a symmetric matrix needs the
+first search only.
 """
 
 import warnings
@@ -50,6 +60,10 @@ _ELL_MAX_WIDTH = 8
 # what padding columns n and n+1 read: 0 * -0.0 = -0.0 leaves every sum
 # as it is, and an empty row's 0 * 0.0 = 0.0 makes it sum to 0.0
 _ELL_PAD = np.array([-0.0, 0.0])
+# by layout width w, the entry of a row that each layout row holds:
+# entry i + 1 in layout row i, and entry 0 in the last
+_ELL_SLOTS = [None] + [(np.arange(1, w + 1) % w)[:, None]
+                       for w in range(1, _ELL_MAX_WIDTH + 1)]
 
 
 class DimensionError(ValueError):
@@ -77,7 +91,8 @@ class SparseMatrix:
     """Compressed-row matrix with sorted, duplicate-free, zero-free rows.
 
     Treated as immutable after construction; all mutating-style operations
-    return new instances.
+    return new instances. What it finds about itself is cached on it (see
+    _cached), so it must not be changed in place.
     """
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values):
@@ -86,9 +101,7 @@ class SparseMatrix:
         self.row_offsets = np.ascontiguousarray(row_offsets, dtype=_INDEX_DTYPE)
         self.col_indices = np.ascontiguousarray(col_indices, dtype=_INDEX_DTYPE)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._symmetric = None
-        self._irreducible = None
-        self._diagonal_slots = None
+        self._cache = {}  # see _cached
 
     @property
     def shape(self):
@@ -112,19 +125,30 @@ class SparseMatrix:
         return SparseMatrix(self.n_cols, self.n_rows, row_offsets,
                             self.row_indices()[order], self.values[order])
 
+    def _cached(self, key, compute):
+        """compute(), made once per matrix and kept under key: a fact about
+        the matrix or O(n) data about its rows, never a layout. Arrays are
+        made read-only, since every caller shares them."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._cache[key] = value
+            return value
+
     def is_symmetric(self):
         """Exact test A == A^T, made once per matrix.
 
         Rows are canonical, so A^T must have the same arrays.
         """
-        if self._symmetric is None:
+        def test():
             t = self.transpose()
-            self._symmetric = (
-                np.array_equal(t.row_offsets, self.row_offsets)
-                and np.array_equal(t.col_indices, self.col_indices)
-                and np.array_equal(t.values, self.values)
-            )
-        return self._symmetric
+            return (np.array_equal(t.row_offsets, self.row_offsets)
+                    and np.array_equal(t.col_indices, self.col_indices)
+                    and np.array_equal(t.values, self.values))
+        return self._cached("symmetric", test)
 
     def is_irreducible(self):
         """Whether the directed pattern is strongly connected, found once
@@ -135,43 +159,74 @@ class SparseMatrix:
         rows of A^T."""
         if self.n_rows != self.n_cols:
             raise DimensionError(f"matrix is {self.shape}, expected square")
-        if self._irreducible is None:
-            self._irreducible = _links_every_node_to_0(self) or (
-                _reaches_all(self)
-                and (self.is_symmetric() or _reaches_all(self.transpose())))
-        return self._irreducible
+        return self._cached("irreducible", lambda: _links_every_node_to_0(self) or (
+            _reaches_all(self)
+            and (self.is_symmetric() or _reaches_all(self.transpose()))))
 
     def row_indices(self):
         """The row of each stored entry."""
         return np.repeat(np.arange(self.n_rows, dtype=_INDEX_DTYPE),
                          np.diff(self.row_offsets))
 
+    def _row_lengths(self):
+        """The number of stored entries of each row."""
+        return self._cached("row_lengths", lambda: np.diff(self.row_offsets))
+
+    def _nonempty_rows(self):
+        """Which rows have a stored entry, or None when every row has one."""
+        def find():
+            nonempty = self._row_lengths() > 0
+            return None if nonempty.all() else nonempty
+        return self._cached("nonempty_rows", find)
+
     def diagonal_slots(self):
         """Position of each row's diagonal entry among its stored entries,
-        -1 where it has none; found once per matrix."""
-        if self._diagonal_slots is None:
+        -1 where it has none."""
+        def find():
             rows = self.row_indices()
             on_diag = rows == self.col_indices
             slots = np.full(self.n_rows, -1, dtype=_INDEX_DTYPE)
             slots[rows[on_diag]] = (np.flatnonzero(on_diag)
                                     - self.row_offsets[rows[on_diag]])
-            self._diagonal_slots = slots
-        return self._diagonal_slots
+            return slots
+        return self._cached("diagonal_slots", find)
 
     def diagonal(self):
-        n = min(self.n_rows, self.n_cols)
-        slots = self.diagonal_slots()[:n]
-        stored = slots >= 0
-        d = np.zeros(n)
-        d[stored] = self.values[self.row_offsets[:n][stored] + slots[stored]]
-        return d
+        """The diagonal, 0.0 where an entry is not stored."""
+        def read():
+            n = min(self.n_rows, self.n_cols)
+            slots = self.diagonal_slots()[:n]
+            stored = slots >= 0
+            d = np.zeros(n)
+            d[stored] = self.values[self.row_offsets[:n][stored] + slots[stored]]
+            return d
+        return self._cached("diagonal", read)
+
+    def _unshiftable_rows(self, shift):
+        """The rows of a square matrix whose diagonal entry a shift of the
+        diagonal cannot land on in place: a missing one, or one that the
+        shift cancels. Kept for the last shift asked for only, so that a
+        matrix shifted by many values still caches O(n)."""
+        last_shift, rows = self._cache.get("unshiftable_rows", (None, None))
+        if last_shift != shift:  # a NaN shift is found anew each time
+            rows = np.flatnonzero((self.diagonal_slots() < 0)
+                                  | (self.diagonal() == -shift))
+            rows.flags.writeable = False
+            self._cache["unshiftable_rows"] = shift, rows
+        return rows
 
     def scaled(self, s):
-        """Return s * A (same sparsity; s must be nonzero to keep it exact)."""
-        return SparseMatrix(
-            self.n_rows, self.n_cols, self.row_offsets, self.col_indices,
-            self.values * float(s),
-        )
+        """Return s * A (same sparsity; s must be nonzero to keep it exact).
+
+        The copy keeps what A found about its pattern, and a True symmetry
+        verdict: s a_ij == s a_ji when a_ij == a_ji. A False one is found
+        anew, since rounding can give s a == s b for a != b."""
+        copy = SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
+                            self.col_indices, self.values * float(s))
+        copy._cache = {key: value for key, value in self._cache.items()
+                       if key in _PATTERN_FACTS
+                       or (key == "symmetric" and value)}
+        return copy
 
     def add_diagonal(self, d):
         """Return A + diag(d); d may be a scalar or a vector."""
@@ -187,13 +242,14 @@ class SparseMatrix:
         )
 
     def row_sums(self):
-        """sum_j A_ij for each row i: the bits of spmv(A, ones), as
-        1.0 * v == v."""
-        return _row_sums(self.values, self.row_offsets)
+        """sum_j A_ij for each row i, made once per matrix: the bits of
+        spmv(A, ones), as 1.0 * v == v."""
+        return self._cached("row_sums", lambda: _row_sums(self.values, self))
 
     def abs_row_sums(self):
-        """sum_j |A_ij| for each row i."""
-        return _row_sums(np.abs(self.values), self.row_offsets)
+        """sum_j |A_ij| for each row i, made once per matrix."""
+        return self._cached("abs_row_sums",
+                            lambda: _row_sums(np.abs(self.values), self))
 
     def norm_inf(self):
         if self.nnz == 0:
@@ -204,6 +260,10 @@ class SparseMatrix:
         dense = np.zeros((self.n_rows, self.n_cols))
         dense[self.row_indices(), self.col_indices] = self.values
         return dense
+
+
+# the cached facts that depend on the pattern alone, which scaled() keeps
+_PATTERN_FACTS = ("irreducible", "row_lengths", "nonempty_rows", "diagonal_slots")
 
 
 def _links_every_node_to_0(matrix):
@@ -303,9 +363,9 @@ def _operand(matrix, x):
 
 def spmv(matrix, x):
     """Sparse matrix-vector product in row order."""
-    prod = _operand(matrix, x)[matrix.col_indices]
+    prod = _operand(matrix, x).take(matrix.col_indices)
     prod *= matrix.values
-    return _row_sums(prod, matrix.row_offsets)
+    return _row_sums(prod, matrix)
 
 
 def _ell_product(values, cols, padded, prod, out):
@@ -336,50 +396,18 @@ def reused_product(op, n):
     return padded[:n], lambda: _ell_product(values, cols, padded, prod, out)
 
 
-def _row_sums(prod, row_offsets):
+def _row_sums(prod, matrix):
+    """The sum of each row's run of prod, a value per stored entry of
+    matrix."""
     # reduceat cannot start a segment at the end of prod, and it gives an
     # empty row the entry at its start, so empty rows are summed apart
-    starts = row_offsets[:-1]
-    nonempty = starts < row_offsets[1:]
-    if nonempty.all():
+    starts = matrix.row_offsets[:-1]
+    nonempty = matrix._nonempty_rows()
+    if nonempty is None:
         return np.add.reduceat(prod, starts)
     out = np.zeros(starts.size)
     out[nonempty] = np.add.reduceat(prod, starts[nonempty])
     return out
-
-
-def _ell_gather(matrix, active):
-    """(values, cols) of the active rows of matrix in the ELL layout, or
-    None if one of them is longer than _ELL_MAX_WIDTH.
-
-    Layout row i holds each row's entry i + 1, and the last layout row its
-    entry 0. Column active[i] becomes i. A slot past the end of its row,
-    and an entry in an inactive column, read the -0.0 pad k = active.size
-    with value 0.0. Built straight in (width, k) order from the CSR
-    arrays, with no (k, width) temporaries; the index arrays are freed on
-    return."""
-    k = active.size
-    starts = matrix.row_offsets[active]
-    lengths = matrix.row_offsets[active + 1] - starts
-    width = int(lengths.max(initial=0))
-    if width > _ELL_MAX_WIDTH:
-        return None
-    # at least one layout row, where an empty row reads the +0.0 pad
-    w = max(width, 1)
-    slot = (np.arange(1, w + 1) % w)[:, None]
-    if matrix.nnz == 0:
-        return np.zeros((slot.size, k)), np.full((slot.size, k), k)
-    new_index = np.full(matrix.n_cols + 1, k)
-    new_index[active] = np.arange(k)
-    # a slot past the end of its row reads some other entry (or wraps
-    # around), which the pad replaces
-    entry = starts + slot
-    raw = matrix.col_indices.take(entry, mode="wrap")
-    np.putmask(raw, slot >= lengths, matrix.n_cols)
-    cols = new_index.take(raw)
-    values = matrix.values.take(entry, mode="wrap")
-    np.putmask(values, cols == k, 0.0)
-    return values, cols
 
 
 class EllOperator:
@@ -404,13 +432,12 @@ def active_operator(matrix, mask, shift=0.0):
     every product.
 
     The active rows are gathered from A's CSR arrays straight into the
-    ELL layout of the slice, in O(width k) (see _ell_slice). The shift
-    lands in the diagonal's slot, which A finds once per matrix, and the
-    Jacobi diagonal is read from that slot. No CSR slice is built and A
-    keeps no layout. A slice of a row longer than _ELL_MAX_WIDTH, and a
-    shift on a missing or cancelling diagonal entry, return
-    principal_submatrix's CSR slice instead, with the shift added by
-    add_diagonal.
+    ELL layout of the slice, in O(width k) (see _ell_slice). The row
+    lengths, the Jacobi diagonal and the rows a shift cannot land on are
+    read from A's cached row data. No CSR slice is built and A keeps no
+    layout. A slice of a row longer than _ELL_MAX_WIDTH, and a shift on a
+    missing or cancelling diagonal entry, return principal_submatrix's
+    CSR slice instead, with the shift added by add_diagonal.
     """
     mask = np.asarray(mask, dtype=bool)
     if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
@@ -424,40 +451,63 @@ def active_operator(matrix, mask, shift=0.0):
 
 def _ell_slice(matrix, mask, shift):
     """(values, cols, diagonal) of active_operator's slice, or None for a
-    fallback.
+    fallback: a row longer than _ELL_MAX_WIDTH, or a shift that a row's
+    diagonal entry cannot take in place.
+
+    Layout row i holds each row's entry i + 1, and the last layout row its
+    entry 0. Column active[i] becomes i. A slot past the end of its row,
+    and an entry in an inactive column, read the -0.0 pad k = active.size
+    with value 0.0. The layout is built straight in (width, k) order from
+    the CSR arrays and the matrix's row lengths, with no (k, width)
+    temporaries. The diagonal is read from the matrix's own, and a shift
+    is added to it and put where a column is its own row.
 
     The kernel adds a row's slot 0, the last layout row, to the ordered
     sum of the others, as reduceat adds its first entry. A pad in another
     slot leaves that sum as it is, because s + (-0.0) == s; one in slot 0
     would put the first entry into the ordered sum. So the first kept
-    entry of a row whose slot 0 is a pad moves into slot 0, and a row with
-    no kept entry points slot 0 at the +0.0 pad k + 1: it sums to
+    entry of a row whose slot 0 is a pad moves into slot 0, and a row
+    with no kept entry points slot 0 at the +0.0 pad k + 1: it sums to
     -0.0 + 0 * 0.0 = 0.0, as the CSR kernel gives it."""
+    if shift != 0.0 and mask.take(matrix._unshiftable_rows(shift)).any():
+        return None
     active = np.flatnonzero(mask)
     k = active.size
-    slots = np.arange(k)
-    gathered = _ell_gather(matrix, active)
-    if gathered is None:
+    lengths = matrix._row_lengths().take(active)
+    width = int(lengths.max(initial=0))
+    if width > _ELL_MAX_WIDTH:
         return None
-    values, cols = gathered
-    diag_row = matrix.diagonal_slots().take(active)
-    missing = diag_row < 0
-    # entry j of a row sits in layout row j - 1, entry 0 in the last one
-    diag_row -= 1
-    diag_row %= values.shape[0]
-    diagonal = np.where(missing, 0.0, values[diag_row, slots])
+    # at least one layout row, where an empty row reads the +0.0 pad
+    slot = _ELL_SLOTS[max(width, 1)]
+    diagonal = matrix.diagonal().take(active)
+    if matrix.nnz == 0:
+        return np.zeros((slot.size, k)), np.full((slot.size, k), k + 1), diagonal
+    order = np.arange(k)
+    new_index = np.full(matrix.n_cols + 1, k)
+    new_index[active] = order
+    # a slot past the end of its row reads some other entry (or wraps
+    # around), which the pad replaces
+    entry = matrix.row_offsets.take(active) + slot
+    raw = matrix.col_indices.take(entry, mode="wrap")
+    np.putmask(raw, slot >= lengths, matrix.n_cols)
+    cols = new_index.take(raw)
+    pads = cols == k
+    values = matrix.values.take(entry, mode="wrap")
+    np.putmask(values, pads, 0.0)
     if shift != 0.0:
-        if missing.any() or np.any(diagonal == -shift):
-            return None
         diagonal += shift
-        values[diag_row, slots] = diagonal
-    rows = np.flatnonzero(cols[-1] == k)
-    first = (cols[:, rows] == k).argmin(axis=0)  # the first kept layout row
-    empty = cols[first, rows] == k  # argmin gives 0 when none is kept
-    cols[-1, rows[empty]] = k + 1
-    rows, first = rows[~empty], first[~empty]
-    cols[-1, rows], values[-1, rows] = cols[first, rows], values[first, rows]
-    cols[first, rows], values[first, rows] = k, 0.0
+        # putmask repeats diagonal along each layout row, so row i's
+        # diagonal entry takes diagonal[i]
+        np.putmask(values, cols == order, diagonal)
+    rows = np.flatnonzero(pads[-1])
+    first = pads.take(rows, axis=1).argmin(axis=0)  # 0 when none is kept
+    first *= k
+    first += rows  # the first kept entries' positions in the flat layout
+    slot0_cols, slot0_values = cols[-1], values[-1]
+    flat_cols, flat_values = cols.reshape(-1), values.reshape(-1)
+    slot0_cols[rows], slot0_values[rows] = flat_cols[first], flat_values[first]
+    flat_cols[first], flat_values[first] = k, 0.0
+    np.putmask(slot0_cols, slot0_cols == k, k + 1)  # the rows with none kept
     return values, cols, diagonal
 
 

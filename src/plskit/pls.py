@@ -20,6 +20,8 @@ the inner solution x_A scattered into zeros. The operator T_AA (+ I)
 comes from numkit.active_operator, which gathers the active rows of T's
 CSR arrays straight into a padded (ELL) layout, with no CSR slice per
 step; the operator is the only holder of that layout, and T stays CSR.
+T caches the O(n) row data that each gather reads (row lengths and
+diagonal), never a layout.
 matprops' Krylov solves get their slices the same way. The reduced
 system is solved by CG when T is symmetric and by Bi-CGSTAB otherwise,
 both Jacobi-preconditioned, as every inner solve is, and both with

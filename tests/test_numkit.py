@@ -236,6 +236,67 @@ def test_is_symmetric_is_exact():
     assert not csr_from_triplets([(0, 0, 1.0)], 2, 3).is_symmetric()
 
 
+def _uncached_copy(m, values):
+    """m's pattern with other values, and nothing found about it yet."""
+    return SparseMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, values)
+
+
+def _nearly_symmetric(rng, n):
+    """A random square pattern made symmetric, whose mirrored entries differ
+    in the last bit of some pairs, and a few empty rows."""
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
+    a = a + a.T
+    a[rng.random(n) < 0.2] = 0.0
+    a[:, np.all(a == 0.0, axis=1)] = 0.0
+    upper = np.triu(rng.random((n, n)) < 0.5, 1) & (a != 0.0)
+    a[upper] = np.nextafter(a[upper], np.inf)
+    return csr_from_dense(a)
+
+
+def test_scaled_keeps_pattern_facts_and_only_a_true_symmetry_verdict():
+    # s * A shares A's pattern, so it takes A's diagonal slots, row
+    # lengths and irreducibility as they are, and A's True symmetry
+    # verdict; a False one is found anew, and every verdict agrees with a
+    # copy that found its own. 2^-1074 rounds both entries of a pair that
+    # differ in the last bit to the same subnormal, so a nonsymmetric A
+    # gives a symmetric s * A
+    rng = np.random.default_rng(13)
+    tiny = np.ldexp(1.0, -1074)
+    verdicts = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        m = _nearly_symmetric(rng, n)
+        m.diagonal_slots()
+        m.is_irreducible()
+        symmetric = m.is_symmetric()
+        diagonal, row_sums = m.diagonal(), m.row_sums()
+        for s in (0.5, -3.0, tiny):
+            copy = m.scaled(s)
+            fresh = _uncached_copy(m, m.values * s)
+            assert copy.diagonal_slots() is m.diagonal_slots()
+            assert copy.is_irreducible() == fresh.is_irreducible() == m.is_irreducible()
+            assert copy.is_symmetric() == fresh.is_symmetric()
+            verdicts.add((symmetric, copy.is_symmetric()))
+            # the values' own row data is made anew
+            assert _same_bits(copy.diagonal(), fresh.diagonal())
+            assert _same_bits(copy.row_sums(), fresh.row_sums())
+            assert _same_bits(copy.abs_row_sums(), fresh.abs_row_sums())
+        assert m.diagonal() is diagonal and m.row_sums() is row_sums
+    assert verdicts == {(True, True), (False, False), (False, True)}
+
+
+def test_row_data_is_made_once_and_read_only():
+    # callers share the cached arrays, so none of them may write to one
+    m = _obstacle_matrix("tent-neumann", 6)
+    for read in (m.diagonal, m.diagonal_slots, m.row_sums, m.abs_row_sums):
+        first = read()
+        assert read() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+    assert np.array_equal(m.row_sums(), spmv(m, np.ones(m.n_cols)))
+
+
 def test_matrix_market_round_trip(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(
@@ -317,7 +378,7 @@ def test_matrix_market_symmetric_mirrors_the_lower_triangle(tmp_path):
 # if a numpy release changes that order, these tests fail first.
 
 def _csr_product(m, x):
-    return _row_sums(m.values * x[m.col_indices], m.row_offsets)
+    return _row_sums(m.values * x[m.col_indices], m)
 
 
 def _same_bits(a, b):
@@ -519,6 +580,50 @@ def test_active_operator_falls_back_to_the_csr_slice():
     for T in (missing, cancelling):
         x = _vector_with_zeros(rng, int(mask.sum()))
         assert isinstance(_assert_active_operator_bits(T, mask, 0.0, x), EllOperator)
+
+
+def _rows_with_diagonals(rng, n, width):
+    """A square matrix with rows of up to width entries, each with its
+    diagonal entry, except: rows 0 and 1 are empty, row 2 has entries but
+    no diagonal one, and row 3 has width entries."""
+    lengths = rng.integers(1, width + 1, n)
+    lengths[:2], lengths[3] = 0, width
+    rows, cols = [], []
+    for i in range(n):
+        diagonal = [i] if lengths[i] and i != 2 else []
+        others = rng.choice(np.delete(np.arange(n), i), lengths[i] - len(diagonal),
+                            replace=False)
+        rows += [i] * int(lengths[i])
+        cols += [*others, *diagonal]
+    vals = rng.normal(size=len(rows)) + np.where(np.array(rows) == cols, 4.0, 0.0)
+    return _csr_from_arrays(rows, cols, vals, n, n)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_one_matrix_serves_many_masks_and_shifts(width):
+    # the matrix's cached row data (row lengths, diagonal, the rows the
+    # last shift cannot land on) must serve every mask and shift in turn:
+    # each operator keeps the bits of principal_submatrix + add_diagonal,
+    # and falls back to it exactly where a shifted active row has no
+    # diagonal entry or one that the shift cancels. Shifts alternate, so
+    # a cache kept under the wrong key, or kept stale, shows
+    rng = np.random.default_rng(100 + width)
+    n = 30
+    T = _rows_with_diagonals(rng, n, width)
+    d = T.diagonal()
+    cancelling = -d[5]  # row 5's diagonal entry cancels under this shift
+    masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]
+    for p in (0.9, 0.6, 0.3):
+        masks += [rng.random(n) < p, _drops_first_neighbours(rng, T, p)]
+    masks += [np.arange(n) >= 6, np.arange(n) == 5, np.arange(n) < 2]
+    for mask in masks + masks[::-1]:
+        for shift in (0.0, 1.0, cancelling, 1.0, 0.0):
+            x = _vector_with_zeros(rng, int(mask.sum()))
+            op = _assert_active_operator_bits(T, mask, shift, x)
+            unshiftable = (T.diagonal_slots() < 0) | (d == -shift)
+            falls_back = shift != 0.0 and bool((mask & unshiftable).any())
+            assert isinstance(op, SparseMatrix) == falls_back
+    assert T.diagonal() is d
 
 
 def test_active_operator_validates_inputs():

@@ -1,6 +1,6 @@
 import csv
 import pathlib
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +18,14 @@ from plskit import (
 )
 from plskit import obstacle as obs
 from plskit import pls
-from plskit.pls import CONVERGED, NO_SOLUTION_CERTIFIED, SolverOptions
+from plskit.krylov import KrylovStats
+from plskit.pls import (
+    CONVERGED,
+    NO_SOLUTION_CERTIFIED,
+    IterationReport,
+    PlsSolution,
+    SolverOptions,
+)
 
 
 def test_problem_specs_cover_the_four_benchmarks():
@@ -447,6 +454,60 @@ def test_parabolic_copies_of_settled_steps_keep_every_bit(
         assert len({id(getattr(rep, field)) for rep in reports}) == nu
     stats = [st for rep in reports for st in rep.inner_stats]
     assert len({id(st) for st in stats}) == len(stats)
+
+
+def _mutable_parts(value):
+    """Every array, list and dataclass object reachable from value."""
+    if isinstance(value, list):
+        return [value] + [part for item in value for part in _mutable_parts(item)]
+    if is_dataclass(value):
+        return [value] + [part for f in fields(value)
+                          for part in _mutable_parts(getattr(value, f.name))]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def _contents(value):
+    """value as nested tuples of field names, types and bits, so that two
+    copies compare equal only when they hold the same bits."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, list):
+        return ("list", *map(_contents, value))
+    if is_dataclass(value):
+        return (type(value).__name__, *((f.name, _contents(getattr(value, f.name)))
+                                        for f in fields(value)))
+    return (type(value).__name__, value.hex() if isinstance(value, float) else value)
+
+
+def test_settled_step_copier_copies_every_field():
+    # every field of PlsSolution and of its IterationReport holds a
+    # mutable object here, whatever its usual type: the copy must hold
+    # the same bits in each and share no array, list or dataclass with
+    # the original, so a field added later cannot be aliased silently
+    def filled(i):
+        return [np.array([float(i), -0.0]), [i, 0.5 * i],
+                KrylovStats(i, -0.0, True, False)]
+
+    report = IterationReport(**{f.name: filled(i)
+                                for i, f in enumerate(fields(IterationReport))})
+    solution = PlsSolution(**{f.name: filled(i) for i, f in enumerate(fields(PlsSolution))})
+    solution.report = report
+    copied = obs._fresh_copy(solution)
+    assert type(copied) is PlsSolution and type(copied.report) is IterationReport
+    for original, copy in ((solution, copied), (report, copied.report)):
+        for f in fields(original):
+            assert _contents(getattr(copy, f.name)) == _contents(getattr(original, f.name))
+    originals = _mutable_parts(solution)
+    copies = _mutable_parts(copied)
+    assert len(copies) == len(originals)
+    assert not {id(part) for part in originals} & {id(part) for part in copies}
+    arrays = [a for a in originals + copies if isinstance(a, np.ndarray)]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    # a kind it has no rule for is refused, not shared
+    for value in ({"k": [1]}, (np.zeros(1),), object()):
+        with pytest.raises(TypeError):
+            obs._fresh_copy(replace(solution, status=value))
 
 
 def test_settled_state_test_tells_signed_zeros_apart():
