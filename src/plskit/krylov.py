@@ -46,7 +46,7 @@ class KrylovOptions:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrylovStats:
     iterations: int
     final_residual_norm: float

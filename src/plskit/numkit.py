@@ -26,15 +26,16 @@ applied: a Krylov loop runs the operator's kernel on reused buffers
 through it, and the operator has no product method of its own.
 
 A matrix caches what it finds about itself, each item once and on first
-use: its symmetry and irreducibility, and O(n) data about its rows (row
-lengths, the diagonal's slots and values, the rows the last shift asked
-for cannot land on, whether a row is empty, the row sums and absolute
-row sums). It never caches a layout: a step's layout is O(width k), and
-a layout cached on T cost too much peak memory. So each step's gather
-reads its row lengths and diagonal from the matrix instead of finding
-them again, each CSR product knows whether its rows need the empty-row
-path, and check_t2 reads the row sums that check_t1 made. `scaled` hands
-the pattern facts and a True symmetry verdict to its copy.
+use: its symmetry and irreducibility, and O(n) data about its rows (the
+diagonal's slots and values, the rows the last shift asked for cannot
+land on, whether a row is empty, the row sums and absolute row sums). It
+never caches a layout: a step's layout is O(width k), and a layout
+cached on T cost too much peak memory. So each step's gather reads its
+diagonal from the matrix instead of finding it again, each CSR product
+knows whether its rows need the empty-row path, and check_t2 reads the
+row sums that check_t1 made. Row lengths are not cached: a gather takes
+its active rows' lengths from two takes of the row offsets. `scaled`
+hands the pattern facts and a True symmetry verdict to its copy.
 
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
@@ -168,14 +169,10 @@ class SparseMatrix:
         return np.repeat(np.arange(self.n_rows, dtype=_INDEX_DTYPE),
                          np.diff(self.row_offsets))
 
-    def _row_lengths(self):
-        """The number of stored entries of each row."""
-        return self._cached("row_lengths", lambda: np.diff(self.row_offsets))
-
     def _nonempty_rows(self):
         """Which rows have a stored entry, or None when every row has one."""
         def find():
-            nonempty = self._row_lengths() > 0
+            nonempty = np.diff(self.row_offsets) > 0
             return None if nonempty.all() else nonempty
         return self._cached("nonempty_rows", find)
 
@@ -263,7 +260,7 @@ class SparseMatrix:
 
 
 # the cached facts that depend on the pattern alone, which scaled() keeps
-_PATTERN_FACTS = ("irreducible", "row_lengths", "nonempty_rows", "diagonal_slots")
+_PATTERN_FACTS = ("irreducible", "nonempty_rows", "diagonal_slots")
 
 
 def _links_every_node_to_0(matrix):
@@ -458,9 +455,9 @@ def _ell_slice(matrix, mask, shift):
     entry 0. Column active[i] becomes i. A slot past the end of its row,
     and an entry in an inactive column, read the -0.0 pad k = active.size
     with value 0.0. The layout is built straight in (width, k) order from
-    the CSR arrays and the matrix's row lengths, with no (k, width)
-    temporaries. The diagonal is read from the matrix's own, and a shift
-    is added to it and put where a column is its own row.
+    the CSR arrays, with no (k, width) temporaries. The diagonal is read
+    from the matrix's own, and a shift is added to it and put where a
+    column is its own row.
 
     The kernel adds a row's slot 0, the last layout row, to the ordered
     sum of the others, as reduceat adds its first entry. A pad in another
@@ -473,7 +470,8 @@ def _ell_slice(matrix, mask, shift):
         return None
     active = np.flatnonzero(mask)
     k = active.size
-    lengths = matrix._row_lengths().take(active)
+    starts = matrix.row_offsets.take(active)
+    lengths = matrix.row_offsets.take(active + 1) - starts
     width = int(lengths.max(initial=0))
     if width > _ELL_MAX_WIDTH:
         return None
@@ -487,7 +485,7 @@ def _ell_slice(matrix, mask, shift):
     new_index[active] = order
     # a slot past the end of its row reads some other entry (or wraps
     # around), which the pad replaces
-    entry = matrix.row_offsets.take(active) + slot
+    entry = starts + slot
     raw = matrix.col_indices.take(entry, mode="wrap")
     np.putmask(raw, slot >= lengths, matrix.n_cols)
     cols = new_index.take(raw)

@@ -17,7 +17,7 @@ grid. Written row by row, that is already sorted CSR, so assembly needs
 no sort of its entries.
 """
 
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,9 +259,9 @@ class ParabolicRun:
     tau: float
     nu: int
     dt: float
-    snapshots: list  # nu + 1 membrane states, the initial one first
+    snapshots: list  # nu + 1 read-only membrane states, the initial one first
     step_results: list  # nu PlsSolution records
-    replayed_steps: int = 0  # the last steps, copied from a settled step
+    replayed_steps: int = 0  # the last steps: the settled step's, shared
 
 
 def run_parabolic(spec, n, tau, nu, opts=None):
@@ -288,9 +288,10 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     right-hand side and T_step, and finds the trail as this one left it,
     since each of its nonempty steps made a 0-iteration solve, which
     returns its start, and left that start in the entry. So every later
-    step repeats it, and the run fills them with copies of its state and
-    PlsSolution (see _fresh_copy), and calls the solver no more;
-    replayed_steps counts the copies.
+    step repeats it: the run calls the solver no more, and each later
+    step holds the settled step's own state and PlsSolution objects, with
+    no copy; replayed_steps counts them. A PlsSolution is immutable (see
+    pls) and every snapshot is read-only, so no step can change another.
 
     All time steps share one T_step = dt T, so the row data it caches
     (see numkit) is found once per run; it keeps T's pattern facts.
@@ -319,35 +320,11 @@ def run_parabolic(spec, n, tau, nu, opts=None):
             break
         u = state
     replayed = nu - len(step_results)
-    for _ in range(replayed):
-        snapshots.append(state.copy())
-        step_results.append(_fresh_copy(result))
+    snapshots += [state] * replayed
+    step_results += [result] * replayed
+    for snapshot in snapshots:
+        snapshot.flags.writeable = False
     return ParabolicRun(disc, tau, nu, dt, snapshots, step_results, replayed)
-
-
-# what a copy may share with its original, since nothing can change it
-_IMMUTABLE = (int, float, str, bool, type(None), np.generic)
-
-
-def _fresh_copy(value):
-    """A copy of a step's record that shares no mutable object with it:
-    every array and list in it is copied, and every dataclass with all of
-    its fields. A value of any other kind raises TypeError rather than be
-    shared. Unlike copy.deepcopy, it keeps no memo and dispatches on
-    these few kinds alone, so a PlsSolution takes about a third of the
-    time."""
-    if isinstance(value, _IMMUTABLE):
-        return value
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    if isinstance(value, list):
-        return [_fresh_copy(item) for item in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        copied = object.__new__(type(value))
-        copied.__dict__ = {name: _fresh_copy(item)
-                           for name, item in vars(value).items()}
-        return copied
-    raise TypeError(f"no copy rule for {type(value).__name__}")
 
 
 def _same_bits(a, b):

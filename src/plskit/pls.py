@@ -20,8 +20,8 @@ the inner solution x_A scattered into zeros. The operator T_AA (+ I)
 comes from numkit.active_operator, which gathers the active rows of T's
 CSR arrays straight into a padded (ELL) layout, with no CSR slice per
 step; the operator is the only holder of that layout, and T stays CSR.
-T caches the O(n) row data that each gather reads (row lengths and
-diagonal), never a layout.
+T caches the O(n) row data that each gather reads (its diagonal),
+never a layout.
 matprops' Krylov solves get their slices the same way. The reduced
 system is solved by CG when T is symmetric and by Bi-CGSTAB otherwise,
 both Jacobi-preconditioned, as every inner solve is, and both with
@@ -42,6 +42,11 @@ iterations. A start only seeds the solver: the entry test uses the step's
 own operator, and a wrong final iterate cannot pass the nonsmooth
 residual gate. A step makes one product of T for its lift unless its
 mask is empty, and one for its residual unless its mask repeats.
+
+Results are immutable: KrylovStats, IterationReport and PlsSolution are
+frozen, a report's per-step sequences are tuples, and a solution's x and
+y are read-only. So a caller may hand one result to many readers, as
+obstacle.run_parabolic does for its settled time steps, with no copy.
 """
 
 from dataclasses import dataclass, field, replace
@@ -93,25 +98,29 @@ class PlsProblem:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationReport:
     outer_iterations: int
-    active_counts: list
-    inner_stats: list
-    residual_history: list
+    active_counts: tuple
+    inner_stats: tuple
+    residual_history: tuple
     solvability: object | None = None  # matprops.Solvability when classified
     family_direction: np.ndarray | None = None
     # per step, the components of the previous mask missing from the new
     # one; nonzero only if the iteration is not monotone
-    left_counts: list = field(default_factory=list)
+    left_counts: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlsSolution:
     x: np.ndarray
     y: np.ndarray
     status: str
     report: IterationReport
+
+    def __post_init__(self):
+        self.x.flags.writeable = False
+        self.y.flags.writeable = False
 
 
 @dataclass
@@ -238,8 +247,8 @@ def _picard(T, b, kind, opts, trail=None):
         opmask = newmask
     if trail is not None:
         del trail[outer:]
-    report = IterationReport(outer, active_counts, inner_stats, residual_history,
-                             left_counts=left_counts)
+    report = IterationReport(outer, tuple(active_counts), tuple(inner_stats),
+                             tuple(residual_history), left_counts=tuple(left_counts))
     if not stable:
         return PlsSolution(x, np.maximum(x, 0.0), MAX_OUTER_EXCEEDED, report)
     if not residual_history[-1] <= gate:  # a NaN residual misses it
@@ -269,14 +278,13 @@ def solve_elliptic_pls(problem, opts=None):
         solvability = classify_solvability(v, problem.b)
         if solvability.verdict == NO_SOLUTION:
             zero = np.zeros(problem.T.n_rows)
-            report = IterationReport(0, [0], [], [], solvability=solvability)
+            report = IterationReport(0, (0,), (), (), solvability=solvability)
             return PlsSolution(zero, zero.copy(), NO_SOLUTION_CERTIFIED, report)
         if solvability.verdict == FAMILY_ALONG_W:
             family = as_vector(w)
     sol = _picard(problem.T, problem.b, ELLIPTIC, opts)
-    sol.report.solvability = solvability
-    sol.report.family_direction = family
-    return sol
+    return replace(sol, report=replace(sol.report, solvability=solvability,
+                                       family_direction=family))
 
 
 def solve_parabolic_pls(problem, opts=None, trail=None):
@@ -323,8 +331,7 @@ def solve_shifted(T, b, xi, form, opts=None):
         exc.x = xi + sign * exc.x
         raise
     z = sign * sol.x
-    sol.x, sol.y = xi + z, np.maximum(z, 0.0)
-    return sol
+    return replace(sol, x=xi + z, y=np.maximum(z, 0.0))
 
 
 def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):

@@ -601,8 +601,8 @@ def _rows_with_diagonals(rng, n, width):
 
 @pytest.mark.parametrize("width", range(1, 9))
 def test_one_matrix_serves_many_masks_and_shifts(width):
-    # the matrix's cached row data (row lengths, diagonal, the rows the
-    # last shift cannot land on) must serve every mask and shift in turn:
+    # the matrix's cached row data (diagonal, the rows the last shift
+    # cannot land on) must serve every mask and shift in turn:
     # each operator keeps the bits of principal_submatrix + add_diagonal,
     # and falls back to it exactly where a shifted active row has no
     # diagonal entry or one that the shift cancels. Shifts alternate, so

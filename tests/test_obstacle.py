@@ -1,6 +1,6 @@
 import csv
 import pathlib
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,12 +18,9 @@ from plskit import (
 )
 from plskit import obstacle as obs
 from plskit import pls
-from plskit.krylov import KrylovStats
 from plskit.pls import (
     CONVERGED,
     NO_SOLUTION_CERTIFIED,
-    IterationReport,
-    PlsSolution,
     SolverOptions,
 )
 
@@ -291,7 +288,7 @@ def test_parabolic_trail_ignores_a_pair_on_another_mask():
     alone = solve_parabolic_pls(problem, opts)
     trail = []
     first = solve_parabolic_pls(problem, opts, trail=trail)
-    assert [int(m.sum()) for m, _ in trail] == alone.report.active_counts[:-1]
+    assert tuple(int(m.sum()) for m, _ in trail) == alone.report.active_counts[:-1]
     assert np.array_equal(first.x, alone.x)
     rng = np.random.default_rng(3)
     stale = [(~mask, rng.normal(size=int((~mask).sum()))) for mask, _ in trail]
@@ -325,7 +322,7 @@ def test_parabolic_trail_from_another_matrix_only_seeds_the_solve(c, n):
     assert again.report.active_counts == alone.report.active_counts
     assert np.abs(again.x - alone.x).max() <= 1e-9 * max(np.abs(alone.x).max(), 1.0)
     assert lcp_check(other.T, b, again.y, kind=PARABOLIC).passed
-    assert [int(m.sum()) for m, _ in trail] == alone.report.active_counts[:-1]
+    assert tuple(int(m.sum()) for m, _ in trail) == alone.report.active_counts[:-1]
 
 
 def _count_operators(monkeypatch):
@@ -358,7 +355,7 @@ def test_parabolic_run_makes_one_product_per_step_beyond_the_solves(
     # nonempty step builds its operator, runs a solver and lifts with a
     # product, and an empty step makes none. Every step's residual takes
     # one product, except the stable step's, which the lift's product
-    # serves. The copied steps after the settled one make no product,
+    # serves. The replayed steps after the settled one make no product,
     # build no operator and call no solver
     products = _count_products(monkeypatch)
     built = _count_operators(monkeypatch)
@@ -400,7 +397,7 @@ def test_an_elliptic_solve_makes_two_products_per_step_after_the_first(
 
 
 def _solved_every_step(spec, n, tau, nu):
-    # run_parabolic's time loop without the copy of settled steps: nu
+    # run_parabolic's time loop without the replay of settled steps: nu
     # solves sharing one trail
     disc = obs.assemble_elliptic(spec, n)
     dt = tau / nu
@@ -432,10 +429,11 @@ def _step_record(result):
     ("tent", None, 1.0e4, 20, True), ("torsion", -5.0, 5.0, 20, True),
     ("torsion", -20.0, 5.0, 20, True), ("torsion", -5.0, 0.3, 3, False),
 ])
-def test_parabolic_copies_of_settled_steps_keep_every_bit(
+def test_parabolic_settled_steps_are_shared_and_keep_every_bit(
         name, c, tau, nu, settles):
-    # the copied steps must hold what solving every step gives, bit for
-    # bit, and share no array, list or stats object with another step
+    # the replayed steps must hold what solving every step gives, bit for
+    # bit, as the settled step's own objects: results are immutable and
+    # every snapshot is read-only, so sharing them needs no copy
     spec = obs.problem_spec(name, c)
     run = obs.run_parabolic(spec, 25, tau, nu)
     snapshots, step_results = _solved_every_step(spec, 25, tau, nu)
@@ -443,71 +441,11 @@ def test_parabolic_copies_of_settled_steps_keep_every_bit(
     assert [s.tobytes() for s in run.snapshots] == [s.tobytes() for s in snapshots]
     assert ([_step_record(r) for r in run.step_results]
             == [_step_record(r) for r in step_results])
-    held = list(run.snapshots)
-    for r in run.step_results:
-        held += [r.x, r.y]
-    assert not any(np.shares_memory(a, b)
-                   for i, a in enumerate(held) for b in held[i + 1:])
-    reports = [r.report for r in run.step_results]
-    for field in ("active_counts", "left_counts", "residual_history",
-                  "inner_stats"):
-        assert len({id(getattr(rep, field)) for rep in reports}) == nu
-    stats = [st for rep in reports for st in rep.inner_stats]
-    assert len({id(st) for st in stats}) == len(stats)
-
-
-def _mutable_parts(value):
-    """Every array, list and dataclass object reachable from value."""
-    if isinstance(value, list):
-        return [value] + [part for item in value for part in _mutable_parts(item)]
-    if is_dataclass(value):
-        return [value] + [part for f in fields(value)
-                          for part in _mutable_parts(getattr(value, f.name))]
-    return [value] if isinstance(value, np.ndarray) else []
-
-
-def _contents(value):
-    """value as nested tuples of field names, types and bits, so that two
-    copies compare equal only when they hold the same bits."""
-    if isinstance(value, np.ndarray):
-        return ("array", value.dtype.str, value.shape, value.tobytes())
-    if isinstance(value, list):
-        return ("list", *map(_contents, value))
-    if is_dataclass(value):
-        return (type(value).__name__, *((f.name, _contents(getattr(value, f.name)))
-                                        for f in fields(value)))
-    return (type(value).__name__, value.hex() if isinstance(value, float) else value)
-
-
-def test_settled_step_copier_copies_every_field():
-    # every field of PlsSolution and of its IterationReport holds a
-    # mutable object here, whatever its usual type: the copy must hold
-    # the same bits in each and share no array, list or dataclass with
-    # the original, so a field added later cannot be aliased silently
-    def filled(i):
-        return [np.array([float(i), -0.0]), [i, 0.5 * i],
-                KrylovStats(i, -0.0, True, False)]
-
-    report = IterationReport(**{f.name: filled(i)
-                                for i, f in enumerate(fields(IterationReport))})
-    solution = PlsSolution(**{f.name: filled(i) for i, f in enumerate(fields(PlsSolution))})
-    solution.report = report
-    copied = obs._fresh_copy(solution)
-    assert type(copied) is PlsSolution and type(copied.report) is IterationReport
-    for original, copy in ((solution, copied), (report, copied.report)):
-        for f in fields(original):
-            assert _contents(getattr(copy, f.name)) == _contents(getattr(original, f.name))
-    originals = _mutable_parts(solution)
-    copies = _mutable_parts(copied)
-    assert len(copies) == len(originals)
-    assert not {id(part) for part in originals} & {id(part) for part in copies}
-    arrays = [a for a in originals + copies if isinstance(a, np.ndarray)]
-    assert not any(np.shares_memory(a, b)
-                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
-    # a kind it has no rule for is refused, not shared
-    for value in ({"k": [1]}, (np.zeros(1),), object()):
-        with pytest.raises(TypeError):
-            obs._fresh_copy(replace(solution, status=value))
+    settled = nu - run.replayed_steps  # time step of the settled result
+    assert all(r is run.step_results[settled - 1]
+               for r in run.step_results[settled:])
+    assert all(s is run.snapshots[settled] for s in run.snapshots[settled + 1:])
+    assert not any(s.flags.writeable for s in run.snapshots)
 
 
 def test_settled_state_test_tells_signed_zeros_apart():

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_an_exact_zero_joins_the_mask():
     b = np.array([0.0, -1.0])
     sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), b))
     assert sol.status == CONVERGED
-    assert sol.report.active_counts[:2] == [0, 1]
+    assert sol.report.active_counts[:2] == (0, 1)
     assert np.array_equal(sol.x, b)
     assert residual_nonsmooth(csr_from_dense(T22), b, sol.x) == 0.0
 
@@ -279,7 +280,7 @@ def test_active_counts_grow_monotonically():
                 sol = solve(PlsProblem(t, b, kind=kind))
                 assert sol.report.active_counts[0] == 0
                 # as sets: no step drops a component of the mask before it
-                assert sol.report.left_counts == [0] * sol.report.outer_iterations
+                assert sol.report.left_counts == (0,) * sol.report.outer_iterations
                 # the sharp bound: n mask growths plus one confirming solve,
                 # and the run must stop on a stable mask, not on max_outer
                 assert sol.report.outer_iterations <= n + 1
@@ -294,8 +295,8 @@ def test_left_counts_record_a_mask_that_shrinks():
     t = csr_from_dense([[2.0, 1.0], [-0.5, 1.5]])
     sol = solve_elliptic_pls(PlsProblem(t, [0.5, 1.5]))
     assert sol.status == CONVERGED
-    assert sol.report.active_counts == [0, 2, 1, 1]
-    assert sol.report.left_counts == [0, 1, 0]
+    assert sol.report.active_counts == (0, 2, 1, 1)
+    assert sol.report.left_counts == (0, 1, 0)
     assert np.allclose(sol.x, [-0.5, 1.0])
 
 
@@ -303,7 +304,7 @@ def test_solve_count_reaches_the_sharp_bound_n_plus_one():
     # the empty start mask grows twice, then a third solve confirms it
     sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -0.1]))
     assert sol.status == CONVERGED
-    assert sol.report.active_counts == [0, 1, 2, 2]
+    assert sol.report.active_counts == (0, 1, 2, 2)
     assert sol.report.outer_iterations == 3
     assert np.allclose(sol.x, [19.0 / 30.0, 8.0 / 30.0])
 
@@ -375,6 +376,49 @@ def test_max_outer_cap_reports_instead_of_looping():
     )
     assert sol.status == MAX_OUTER_EXCEEDED
     assert sol.report.outer_iterations == 1
+
+
+_SINGULAR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("solve, status", [
+    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -0.1])),
+     CONVERGED),
+    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, 1.0],
+                                           t2_data=(np.ones(2), np.ones(2)))),
+     NO_SOLUTION_CERTIFIED),
+    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, -1.0],
+                                           t2_data=(np.ones(2), np.ones(2)))),
+     CONVERGED),
+    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]),
+                                SolverOptions(max_outer=1)),
+     MAX_OUTER_EXCEEDED),
+    (lambda: solve_parabolic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0],
+                                            kind=PARABOLIC)),
+     CONVERGED),
+    (lambda: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
+                           MIN_PLUS_TMAX), CONVERGED),
+    (lambda: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
+                           MAX_PLUS_TMIN), CONVERGED),
+], ids=["elliptic", "no-solution", "family", "max-outer", "parabolic",
+        "min-plus-tmax", "max-plus-tmin"])
+def test_every_returned_result_is_immutable(solve, status):
+    # a caller may hand one result to many readers (run_parabolic does so
+    # for its settled steps), so no field of the solution, its report or
+    # an inner stats record can be rebound, the per-step records are
+    # tuples, and x and y refuse writes
+    sol = solve()
+    assert sol.status == status
+    rep = sol.report
+    for record in (sol, rep, *rep.inner_stats):
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+    for name in ("active_counts", "left_counts", "inner_stats", "residual_history"):
+        assert type(getattr(rep, name)) is tuple
+    for vector in (sol.x, sol.y):
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
 
 
 def test_unclassified_infeasible_t2_system_fails_loudly():
