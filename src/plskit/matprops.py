@@ -80,7 +80,7 @@ class MatrixClassReport:
     notes: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Solvability:
     verdict: str
     vtb: float

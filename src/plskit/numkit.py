@@ -25,17 +25,19 @@ product (`spmv`). `reused_product` is the only way a step operator is
 applied: a Krylov loop runs the operator's kernel on reused buffers
 through it, and the operator has no product method of its own.
 
-A matrix caches what it finds about itself, each item once and on first
-use: its symmetry and irreducibility, and O(n) data about its rows (the
-diagonal's slots and values, the rows the last shift asked for cannot
-land on, whether a row is empty, the row sums and absolute row sums). It
-never caches a layout: a step's layout is O(width k), and a layout
-cached on T cost too much peak memory. So each step's gather reads its
-diagonal from the matrix instead of finding it again, each CSR product
-knows whether its rows need the empty-row path, and check_t2 reads the
-row sums that check_t1 made. Row lengths are not cached: a gather takes
-its active rows' lengths from two takes of the row offsets. `scaled`
-hands the pattern facts and a True symmetry verdict to its copy.
+A matrix caches what it finds about itself by one rule: each item is
+made by `_cached`, once, on first use, on the matrix it describes, and
+read-only; none is keyed by a caller's argument, replaced or handed to
+another matrix. The items are its symmetry and irreducibility, and O(n)
+data about its rows (the diagonal's slots and values, whether a row is
+empty, the row sums and absolute row sums). It never caches a layout: a
+step's layout is O(width k), and a layout cached on T cost too much
+peak memory. So each step's gather reads its diagonal from the matrix
+instead of finding it again, and tells from it whether a shift can land
+there; each CSR product knows whether its rows need the empty-row path,
+and check_t2 reads the row sums that check_t1 made. Row lengths are not
+cached: a gather takes its active rows' lengths from two takes of the
+row offsets. A copy made by `scaled` finds its own facts.
 
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
@@ -129,7 +131,8 @@ class SparseMatrix:
     def _cached(self, key, compute):
         """compute(), made once per matrix and kept under key: a fact about
         the matrix or O(n) data about its rows, never a layout. Arrays are
-        made read-only, since every caller shares them."""
+        made read-only, since every caller shares them. This is the only
+        place an item is put in the cache."""
         try:
             return self._cache[key]
         except KeyError:
@@ -199,31 +202,11 @@ class SparseMatrix:
             return d
         return self._cached("diagonal", read)
 
-    def _unshiftable_rows(self, shift):
-        """The rows of a square matrix whose diagonal entry a shift of the
-        diagonal cannot land on in place: a missing one, or one that the
-        shift cancels. Kept for the last shift asked for only, so that a
-        matrix shifted by many values still caches O(n)."""
-        last_shift, rows = self._cache.get("unshiftable_rows", (None, None))
-        if last_shift != shift:  # a NaN shift is found anew each time
-            rows = np.flatnonzero((self.diagonal_slots() < 0)
-                                  | (self.diagonal() == -shift))
-            rows.flags.writeable = False
-            self._cache["unshiftable_rows"] = shift, rows
-        return rows
-
     def scaled(self, s):
         """Return s * A (same sparsity; s must be nonzero to keep it exact).
-
-        The copy keeps what A found about its pattern, and a True symmetry
-        verdict: s a_ij == s a_ji when a_ij == a_ji. A False one is found
-        anew, since rounding can give s a == s b for a != b."""
-        copy = SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
+        The copy finds its own facts, as every matrix does."""
+        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
                             self.col_indices, self.values * float(s))
-        copy._cache = {key: value for key, value in self._cache.items()
-                       if key in _PATTERN_FACTS
-                       or (key == "symmetric" and value)}
-        return copy
 
     def add_diagonal(self, d):
         """Return A + diag(d); d may be a scalar or a vector."""
@@ -257,10 +240,6 @@ class SparseMatrix:
         dense = np.zeros((self.n_rows, self.n_cols))
         dense[self.row_indices(), self.col_indices] = self.values
         return dense
-
-
-# the cached facts that depend on the pattern alone, which scaled() keeps
-_PATTERN_FACTS = ("irreducible", "nonempty_rows", "diagonal_slots")
 
 
 def _links_every_node_to_0(matrix):
@@ -309,7 +288,7 @@ def _reaches_all(matrix):
     return bool(seen.all())
 
 
-def _csr_from_arrays(rows, cols, vals, n_rows, n_cols, drop_zeros=True):
+def _csr_from_arrays(rows, cols, vals, n_rows, n_cols):
     rows = np.asarray(rows, dtype=_INDEX_DTYPE)
     cols = np.asarray(cols, dtype=_INDEX_DTYPE)
     vals = np.asarray(vals, dtype=np.float64)
@@ -326,9 +305,8 @@ def _csr_from_arrays(rows, cols, vals, n_rows, n_cols, drop_zeros=True):
         starts = np.flatnonzero(first)
         summed = np.add.reduceat(vals, starts)
         rows, cols, vals = rows[starts], cols[starts], summed
-        if drop_zeros:
-            keep = vals != 0.0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     counts = np.bincount(rows, minlength=n_rows)
     row_offsets = np.zeros(n_rows + 1, dtype=_INDEX_DTYPE)
     np.cumsum(counts, out=row_offsets[1:])
@@ -429,12 +407,12 @@ def active_operator(matrix, mask, shift=0.0):
     every product.
 
     The active rows are gathered from A's CSR arrays straight into the
-    ELL layout of the slice, in O(width k) (see _ell_slice). The row
-    lengths, the Jacobi diagonal and the rows a shift cannot land on are
-    read from A's cached row data. No CSR slice is built and A keeps no
-    layout. A slice of a row longer than _ELL_MAX_WIDTH, and a shift on a
-    missing or cancelling diagonal entry, return principal_submatrix's
-    CSR slice instead, with the shift added by add_diagonal.
+    ELL layout of the slice, in O(width k) (see _ell_slice). The Jacobi
+    diagonal is read from A's cached diagonal. No CSR slice is built and
+    A keeps no layout. A slice of a row longer than _ELL_MAX_WIDTH, and a
+    shift where an active row's diagonal reads 0.0 or -shift (a missing,
+    zero or cancelling entry), return principal_submatrix's CSR slice
+    instead, with the shift added by add_diagonal.
     """
     mask = np.asarray(mask, dtype=bool)
     if matrix.n_rows != matrix.n_cols or mask.shape != (matrix.n_rows,):
@@ -449,7 +427,8 @@ def active_operator(matrix, mask, shift=0.0):
 def _ell_slice(matrix, mask, shift):
     """(values, cols, diagonal) of active_operator's slice, or None for a
     fallback: a row longer than _ELL_MAX_WIDTH, or a shift that a row's
-    diagonal entry cannot take in place.
+    diagonal entry cannot take in place, since it reads 0.0 (0.0 is also
+    what a missing one reads) or -shift.
 
     Layout row i holds each row's entry i + 1, and the last layout row its
     entry 0. Column active[i] becomes i. A slot past the end of its row,
@@ -466,8 +445,6 @@ def _ell_slice(matrix, mask, shift):
     entry of a row whose slot 0 is a pad moves into slot 0, and a row
     with no kept entry points slot 0 at the +0.0 pad k + 1: it sums to
     -0.0 + 0 * 0.0 = 0.0, as the CSR kernel gives it."""
-    if shift != 0.0 and mask.take(matrix._unshiftable_rows(shift)).any():
-        return None
     active = np.flatnonzero(mask)
     k = active.size
     starts = matrix.row_offsets.take(active)
@@ -478,6 +455,8 @@ def _ell_slice(matrix, mask, shift):
     # at least one layout row, where an empty row reads the +0.0 pad
     slot = _ELL_SLOTS[max(width, 1)]
     diagonal = matrix.diagonal().take(active)
+    if shift != 0.0 and ((diagonal == 0.0) | (diagonal == -shift)).any():
+        return None
     if matrix.nnz == 0:
         return np.zeros((slot.size, k)), np.full((slot.size, k), k + 1), diagonal
     order = np.arange(k)

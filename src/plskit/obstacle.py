@@ -294,7 +294,7 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     pls) and every snapshot is read-only, so no step can change another.
 
     All time steps share one T_step = dt T, so the row data it caches
-    (see numkit) is found once per run; it keeps T's pattern facts.
+    (see numkit) is found once per run.
     """
     if nu < 1:
         raise GridError("need at least one time step")

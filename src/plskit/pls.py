@@ -43,10 +43,12 @@ own operator, and a wrong final iterate cannot pass the nonsmooth
 residual gate. A step makes one product of T for its lift unless its
 mask is empty, and one for its residual unless its mask repeats.
 
-Results are immutable: KrylovStats, IterationReport and PlsSolution are
-frozen, a report's per-step sequences are tuples, and a solution's x and
-y are read-only. So a caller may hand one result to many readers, as
-obstacle.run_parabolic does for its settled time steps, with no copy.
+Results are immutable: KrylovStats, IterationReport, PlsSolution and
+the report's matprops.Solvability are frozen, a report's per-step
+sequences are tuples, and a solution's x and y and a report's
+family_direction (a copy of the caller's w) are read-only. So a caller
+may hand one result to many readers, as obstacle.run_parabolic does for
+its settled time steps, with no copy.
 """
 
 from dataclasses import dataclass, field, replace
@@ -281,7 +283,8 @@ def solve_elliptic_pls(problem, opts=None):
             report = IterationReport(0, (0,), (), (), solvability=solvability)
             return PlsSolution(zero, zero.copy(), NO_SOLUTION_CERTIFIED, report)
         if solvability.verdict == FAMILY_ALONG_W:
-            family = as_vector(w)
+            family = as_vector(w).copy()  # the caller's w stays the caller's
+            family.flags.writeable = False
     sol = _picard(problem.T, problem.b, ELLIPTIC, opts)
     return replace(sol, report=replace(sol.report, solvability=solvability,
                                        family_direction=family))

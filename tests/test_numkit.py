@@ -253,11 +253,10 @@ def _nearly_symmetric(rng, n):
     return csr_from_dense(a)
 
 
-def test_scaled_keeps_pattern_facts_and_only_a_true_symmetry_verdict():
-    # s * A shares A's pattern, so it takes A's diagonal slots, row
-    # lengths and irreducibility as they are, and A's True symmetry
-    # verdict; a False one is found anew, and every verdict agrees with a
-    # copy that found its own. 2^-1074 rounds both entries of a pair that
+def test_scaled_copy_finds_its_own_facts():
+    # s * A is a matrix like any other: every fact and every row datum it
+    # finds agrees with a copy made with no cache, and A's own cached
+    # data stays as it was. 2^-1074 rounds both entries of a pair that
     # differ in the last bit to the same subnormal, so a nonsymmetric A
     # gives a symmetric s * A
     rng = np.random.default_rng(13)
@@ -273,7 +272,6 @@ def test_scaled_keeps_pattern_facts_and_only_a_true_symmetry_verdict():
         for s in (0.5, -3.0, tiny):
             copy = m.scaled(s)
             fresh = _uncached_copy(m, m.values * s)
-            assert copy.diagonal_slots() is m.diagonal_slots()
             assert copy.is_irreducible() == fresh.is_irreducible() == m.is_irreducible()
             assert copy.is_symmetric() == fresh.is_symmetric()
             verdicts.add((symmetric, copy.is_symmetric()))
@@ -570,14 +568,24 @@ def test_active_operator_falls_back_to_the_csr_slice():
     nine = _random_rows(rng, n, np.full(n, 9))
     missing = off_diagonal_rows(np.where(np.arange(n) == 3, 0.0, 5.0))
     cancelling = off_diagonal_rows(np.full(n, -1.0))
+    # no stored entry at all: the gather's early return for nnz == 0
+    # comes after the shift test
+    empty = csr_from_triplets([], n, n)
+    # row 3's diagonal entry stored as 0.0, which only a matrix built from
+    # its arrays has: it reads 0.0, as a missing one does
+    five = off_diagonal_rows(np.full(n, 5.0))
+    row_3_diagonal = (five.row_indices() == 3) & (five.col_indices == 3)
+    stored_zero = _uncached_copy(five, np.where(row_3_diagonal, 0.0, five.values))
     mask = rng.random(n) < 0.8
     mask[3] = True
-    for T, shift in ((nine, 0.0), (nine, 1.0), (missing, 1.0), (cancelling, 1.0)):
+    for T, shift in ((nine, 0.0), (nine, 1.0), (missing, 1.0), (cancelling, 1.0),
+                     (empty, 1.0), (stored_zero, 1.0)):
         x = _vector_with_zeros(rng, int(mask.sum()))
         op = _assert_active_operator_bits(T, mask, shift, x)
         assert isinstance(op, SparseMatrix)  # the CSR slice
-    # without a shift the missing and the cancelling diagonal are gathered
-    for T in (missing, cancelling):
+    # without a shift the missing, the cancelling and the stored zero
+    # diagonal, and the matrix with no entry, are gathered
+    for T in (missing, cancelling, empty, stored_zero):
         x = _vector_with_zeros(rng, int(mask.sum()))
         assert isinstance(_assert_active_operator_bits(T, mask, 0.0, x), EllOperator)
 
@@ -601,12 +609,12 @@ def _rows_with_diagonals(rng, n, width):
 
 @pytest.mark.parametrize("width", range(1, 9))
 def test_one_matrix_serves_many_masks_and_shifts(width):
-    # the matrix's cached row data (diagonal, the rows the last shift
-    # cannot land on) must serve every mask and shift in turn:
-    # each operator keeps the bits of principal_submatrix + add_diagonal,
-    # and falls back to it exactly where a shifted active row has no
-    # diagonal entry or one that the shift cancels. Shifts alternate, so
-    # a cache kept under the wrong key, or kept stale, shows
+    # the matrix's cached diagonal, which no shift changes, must serve
+    # every mask and shift in turn: each operator keeps the bits of
+    # principal_submatrix + add_diagonal, and falls back to it exactly
+    # where a shifted active row has no diagonal entry or one that the
+    # shift cancels. Shifts alternate, so a shift that leaks into the
+    # cached diagonal, or into the next operator, shows
     rng = np.random.default_rng(100 + width)
     n = 30
     T = _rows_with_diagonals(rng, n, width)

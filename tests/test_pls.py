@@ -26,6 +26,7 @@ from plskit import (
     spmv,
 )
 from plskit import pls
+from plskit.matprops import FAMILY_ALONG_W, UNIQUE
 from plskit.pls import (
     CONVERGED,
     MAX_OUTER_EXCEEDED,
@@ -382,32 +383,34 @@ _SINGULAR = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @pytest.mark.parametrize("solve, status", [
-    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -0.1])),
+    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -0.1])),
      CONVERGED),
-    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, 1.0],
-                                           t2_data=(np.ones(2), np.ones(2)))),
+    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, 1.0],
+                                             t2_data=(np.ones(2), w))),
      NO_SOLUTION_CERTIFIED),
-    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, -1.0],
-                                           t2_data=(np.ones(2), np.ones(2)))),
+    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, -1.0],
+                                             t2_data=(np.ones(2), w))),
      CONVERGED),
-    (lambda: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]),
-                                SolverOptions(max_outer=1)),
+    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]),
+                                  SolverOptions(max_outer=1)),
      MAX_OUTER_EXCEEDED),
-    (lambda: solve_parabolic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0],
-                                            kind=PARABOLIC)),
+    (lambda w: solve_parabolic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0],
+                                              kind=PARABOLIC)),
      CONVERGED),
-    (lambda: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
-                           MIN_PLUS_TMAX), CONVERGED),
-    (lambda: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
-                           MAX_PLUS_TMIN), CONVERGED),
+    (lambda w: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
+                             MIN_PLUS_TMAX), CONVERGED),
+    (lambda w: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
+                             MAX_PLUS_TMIN), CONVERGED),
 ], ids=["elliptic", "no-solution", "family", "max-outer", "parabolic",
         "min-plus-tmax", "max-plus-tmin"])
 def test_every_returned_result_is_immutable(solve, status):
     # a caller may hand one result to many readers (run_parabolic does so
     # for its settled steps), so no field of the solution, its report or
     # an inner stats record can be rebound, the per-step records are
-    # tuples, and x and y refuse writes
-    sol = solve()
+    # tuples, and x and y refuse writes. A family's report also holds a
+    # frozen solvability verdict and its own read-only copy of w
+    w = np.ones(2)  # the w of t2_data, for the cases that pass one
+    sol = solve(w)
     assert sol.status == status
     rep = sol.report
     for record in (sol, rep, *rep.inner_stats):
@@ -419,6 +422,13 @@ def test_every_returned_result_is_immutable(solve, status):
     for vector in (sol.x, sol.y):
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 1.0
+    if rep.solvability is not None and rep.solvability.verdict == FAMILY_ALONG_W:
+        with pytest.raises(FrozenInstanceError):
+            rep.solvability.verdict = UNIQUE
+        with pytest.raises(ValueError, match="read-only"):
+            rep.family_direction[0] = 2.0
+        w[0] = 2.0
+        assert np.array_equal(rep.family_direction, np.ones(2))
 
 
 def test_unclassified_infeasible_t2_system_fails_loudly():

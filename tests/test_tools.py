@@ -1,7 +1,12 @@
+import hashlib
 import importlib.util
 import pathlib
+import re
+import subprocess
+import sys
 
-_PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+_TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+_PATH = _TOOLS / "code_lines.py"
 _SPEC = importlib.util.spec_from_file_location("code_lines", _PATH)
 code_lines = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(code_lines)
@@ -35,3 +40,20 @@ docstring"""
         return os.sep
 '''
     assert code_lines.code_lines(source) == 8
+
+
+def test_solver_bits_prints_a_workload_line_and_its_roll_up():
+    # one workload line per seed, then an "all" line: the sha256 of the
+    # workload digests in order, here of the one certify digest
+    run = subprocess.run(
+        [sys.executable, str(_TOOLS / "solver_bits.py"), "--workloads", "certify",
+         "--seeds", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 2
+    workload = re.fullmatch(r"certify +seed 1 +\d+ cases +([0-9a-f]{64})", lines[0])
+    assert workload
+    roll_up = re.fullmatch(r"all +([0-9a-f]{64})", lines[1])
+    assert roll_up
+    assert roll_up[1] == hashlib.sha256(workload[1].encode()).hexdigest()
