@@ -46,7 +46,6 @@ from .pls import (
     NO_SOLUTION_CERTIFIED,
     CheckReport,
     IterationReport,
-    PlsProblem,
     PlsSolution,
     SolverOptions,
     lcp_check,
@@ -57,52 +56,3 @@ from .pls import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BACKEND",
-    "Breakdown",
-    "KrylovOptions",
-    "KrylovStats",
-    "NotConverged",
-    "bicgstab_solve",
-    "cg_solve",
-    "MatrixClassReport",
-    "Solvability",
-    "check_t1",
-    "check_t2",
-    "classify_solvability",
-    "ELLIPTIC",
-    "PARABOLIC",
-    "DimensionError",
-    "SparseMatrix",
-    "csr_from_triplets",
-    "load_matrix_market",
-    "principal_submatrix",
-    "spmv",
-    "GridError",
-    "ObstacleSpec",
-    "assemble_elliptic",
-    "coincidence_set",
-    "problem_spec",
-    "run_parabolic",
-    "solve_obstacle",
-    "write_solution_csv",
-    "Family",
-    "OracleResult",
-    "TooLarge",
-    "enumerate_solutions",
-    "CONVERGED",
-    "MAX_OUTER_EXCEEDED",
-    "NO_SOLUTION_CERTIFIED",
-    "CheckReport",
-    "IterationReport",
-    "PlsProblem",
-    "PlsSolution",
-    "SolverOptions",
-    "lcp_check",
-    "residual_nonsmooth",
-    "solve_elliptic_pls",
-    "solve_parabolic_pls",
-    "solve_shifted",
-    "__version__",
-]

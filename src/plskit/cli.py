@@ -23,7 +23,6 @@ from .oracle import TooLarge, _on_family, enumerate_solutions
 from .pls import (
     CONVERGED,
     NO_SOLUTION_CERTIFIED,
-    PlsProblem,
     SolverOptions,
     solve_elliptic_pls,
 )
@@ -409,7 +408,7 @@ def cmd_oracle(args):
         print(f"family_{i}_alpha=[{_g(fam.alpha_min)},{hi}]")
     empty = not result.point_solutions and not result.families
     try:
-        sol = solve_elliptic_pls(PlsProblem(matrix, b, t2_data=t2_data))
+        sol = solve_elliptic_pls(matrix, b, t2_data=t2_data)
         status = sol.status
     except (NotConverged, Breakdown) as exc:
         sol, status = None, type(exc).__name__

@@ -2,8 +2,11 @@
 
 Discretizes -Laplace(u) = f over the obstacle psi with the standard
 5-point stencil on an N x N interior grid, eliminates the boundary
-condition into the right-hand side, and hands the resulting piecewise
-linear system in y = u - psi to the elliptic or parabolic solver, with
+condition into the right-hand side, and hands T and b of the resulting
+piecewise linear system in y = u - psi straight to the solver of its
+form: solve_elliptic_pls(T, b, opts, t2_data) for the stationary problem,
+with the Neumann matrices' null vectors as t2_data, and
+solve_parabolic_pls(T, b, opts, trail) for each time step, with
 SolverOptions() unless the caller passes others. Every assembled matrix
 is symmetric, so each Picard step solves T_AA (or I + T_AA) by CG,
 Jacobi-preconditioned like every inner solve: Jacobi evens out the
@@ -21,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import ELLIPTIC, PARABOLIC, SparseMatrix, spmv
-from .pls import (
-    PlsProblem,
-    PlsSolution,
-    SolverOptions,
-    solve_elliptic_pls,
-    solve_parabolic_pls,
-)
+from .numkit import SparseMatrix, spmv
+from .pls import PlsSolution, SolverOptions, solve_elliptic_pls, solve_parabolic_pls
 
 
 def default_solver_options():
@@ -227,12 +224,15 @@ def _on_nodes(func, x, y):
     return np.array(np.broadcast_to(func(x, y), x.shape), dtype=np.float64)
 
 
-def coincidence_set(u, psi, coin_tol=1e-8):
+COIN_TOL = 1e-8  # the coincidence set's tolerance, relative to 1 + max|u|
+
+
+def coincidence_set(u, psi):
     """Boolean mask of nodes where the membrane sits on the obstacle."""
     u = np.asarray(u, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64)
     scale = 1.0 + (float(np.abs(u).max()) if u.size else 0.0)
-    return u - psi <= coin_tol * scale
+    return u - psi <= COIN_TOL * scale
 
 
 @dataclass
@@ -243,14 +243,12 @@ class ObstacleSolution:
     result: PlsSolution
 
 
-def solve_obstacle(spec, n, opts=None, coin_tol=1e-8):
+def solve_obstacle(spec, n, opts=None):
     """Assemble and solve the stationary problem; u = max{0,x} + psi."""
-    opts = opts or SolverOptions()
     disc = assemble_elliptic(spec, n)
-    problem = PlsProblem(disc.T, disc.b, kind=ELLIPTIC, t2_data=disc.t2_data)
-    result = solve_elliptic_pls(problem, opts)
+    result = solve_elliptic_pls(disc.T, disc.b, opts, t2_data=disc.t2_data)
     u = result.y + disc.psi_vec
-    return ObstacleSolution(disc, u, coincidence_set(u, disc.psi_vec, coin_tol), result)
+    return ObstacleSolution(disc, u, coincidence_set(u, disc.psi_vec), result)
 
 
 @dataclass
@@ -310,8 +308,7 @@ def run_parabolic(spec, n, tau, nu, opts=None):
     trail = []
     for _ in range(nu):
         b_step = (u - disc.psi_vec) + dt * disc.b
-        problem = PlsProblem(T_step, b_step, kind=PARABOLIC)
-        result = solve_parabolic_pls(problem, opts, trail=trail)
+        result = solve_parabolic_pls(T_step, b_step, opts, trail=trail)
         state = result.y + disc.psi_vec
         snapshots.append(state)
         step_results.append(result)

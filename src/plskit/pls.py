@@ -3,6 +3,12 @@
 Elliptic: min{0,x} + T max{0,x} = b, iterated as (I - P + T P) x = b.
 Parabolic: x + T max{0,x} = b, iterated as (I + T P) x = b.
 
+Each form has its own solver, which takes its operands directly:
+solve_elliptic_pls(T, b, opts, t2_data), solve_parabolic_pls(T, b,
+opts, trail) and, for thresholds xi, solve_shifted(T, b, xi, form, opts).
+All three check them in one place: T must be square and finite, and b,
+xi and t2_data's v and w finite vectors of T's dimension.
+
 The active mask P starts empty and is rebuilt from the signs of each
 iterate: component i is active iff x_i >= 0, so an exact zero is active.
 For an M-matrix T the paper's theorem makes it grow monotonically with
@@ -82,24 +88,6 @@ MIN_PLUS_TMAX = "MinPlusTMax"
 MAX_PLUS_TMIN = "MaxPlusTMin"
 
 
-@dataclass
-class PlsProblem:
-    T: object
-    b: np.ndarray
-    kind: str = ELLIPTIC
-    t2_data: tuple | None = None
-
-    def __post_init__(self):
-        if self.T.n_rows != self.T.n_cols:
-            raise DimensionError(f"matrix is {self.T.shape}, expected square")
-        _require_finite(self.T)
-        self.b = as_vector(self.b)
-        if self.b.size != self.T.n_rows:
-            raise DimensionError("right-hand side length must match the matrix")
-        if self.kind not in (ELLIPTIC, PARABOLIC):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-
 @dataclass(frozen=True)
 class IterationReport:
     outer_iterations: int
@@ -136,6 +124,19 @@ class SolverOptions:
             raise ValueError("res_tol must be finite and nonnegative")
         if self.max_outer is not None and self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+
+
+def _operands(T, *vectors):
+    """The vectors as float64 arrays, once T is found square and finite
+    and each vector finite and of T's dimension: every solve's operand
+    check."""
+    if T.n_rows != T.n_cols:
+        raise DimensionError(f"matrix is {T.shape}, expected square")
+    _require_finite(T)
+    vectors = [as_vector(v) for v in vectors]
+    if any(v.size != T.n_rows for v in vectors):
+        raise DimensionError("operand lengths must match the matrix")
+    return vectors
 
 
 def _lift(T, b, mask, x_active):
@@ -263,34 +264,33 @@ def _picard(T, b, kind, opts, trail=None):
     return PlsSolution(x, np.maximum(x, 0.0), CONVERGED, report)
 
 
-def solve_elliptic_pls(problem, opts=None):
+def solve_elliptic_pls(T, b, opts=None, t2_data=None):
     """Solve min{0,x} + T max{0,x} = b.
 
-    With t2_data = (v, w) supplied, v^T b > 0 certifies an empty solution
-    set without iterating, and v^T b = 0 flags the one-parameter family
-    x + alpha w (alpha >= 0) in the report.
+    With t2_data = (v, w) supplied, vectors of T's dimension, v^T b > 0
+    certifies an empty solution set without iterating, and v^T b = 0
+    flags the one-parameter family x + alpha w (alpha >= 0) in the report.
     """
-    if problem.kind != ELLIPTIC:
-        raise ValueError("problem kind must be elliptic")
+    b, *t2 = _operands(T, b, *(t2_data or ()))
     opts = opts or SolverOptions()
     solvability = None
     family = None
-    if problem.t2_data is not None:
-        v, w = problem.t2_data
-        solvability = classify_solvability(v, problem.b)
+    if t2_data is not None:
+        v, w = t2
+        solvability = classify_solvability(v, b)
         if solvability.verdict == NO_SOLUTION:
-            zero = np.zeros(problem.T.n_rows)
+            zero = np.zeros(T.n_rows)
             report = IterationReport(0, (0,), (), (), solvability=solvability)
             return PlsSolution(zero, zero.copy(), NO_SOLUTION_CERTIFIED, report)
         if solvability.verdict == FAMILY_ALONG_W:
-            family = as_vector(w).copy()  # the caller's w stays the caller's
+            family = w.copy()  # the caller's w stays the caller's
             family.flags.writeable = False
-    sol = _picard(problem.T, problem.b, ELLIPTIC, opts)
+    sol = _picard(T, b, ELLIPTIC, opts)
     return replace(sol, report=replace(sol.report, solvability=solvability,
                                        family_direction=family))
 
 
-def solve_parabolic_pls(problem, opts=None, trail=None):
+def solve_parabolic_pls(T, b, opts=None, trail=None):
     """Solve x + T max{0,x} = b; this form always has a unique solution.
 
     trail, a list, carries each outer step's (mask, x_A) entry, its inner
@@ -299,10 +299,8 @@ def solve_parabolic_pls(problem, opts=None, trail=None):
     sequence repeats the last one's starts each inner solve from there. A
     wrong final iterate cannot pass the nonsmooth residual gate.
     """
-    if problem.kind != PARABOLIC:
-        raise ValueError("problem kind must be parabolic")
-    return _picard(problem.T, problem.b, PARABOLIC, opts or SolverOptions(),
-                   trail=trail)
+    b, = _operands(T, b)
+    return _picard(T, b, PARABOLIC, opts or SolverOptions(), trail=trail)
 
 
 def solve_shifted(T, b, xi, form, opts=None):
@@ -320,12 +318,8 @@ def solve_shifted(T, b, xi, form, opts=None):
     """
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
+    b, xi = _operands(T, b, xi)
     opts = opts or SolverOptions()
-    _require_finite(T)
-    b = as_vector(b)
-    xi = as_vector(xi)
-    if b.size != T.n_rows or xi.size != T.n_rows:
-        raise DimensionError("operand lengths must match the matrix")
     b2 = b - xi - spmv(T, xi)
     sign = 1.0 if form == MIN_PLUS_TMAX else -1.0  # z, or w = -z
     try:

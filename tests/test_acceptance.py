@@ -27,7 +27,6 @@ import conftest
 from helpers import path_laplacian, random_t1
 
 from plskit import (
-    PlsProblem,
     enumerate_solutions,
     lcp_check,
     residual_nonsmooth,
@@ -204,7 +203,7 @@ def test_oracle_equivalence_on_random_instances():
         ref = enumerate_solutions(t, b)
         assert len(ref.point_solutions) == 1 and not ref.families
         x_ref = ref.point_solutions[0]
-        sol = solve_elliptic_pls(PlsProblem(t, b))
+        sol = solve_elliptic_pls(t, b)
         ALL_RUNS.append((t, b, "elliptic", sol))
         rel = np.abs(sol.x - x_ref).max() / max(np.abs(x_ref).max(), 1.0)
         worst = max(worst, rel)
@@ -232,8 +231,7 @@ def test_trichotomy_on_singular_systems():
             b = r - r.mean()
         else:
             b = r - (r.sum() - 1.0) / n
-        problem = PlsProblem(lap, b, t2_data=(np.ones(n), np.ones(n)))
-        sol = solve_elliptic_pls(problem)
+        sol = solve_elliptic_pls(lap, b, t2_data=(np.ones(n), np.ones(n)))
         ALL_RUNS.append((lap, b, "elliptic", sol))
         if sol.report.solvability.verdict != want:
             wrong.append((i, want, sol.report.solvability.verdict))

@@ -9,7 +9,6 @@ from helpers import loop_assembly
 
 from plskit import (
     PARABOLIC,
-    PlsProblem,
     check_t1,
     check_t2,
     lcp_check,
@@ -265,8 +264,7 @@ def test_parabolic_trail_keeps_every_step_and_cuts_the_inner_work(name, c, tau):
     warm = cold = 0
     for step, result in enumerate(run.step_results, start=1):
         b_step = (run.snapshots[step - 1] - run.disc.psi_vec) + run.dt * run.disc.b
-        alone = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
-                                    SolverOptions())
+        alone = solve_parabolic_pls(T_step, b_step, SolverOptions())
         assert result.status == alone.status == CONVERGED
         assert result.report.outer_iterations == alone.report.outer_iterations
         assert result.report.active_counts == alone.report.active_counts
@@ -283,18 +281,18 @@ def test_parabolic_trail_ignores_a_pair_on_another_mask():
     # solve keeps the bits of a solve without a trail, and ends with its
     # own pairs in the trail
     disc = obs.assemble_elliptic(obs.problem_spec("torsion", -10.0), 15)
-    problem = PlsProblem(disc.T.scaled(0.25), 0.25 * disc.b, kind=PARABOLIC)
+    T, b = disc.T.scaled(0.25), 0.25 * disc.b
     opts = SolverOptions()
-    alone = solve_parabolic_pls(problem, opts)
+    alone = solve_parabolic_pls(T, b, opts)
     trail = []
-    first = solve_parabolic_pls(problem, opts, trail=trail)
+    first = solve_parabolic_pls(T, b, opts, trail=trail)
     assert tuple(int(m.sum()) for m, _ in trail) == alone.report.active_counts[:-1]
     assert np.array_equal(first.x, alone.x)
     rng = np.random.default_rng(3)
     stale = [(~mask, rng.normal(size=int((~mask).sum()))) for mask, _ in trail]
     full = np.ones(disc.T.n_rows, dtype=bool)
     stale += [(full, rng.normal(size=disc.T.n_rows))]
-    again = solve_parabolic_pls(problem, opts, trail=stale)
+    again = solve_parabolic_pls(T, b, opts, trail=stale)
     assert np.array_equal(again.x, alone.x)
     assert again.report.inner_stats == alone.report.inner_stats
     assert len(stale) == alone.report.outer_iterations
@@ -312,16 +310,16 @@ def test_parabolic_trail_from_another_matrix_only_seeds_the_solve(c, n):
     T = disc.T.scaled(0.25)
     b = 0.25 * disc.b
     trail = []
-    solve_parabolic_pls(PlsProblem(T, b, kind=PARABOLIC), trail=trail)
-    other = PlsProblem(T.scaled(2.0), b, kind=PARABOLIC)
-    alone = solve_parabolic_pls(other)
+    solve_parabolic_pls(T, b, trail=trail)
+    other = T.scaled(2.0)
+    alone = solve_parabolic_pls(other, b)
     assert np.array_equal(trail[1][0], b >= 0.0)
-    again = solve_parabolic_pls(other, trail=trail)
+    again = solve_parabolic_pls(other, b, trail=trail)
     assert again.status == alone.status == CONVERGED
     assert again.report.outer_iterations == alone.report.outer_iterations
     assert again.report.active_counts == alone.report.active_counts
     assert np.abs(again.x - alone.x).max() <= 1e-9 * max(np.abs(alone.x).max(), 1.0)
-    assert lcp_check(other.T, b, again.y, kind=PARABOLIC).passed
+    assert lcp_check(other, b, again.y, kind=PARABOLIC).passed
     assert tuple(int(m.sum()) for m, _ in trail) == alone.report.active_counts[:-1]
 
 
@@ -408,8 +406,7 @@ def _solved_every_step(spec, n, tau, nu):
     trail = []
     for _ in range(nu):
         b_step = (u - disc.psi_vec) + dt * disc.b
-        result = solve_parabolic_pls(PlsProblem(T_step, b_step, kind=PARABOLIC),
-                                     SolverOptions(), trail=trail)
+        result = solve_parabolic_pls(T_step, b_step, SolverOptions(), trail=trail)
         u = result.y + disc.psi_vec
         snapshots.append(u)
         step_results.append(result)

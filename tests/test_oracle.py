@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from plskit import (
     CONVERGED,
     PARABOLIC,
-    PlsProblem,
     csr_from_triplets,
     enumerate_solutions,
     residual_nonsmooth,
@@ -105,7 +104,7 @@ def test_empty_system_has_the_empty_point_solution():
     assert res.patterns_tested == 1
     assert len(res.point_solutions) == 1 and res.point_solutions[0].shape == (0,)
     assert res.families == []
-    sol = solve_elliptic_pls(PlsProblem(empty, np.zeros(0)))
+    sol = solve_elliptic_pls(empty, np.zeros(0))
     assert sol.status == CONVERGED and sol.x.shape == (0,)
 
 
@@ -114,13 +113,13 @@ def _assert_oracle_agrees_with_solvers(t, b):
     assert len(res.point_solutions) == 1
     assert len(res.families) == 0
     x_ref = res.point_solutions[0]
-    sol = solve_elliptic_pls(PlsProblem(t, b))
+    sol = solve_elliptic_pls(t, b)
     err = np.abs(sol.x - x_ref).max()
     assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
 
     res_p = enumerate_solutions(t, b, kind=PARABOLIC)
     assert len(res_p.point_solutions) == 1
-    sol_p = solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC))
+    sol_p = solve_parabolic_pls(t, b)
     ref_p = res_p.point_solutions[0]
     assert np.abs(sol_p.x - ref_p).max() <= 1e-9 * max(np.abs(ref_p).max(), 1.0)
 
@@ -188,8 +187,8 @@ def test_iteration_on_irreducible_m_matrices_matches_the_oracle(t, seed):
     xi = rng.normal(size=n)
     b2 = b - xi - spmv(t, xi)
     runs = [
-        (lambda: solve_elliptic_pls(PlsProblem(t, b)), enumerate_solutions(t, b), 0.0, 1.0),
-        (lambda: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
+        (lambda: solve_elliptic_pls(t, b), enumerate_solutions(t, b), 0.0, 1.0),
+        (lambda: solve_parabolic_pls(t, b),
          enumerate_solutions(t, b, kind=PARABOLIC), 0.0, 1.0),
         (lambda: solve_shifted(t, b, xi, MIN_PLUS_TMAX), enumerate_solutions(t, b2), xi, 1.0),
         (lambda: solve_shifted(t, b, xi, MAX_PLUS_TMIN), enumerate_solutions(t, -b2), xi, -1.0),
@@ -222,7 +221,7 @@ def test_nonsymmetric_inner_solves_reach_the_oracle(n, f, density, seed, b_seed)
     # oracle's solution
     t = irreducible_m_matrix(n, False, f, density, seed)
     b = np.random.default_rng(b_seed).normal(size=n)
-    sol = solve_elliptic_pls(PlsProblem(t, b))
+    sol = solve_elliptic_pls(t, b)
     assert sol.status == CONVERGED
     x_ref = enumerate_solutions(t, b).point_solutions[0]
     assert np.abs(sol.x - x_ref).max() <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
@@ -254,7 +253,7 @@ def test_trichotomy_on_random_t2_systems_matches_the_oracle(symmetric):
         r = rng.normal(size=n)
         sign = (-1.0, 0.0, 1.0)[i % 3]
         b = r - (v @ r - sign * np.linalg.norm(v) * np.linalg.norm(r)) / (v @ v) * v
-        sol = solve_elliptic_pls(PlsProblem(t, b, t2_data=(v, w)))
+        sol = solve_elliptic_pls(t, b, t2_data=(v, w))
         ref = enumerate_solutions(t, b)
         if sign > 0.0:
             assert sol.status == NO_SOLUTION_CERTIFIED, i

@@ -12,7 +12,6 @@ from plskit import (
     DimensionError,
     KrylovOptions,
     NotConverged,
-    PlsProblem,
     PlsSolution,
     SolverOptions,
     check_t1,
@@ -42,21 +41,50 @@ def test_an_exact_zero_joins_the_mask():
     # the empty first step gives x = b exactly; its zero is a tie, and the
     # tie is active (x_i >= 0), so the second step solves on mask {0}
     b = np.array([0.0, -1.0])
-    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), b))
+    sol = solve_elliptic_pls(csr_from_dense(T22), b)
     assert sol.status == CONVERGED
     assert sol.report.active_counts[:2] == (0, 1)
     assert np.array_equal(sol.x, b)
     assert residual_nonsmooth(csr_from_dense(T22), b, sol.x) == 0.0
 
 
-def test_problem_validation():
-    t = csr_from_dense(T22)
-    with pytest.raises(ValueError):
-        PlsProblem(t, np.zeros(2), kind="weird")
-    with pytest.raises(DimensionError):
-        PlsProblem(t, np.zeros(3))
-    with pytest.raises(DimensionError):
-        PlsProblem(csr_from_dense(np.ones((2, 3))), np.zeros(2))
+_SOLVES = {  # u is the third vector: t2_data's w, or xi
+    "elliptic": lambda t, b, u: solve_elliptic_pls(t, b, t2_data=(np.ones(2), u)),
+    "parabolic": lambda t, b, u: solve_parabolic_pls(t, b),
+    "shifted": lambda t, b, u: solve_shifted(t, b, u, MIN_PLUS_TMAX),
+}
+_FINITE = "entries must be finite"
+_BAD_OPERANDS = {  # (T, b, u), and the error and message it raises
+    "non-square-t": ((np.ones((2, 3)), [1.0, -1.0], [1.0, 1.0]), DimensionError, None),
+    "short-b": ((T22, [1.0], [1.0, 1.0]), DimensionError, None),
+    "2-d-b": ((T22, [[1.0, -1.0]], [1.0, 1.0]), DimensionError, None),
+    "non-finite-t": (([[np.nan, -1.0], [-1.0, 2.0]], [1.0, -1.0], [1.0, 1.0]),
+                     ValueError, "^matrix " + _FINITE),
+    "non-finite-b": ((T22, [np.inf, -1.0], [1.0, 1.0]), ValueError, "^vector " + _FINITE),
+    "long-u": ((T22, [1.0, -1.0], [1.0, 1.0, 1.0]), DimensionError, None),
+    "non-finite-u": ((T22, [1.0, -1.0], [np.nan, 1.0]), ValueError, "^vector " + _FINITE),
+}
+
+
+@pytest.mark.parametrize("solver, case", [
+    (solver, case) for solver in _SOLVES for case in _BAD_OPERANDS
+    if solver != "parabolic" or not case.endswith("-u")])
+def test_every_solver_checks_its_operands(solver, case):
+    # one check for all three: T square and finite, and b, xi and
+    # t2_data's vectors finite and of T's dimension
+    (dense, b, u), error, match = _BAD_OPERANDS[case]
+    with pytest.raises(error, match=match):
+        _SOLVES[solver](csr_from_dense(dense), b, u)
+
+
+def test_t2_data_of_another_dimension_is_refused():
+    # unchecked, a w of another length would come back as a 5-entry
+    # family direction of a 2 x 2 system; a v of another length is
+    # refused the same way
+    t = csr_from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    for t2_data in ((np.ones(2), np.ones(5)), (np.ones(5), np.ones(2))):
+        with pytest.raises(DimensionError):
+            solve_elliptic_pls(t, [1.0, -1.0], t2_data=t2_data)
 
 
 def test_solver_options_validation():
@@ -68,7 +96,7 @@ def test_solver_options_validation():
 
 
 def test_elliptic_all_negative_rhs_is_one_step():
-    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [-1.0, -2.0]))
+    sol = solve_elliptic_pls(csr_from_dense(T22), [-1.0, -2.0])
     assert sol.status == CONVERGED
     assert np.allclose(sol.x, [-1.0, -2.0])
     assert np.allclose(sol.y, [0.0, 0.0])
@@ -76,7 +104,7 @@ def test_elliptic_all_negative_rhs_is_one_step():
 
 
 def test_elliptic_mixed_sign_solution():
-    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]))
+    sol = solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0])
     assert sol.status == CONVERGED
     assert np.allclose(sol.x, [0.5, -0.5])
     assert np.allclose(sol.y, [0.5, 0.0])
@@ -84,8 +112,7 @@ def test_elliptic_mixed_sign_solution():
 
 def test_elliptic_certifies_unsolvable_t2_system():
     t = csr_from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    problem = PlsProblem(t, [1.0, 1.0], t2_data=(np.ones(2), np.ones(2)))
-    sol = solve_elliptic_pls(problem)
+    sol = solve_elliptic_pls(t, [1.0, 1.0], t2_data=(np.ones(2), np.ones(2)))
     assert sol.status == NO_SOLUTION_CERTIFIED
     assert sol.report.outer_iterations == 0
     assert sol.report.solvability.verdict == "NoSolution"
@@ -93,40 +120,29 @@ def test_elliptic_certifies_unsolvable_t2_system():
 
 def test_elliptic_flags_solution_family_on_singular_consistent_data():
     t = csr_from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    problem = PlsProblem(t, [1.0, -1.0], t2_data=(np.ones(2), np.ones(2)))
-    sol = solve_elliptic_pls(problem)
+    b = np.array([1.0, -1.0])
+    sol = solve_elliptic_pls(t, b, t2_data=(np.ones(2), np.ones(2)))
     assert sol.status == CONVERGED
     assert sol.report.solvability.verdict == "FamilyAlongW"
     assert np.allclose(sol.report.family_direction, [1.0, 1.0])
     for alpha in (0.5, 1.0, 2.0):
         member = sol.x + alpha * sol.report.family_direction
-        assert residual_nonsmooth(t, problem.b, member) <= 1e-8
-
-
-def test_elliptic_rejects_parabolic_problem():
-    p = PlsProblem(csr_from_dense(T22), [1.0, -1.0], kind=PARABOLIC)
-    with pytest.raises(ValueError):
-        solve_elliptic_pls(p)
-    with pytest.raises(ValueError):
-        solve_parabolic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]))
+        assert residual_nonsmooth(t, b, member) <= 1e-8
 
 
 def test_parabolic_all_negative_rhs():
-    p = PlsProblem(csr_from_dense(T22), [-3.0, -4.0], kind=PARABOLIC)
-    sol = solve_parabolic_pls(p)
+    sol = solve_parabolic_pls(csr_from_dense(T22), [-3.0, -4.0])
     assert np.allclose(sol.x, [-3.0, -4.0])
     assert sol.report.outer_iterations == 1
 
 
 def test_parabolic_fully_nonnegative_branch():
-    p = PlsProblem(csr_from_dense(np.eye(2)), [2.0, 4.0], kind=PARABOLIC)
-    sol = solve_parabolic_pls(p)
+    sol = solve_parabolic_pls(csr_from_dense(np.eye(2)), [2.0, 4.0])
     assert np.allclose(sol.x, [1.0, 2.0])
 
 
 def test_parabolic_mixed_sign_solution():
-    p = PlsProblem(csr_from_dense(T22), [1.0, -1.0], kind=PARABOLIC)
-    sol = solve_parabolic_pls(p)
+    sol = solve_parabolic_pls(csr_from_dense(T22), [1.0, -1.0])
     assert np.allclose(sol.x, [1.0 / 3.0, -2.0 / 3.0])
     assert np.allclose(sol.y, [1.0 / 3.0, 0.0])
 
@@ -134,7 +150,7 @@ def test_parabolic_mixed_sign_solution():
 def test_shifted_zero_shift_matches_elliptic():
     t = csr_from_dense(T22)
     b = np.array([1.0, -1.0])
-    plain = solve_elliptic_pls(PlsProblem(t, b))
+    plain = solve_elliptic_pls(t, b)
     shifted = solve_shifted(t, b, np.zeros(2), MIN_PLUS_TMAX)
     assert np.allclose(shifted.x, plain.x)
     assert np.allclose(shifted.y, plain.y)
@@ -174,7 +190,7 @@ def test_shifted_errors_carry_the_unshifted_iterate():
     xi = rng.normal(size=8)
     opts = SolverOptions(krylov=KrylovOptions(max_iters=1))
     with pytest.raises((NotConverged, Breakdown)) as plain:
-        solve_elliptic_pls(PlsProblem(t, b - xi - spmv(t, xi)), opts)
+        solve_elliptic_pls(t, b - xi - spmv(t, xi), opts)
     with pytest.raises(type(plain.value)) as shifted:
         solve_shifted(t, b, xi, MIN_PLUS_TMAX, opts)
     assert np.array_equal(shifted.value.x, plain.value.x + xi)
@@ -199,7 +215,7 @@ def test_residual_history_is_residual_nonsmooth():
             (solve_elliptic_pls, ELLIPTIC),
             (solve_parabolic_pls, PARABOLIC),
         ):
-            sol = solve(PlsProblem(t, b, kind=kind))
+            sol = solve(t, b)
             assert sol.status == CONVERGED
             assert sol.report.residual_history[-1] == residual_nonsmooth(
                 t, b, sol.x, kind=kind
@@ -241,7 +257,7 @@ def test_max_plus_tmin_is_the_elliptic_loop_on_the_negated_load():
             b = b2 + xi + t.to_dense() @ xi
             assert np.array_equal(b - xi - spmv(t, xi), b2)
             zeros += int(np.count_nonzero(b2 == 0))
-            w = solve_elliptic_pls(PlsProblem(t, -b2.astype(float)))
+            w = solve_elliptic_pls(t, -b2.astype(float))
             sol = solve_shifted(t, b, xi, MAX_PLUS_TMIN)
             assert sol.status == w.status == CONVERGED
             assert _same_bits(sol.x, xi - w.x)
@@ -278,7 +294,7 @@ def test_active_counts_grow_monotonically():
                 (solve_elliptic_pls, ELLIPTIC),
                 (solve_parabolic_pls, PARABOLIC),
             ):
-                sol = solve(PlsProblem(t, b, kind=kind))
+                sol = solve(t, b)
                 assert sol.report.active_counts[0] == 0
                 # as sets: no step drops a component of the mask before it
                 assert sol.report.left_counts == (0,) * sol.report.outer_iterations
@@ -294,7 +310,7 @@ def test_left_counts_record_a_mask_that_shrinks():
     # monotone theorem does not hold: the full mask of step 1 loses
     # component 0 at step 2, and nothing joins it back in
     t = csr_from_dense([[2.0, 1.0], [-0.5, 1.5]])
-    sol = solve_elliptic_pls(PlsProblem(t, [0.5, 1.5]))
+    sol = solve_elliptic_pls(t, [0.5, 1.5])
     assert sol.status == CONVERGED
     assert sol.report.active_counts == (0, 2, 1, 1)
     assert sol.report.left_counts == (0, 1, 0)
@@ -303,7 +319,7 @@ def test_left_counts_record_a_mask_that_shrinks():
 
 def test_solve_count_reaches_the_sharp_bound_n_plus_one():
     # the empty start mask grows twice, then a third solve confirms it
-    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -0.1]))
+    sol = solve_elliptic_pls(csr_from_dense(T22), [1.0, -0.1])
     assert sol.status == CONVERGED
     assert sol.report.active_counts == (0, 1, 2, 2)
     assert sol.report.outer_iterations == 3
@@ -311,7 +327,7 @@ def test_solve_count_reaches_the_sharp_bound_n_plus_one():
 
 
 def test_report_records_inner_work():
-    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]))
+    sol = solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0])
     assert len(sol.report.inner_stats) == sol.report.outer_iterations
     assert len(sol.report.residual_history) == sol.report.outer_iterations
     assert sol.report.residual_history[-1] <= 1e-8
@@ -323,14 +339,14 @@ def test_loose_inner_tolerance_trips_the_residual_gate():
     b = rng.normal(size=8)
     opts = SolverOptions(krylov=KrylovOptions(rel_tol=1e-2, max_iters=4))
     with pytest.raises(NotConverged) as err:
-        solve_elliptic_pls(PlsProblem(t, b), opts)
+        solve_elliptic_pls(t, b, opts)
     assert err.value.x.shape == (8,)
 
 
 @pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("solve", [
-    lambda t, b: solve_elliptic_pls(PlsProblem(t, b)),
-    lambda t, b: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
+    lambda t, b: solve_elliptic_pls(t, b),
+    lambda t, b: solve_parabolic_pls(t, b),
     lambda t, b: solve_shifted(t, b, np.zeros(2), MIN_PLUS_TMAX),
     lambda t, b: solve_shifted(t, b, np.zeros(2), MAX_PLUS_TMIN),
     lambda t, b: check_t1(t),
@@ -353,8 +369,8 @@ def test_a_non_finite_entry_of_t_never_converges(solve, entry):
 @pytest.mark.parametrize("b, smaller", [([1e200, -1e200], [1e153, -1e153]),
                                         ([1e154, 1e154], [1e153, 1e153])])
 @pytest.mark.parametrize("solve", [
-    lambda t, b: solve_elliptic_pls(PlsProblem(t, b)),
-    lambda t, b: solve_parabolic_pls(PlsProblem(t, b, kind=PARABOLIC)),
+    lambda t, b: solve_elliptic_pls(t, b),
+    lambda t, b: solve_parabolic_pls(t, b),
     lambda t, b: solve_shifted(t, b, np.zeros(2), MIN_PLUS_TMAX),
     lambda t, b: solve_shifted(t, b, np.zeros(2), MAX_PLUS_TMIN),
 ], ids=["elliptic", "parabolic", "min-plus-tmax", "max-plus-tmin"])
@@ -372,9 +388,8 @@ def test_a_right_hand_side_whose_norm_overflows_is_refused(solve, b, smaller):
 
 
 def test_max_outer_cap_reports_instead_of_looping():
-    sol = solve_elliptic_pls(
-        PlsProblem(csr_from_dense(T22), [1.0, -1.0]), SolverOptions(max_outer=1)
-    )
+    sol = solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0],
+                             SolverOptions(max_outer=1))
     assert sol.status == MAX_OUTER_EXCEEDED
     assert sol.report.outer_iterations == 1
 
@@ -383,19 +398,18 @@ _SINGULAR = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @pytest.mark.parametrize("solve, status", [
-    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -0.1])),
+    (lambda w: solve_elliptic_pls(csr_from_dense(T22), [1.0, -0.1]),
      CONVERGED),
-    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, 1.0],
-                                             t2_data=(np.ones(2), w))),
+    (lambda w: solve_elliptic_pls(csr_from_dense(_SINGULAR), [1.0, 1.0],
+                                  t2_data=(np.ones(2), w)),
      NO_SOLUTION_CERTIFIED),
-    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(_SINGULAR), [1.0, -1.0],
-                                             t2_data=(np.ones(2), w))),
+    (lambda w: solve_elliptic_pls(csr_from_dense(_SINGULAR), [1.0, -1.0],
+                                  t2_data=(np.ones(2), w)),
      CONVERGED),
-    (lambda w: solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]),
+    (lambda w: solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0],
                                   SolverOptions(max_outer=1)),
      MAX_OUTER_EXCEEDED),
-    (lambda w: solve_parabolic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0],
-                                              kind=PARABOLIC)),
+    (lambda w: solve_parabolic_pls(csr_from_dense(T22), [1.0, -1.0]),
      CONVERGED),
     (lambda w: solve_shifted(csr_from_dense(T22), [1.0, 0.0], [1.0, 1.0],
                              MIN_PLUS_TMAX), CONVERGED),
@@ -434,9 +448,8 @@ def test_every_returned_result_is_immutable(solve, status):
 def test_unclassified_infeasible_t2_system_fails_loudly():
     # without t2_data the solver iterates on an unsolvable system; the
     # reduced step system goes singular and the inner solver gives up
-    problem = PlsProblem(path_laplacian(4), np.ones(4))
     with pytest.raises((Breakdown, NotConverged)):
-        solve_elliptic_pls(problem)
+        solve_elliptic_pls(path_laplacian(4), np.ones(4))
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -450,9 +463,9 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
     rng = np.random.default_rng(17)
     T = (random_symmetric_t1 if symmetric else random_t1)(rng, 40)
     assert T.is_symmetric() == symmetric
-    problem = PlsProblem(T, rng.normal(size=40), kind=PARABOLIC)
+    b = rng.normal(size=40)
     trail = []
-    first = solve_parabolic_pls(problem, trail=trail)
+    first = solve_parabolic_pls(T, b, trail=trail)
     assert first.report.outer_iterations >= 3
     products = []
     product = pls.spmv
@@ -462,7 +475,7 @@ def test_a_carried_converged_start_returns_the_solvers_zero_iteration_result(
         return product(*args, **kwargs)
 
     monkeypatch.setattr(pls, "spmv", counting)
-    again = solve_parabolic_pls(problem, trail=trail)
+    again = solve_parabolic_pls(T, b, trail=trail)
     assert np.array_equal(again.x, first.x)
     assert again.report.active_counts == first.report.active_counts
     assert all(st.iterations == 0 and st.converged
@@ -533,13 +546,13 @@ def test_lcp_check_rejects_an_unknown_kind():
 
 
 def test_lcp_check_parabolic_form():
-    p = PlsProblem(csr_from_dense(T22), [1.0, -1.0], kind=PARABOLIC)
-    sol = solve_parabolic_pls(p)
-    assert lcp_check(p.T, p.b, sol.y, kind=PARABOLIC).passed
+    t, b = csr_from_dense(T22), [1.0, -1.0]
+    sol = solve_parabolic_pls(t, b)
+    assert lcp_check(t, b, sol.y, kind=PARABOLIC).passed
 
 
 def test_solution_exposes_plain_arrays():
-    sol = solve_elliptic_pls(PlsProblem(csr_from_dense(T22), [1.0, -1.0]))
+    sol = solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0])
     assert isinstance(sol, PlsSolution)
     assert sol.x.dtype == np.float64
     assert np.all(sol.y >= 0.0)

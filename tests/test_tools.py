@@ -43,17 +43,22 @@ docstring"""
 
 
 def test_solver_bits_prints_a_workload_line_and_its_roll_up():
-    # one workload line per seed, then an "all" line: the sha256 of the
-    # workload digests in order, here of the one certify digest
+    # one workload line per workload and seed, in the order given, then an
+    # "all" line: the sha256 of the workload digests in that order. The
+    # parabolic workload runs run_parabolic, and with it every time step's
+    # solve_parabolic_pls
     run = subprocess.run(
         [sys.executable, str(_TOOLS / "solver_bits.py"), "--workloads", "certify",
-         "--seeds", "1"],
+         "parabolic", "--seeds", "1"],
         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 2
-    workload = re.fullmatch(r"certify +seed 1 +\d+ cases +([0-9a-f]{64})", lines[0])
-    assert workload
-    roll_up = re.fullmatch(r"all +([0-9a-f]{64})", lines[1])
+    assert len(lines) == 3
+    digests = []
+    for workload, line in zip(("certify", "parabolic"), lines):
+        match = re.fullmatch(rf"{workload} +seed 1 +\d+ cases +([0-9a-f]{{64}})", line)
+        assert match, line
+        digests.append(match[1])
+    roll_up = re.fullmatch(r"all +([0-9a-f]{64})", lines[2])
     assert roll_up
-    assert roll_up[1] == hashlib.sha256(workload[1].encode()).hexdigest()
+    assert roll_up[1] == hashlib.sha256("".join(digests).encode()).hexdigest()
