@@ -28,23 +28,30 @@ through it, and the operator has no product method of its own.
 A matrix caches what it finds about itself by one rule: each item is
 made by `_cached`, once, on first use, on the matrix it describes, and
 read-only; none is keyed by a caller's argument, replaced or handed to
-another matrix. The items are its symmetry and irreducibility, and O(n)
-data about its rows (the diagonal's slots and values, whether a row is
-empty, the row sums and absolute row sums). It never caches a layout: a
-step's layout is O(width k), and a layout cached on T cost too much
-peak memory. So each step's gather reads its diagonal from the matrix
-instead of finding it again, and tells from it whether a shift can land
-there; each CSR product knows whether its rows need the empty-row path,
-and check_t2 reads the row sums that check_t1 made. Row lengths are not
+another matrix. The items are its symmetry, irreducibility and
+finiteness, and O(n) data about its rows (the diagonal's slots and
+values, whether a row is empty, the row sums and absolute row sums). It
+never caches a layout: a step's layout is O(width k), and a layout
+cached on T cost too much peak memory. So each step's gather reads its
+diagonal from the matrix instead of finding it again, and tells from it
+whether a shift can land there; each CSR product knows whether its rows
+need the empty-row path, check_t2 reads the row sums that check_t1
+made, and the solvers and the residual and LCP checks of one matrix
+scan its entries for inf and NaN once between them. Row lengths are not
 cached: a gather takes its active rows' lengths from two takes of the
 row offsets. A copy made by `scaled` finds its own facts.
 
 A^T is built by one stable argsort of the column indices, which keeps
 each column's rows in increasing order, so its rows come out canonical
-with no (row, column) sort. Irreducibility is a one-pass certificate,
-else a breadth-first search that reads each frontier's columns straight
-from the CSR arrays, run on A and on A^T; a symmetric matrix needs the
-first search only.
+with no (row, column) sort. The symmetry test takes the same argsort
+but builds no A^T: it compares column counts with row lengths, A's
+values with their column order, and each sorted entry's position with
+the range of row offsets its column names, so its scratch is the order
+and one gather at a time, not A^T's three arrays. Irreducibility is a
+one-pass certificate, else a breadth-first search that reads each
+frontier's columns straight from the CSR arrays, run on A and on A^T; a
+symmetric matrix needs the first search only. transpose() serves that
+second search and check_t2's left null vector.
 """
 
 import warnings
@@ -85,8 +92,8 @@ def as_vector(values):
 
 def _require_finite(matrix):
     """Reject a NaN or infinite entry of a matrix, as as_vector does for
-    a vector."""
-    if not np.isfinite(matrix.values).all():
+    a vector. Whether every entry is finite is found once per matrix."""
+    if not matrix._cached("finite", lambda: bool(np.isfinite(matrix.values).all())):
         raise ValueError("matrix entries must be finite")
 
 
@@ -143,15 +150,24 @@ class SparseMatrix:
             return value
 
     def is_symmetric(self):
-        """Exact test A == A^T, made once per matrix.
+        """Exact test A == A^T, made once per matrix, without building A^T.
 
-        Rows are canonical, so A^T must have the same arrays.
+        Rows are canonical, so A^T must have A's arrays: each column
+        holds as many entries as its row, and the stable column order
+        that transpose() would read A^T's rows from puts, at each
+        position e of column c_e's run, an entry of A's value at e that
+        lies in row c_e, that is at a position in [row_offsets[c_e],
+        row_offsets[c_e + 1]).
         """
         def test():
-            t = self.transpose()
-            return (np.array_equal(t.row_offsets, self.row_offsets)
-                    and np.array_equal(t.col_indices, self.col_indices)
-                    and np.array_equal(t.values, self.values))
+            offsets, cols = self.row_offsets, self.col_indices
+            if not np.array_equal(np.bincount(cols, minlength=self.n_cols),
+                                  np.diff(offsets)):
+                return False
+            order = np.argsort(cols, kind="stable")
+            return bool(np.array_equal(self.values.take(order), self.values)
+                        and (offsets.take(cols) <= order).all()
+                        and (order < offsets[1:].take(cols)).all())
         return self._cached("symmetric", test)
 
     def is_irreducible(self):

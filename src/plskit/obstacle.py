@@ -17,14 +17,21 @@ a uniform scaling.
 Row k of the matrix holds its stencil in column order: k - N (-y),
 k - 1 (-x), k, k + 1 (+x), k + N (+y), less the neighbours outside the
 grid. Written row by row, that is already sorted CSR, so assembly needs
-no sort of its entries.
+no sort of its entries. Assembly builds the CSR arrays straight from the
+grid: the four edges are rows and columns of (N, N) node arrays, each
+drops one slot from its nodes' rows and one from their lengths, and the
+slots that remain, listed row by row, are the compressed slot pattern
+(one byte per stored entry) that both the columns and the values are
+read from. b = f - T psi and its rounding scale share one gather of psi:
+the scale's terms |T_kj| |psi_j| are the absolute values of b's terms
+T_kj psi_j, bit for bit, as rounding is symmetric in sign.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import SparseMatrix, spmv
+from .numkit import SparseMatrix, _row_sums
 from .pls import PlsSolution, SolverOptions, solve_elliptic_pls, solve_parabolic_pls
 
 
@@ -158,6 +165,16 @@ def assemble_elliptic(spec, n):
     0 when |b_k| <= 16 eps s_k, where s_k = |f_k| + sum_j |T_kj| |psi_j|
     is the rounding scale of the sum that forms b_k. The tent obstacle is
     linear across most stencils, so most of its b is such zeros.
+
+    The arrays come straight from the grid, with no (n, 5) scratch of
+    int64 or float64 and no node masks: the edges are handled on
+    (N, N) views of the node arrays, one at a time, and each removes one
+    stencil slot from its nodes' rows; the remaining slots, one int8 per
+    stored entry, give every column (row + step) and every value
+    (stencil weight, the diagonal at the centre). One gather psi_j * T_kj
+    of the stored entries sums to T psi, and its absolute values, which
+    are |T_kj| |psi_j| bit for bit since |t p| == |t| |p| in rounded
+    arithmetic, sum to the scale, in the same order.
     """
     if n < 2:
         raise GridError("grid needs at least 2 interior nodes per side")
@@ -169,50 +186,52 @@ def assemble_elliptic(spec, n):
     cy = 1.0 / dy**2
     neumann = spec.bc_kind == NEUMANN
     size = grid.n
-    k = np.arange(size, dtype=np.int64)
-    j, i = np.divmod(k, n)
-    x = x0 + (i + 1) * dx
-    y = y0 + (j + 1) * dy
+    xs = x0 + np.arange(1, n + 1) * dx
+    ys = y0 + np.arange(1, n + 1) * dy
+    x, y = np.tile(xs, n), np.repeat(ys, n)  # node k = j*n + i
     f_vec = _on_nodes(spec.f, x, y)
     psi_vec = _on_nodes(spec.psi, x, y)
-    diag = np.full(size, 2.0 * cx + 2.0 * cy)
-    # slots -y, -x, centre, +x, +y: row-major over the inside mask is CSR
-    cols = k[:, None] + np.array([-n, -1, 0, 1, n])
-    vals = np.tile([-cy, -cx, 0.0, -cx, -cy], (size, 1))
-    inside = np.ones((size, 5), dtype=bool)
-    lengths = np.full(size, 5, dtype=np.int64)
-    # one direction at a time, in this order, so diag and f_vec round as a
+    del x, y
+    # [j, i] arrays over the nodes, so an edge is one of their rows or columns
+    diag = np.full((n, n), 2.0 * cx + 2.0 * cy)
+    lengths = np.full((n, n), 5)
+    inside = np.ones((n, n, 5), dtype=bool)  # slots -y, -x, centre, +x, +y
+    f_grid = f_vec.reshape(n, n)
+    # one edge at a time, in this order, so diag and f_vec round as a
     # node-by-node loop does; a Kronecker sum would round the Neumann
     # diagonal differently, and b's exact zeros depend on those bits
     # data that fold to inf or NaN are refused below, with no warning here
     with np.errstate(over="ignore", invalid="ignore"):
-        for slot, di, dj, c in ((1, -1, 0, cx), (3, 1, 0, cx),
-                                (0, 0, -1, cy), (4, 0, 1, cy)):
-            ii, jj = i + di, j + dj
-            inside[:, slot] = (0 <= ii) & (ii < n) & (0 <= jj) & (jj < n)
-            out = ~inside[:, slot]
-            lengths -= out
+        for slot, nodes, c, h, bx, by in (
+                (1, np.s_[:, 0], cx, dx, np.full(n, xs[0] - dx), ys),
+                (3, np.s_[:, -1], cx, dx, np.full(n, xs[-1] + dx), ys),
+                (0, np.s_[0, :], cy, dy, xs, np.full(n, ys[0] - dy)),
+                (4, np.s_[-1, :], cy, dy, xs, np.full(n, ys[-1] + dy))):
+            inside[nodes + (slot,)] = False
+            lengths[nodes] -= 1
             if neumann:
                 # ghost elimination u_B = u_adj + h g keeps T symmetric
-                diag[out] -= c
-                h = dx if di else dy
-                bx = x[out] + di * dx if di else x[out]
-                by = y[out] + dj * dy if dj else y[out]
-                f_vec[out] += c * h * _on_nodes(spec.flux, bx, by)
+                diag[nodes] -= c
+                f_grid[nodes] += c * h * _on_nodes(spec.flux, bx, by)
             else:
-                f_vec[out] += c * spec.bc_value
+                f_grid[nodes] += c * spec.bc_value
     if not (np.isfinite(f_vec).all() and np.isfinite(psi_vec).all()):
         raise ValueError("the load, its boundary terms and the obstacle must be "
                          "finite at every node")
-    vals[:, 2] = diag
     row_offsets = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(lengths, out=row_offsets[1:])
-    T = SparseMatrix(size, size, row_offsets, cols[inside], vals[inside])
-    b = f_vec - spmv(T, psi_vec)
-    scale = np.abs(f_vec) + spmv(
-        SparseMatrix(size, size, T.row_offsets, T.col_indices, np.abs(T.values)),
-        np.abs(psi_vec),
-    )
+    # each stored entry's slot, row by row: the CSR pattern, compressed
+    slots = np.tile(np.arange(5, dtype=np.int8), size)[inside.reshape(-1)]
+    cols = np.repeat(np.arange(size, dtype=np.int64), lengths.reshape(-1))
+    cols += np.array([-n, -1, 0, 1, n]).take(slots)
+    vals = np.array([-cy, -cx, 0.0, -cx, -cy]).take(slots)
+    vals[slots == 2] = diag.reshape(-1)
+    T = SparseMatrix(size, size, row_offsets, cols, vals)
+    # one gather of psi serves b and its scale, as |t psi| == |t| |psi|
+    terms = psi_vec.take(cols)
+    terms *= vals
+    b = f_vec - _row_sums(terms, T)
+    scale = np.abs(f_vec) + _row_sums(np.abs(terms, out=terms), T)
     b[np.abs(b) <= _ZERO_ULPS * np.finfo(np.float64).eps * scale] = 0.0
     t2_data = (np.ones(size), np.ones(size)) if neumann else None
     return DiscreteObstacle(spec, grid, T, f_vec, psi_vec, b, t2_data)

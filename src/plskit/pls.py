@@ -6,8 +6,10 @@ Parabolic: x + T max{0,x} = b, iterated as (I + T P) x = b.
 Each form has its own solver, which takes its operands directly:
 solve_elliptic_pls(T, b, opts, t2_data), solve_parabolic_pls(T, b,
 opts, trail) and, for thresholds xi, solve_shifted(T, b, xi, form, opts).
-All three check them in one place: T must be square and finite, and b,
-xi and t2_data's v and w finite vectors of T's dimension.
+All three, and the checks residual_nonsmooth and lcp_check, check them
+in one place: T must be square and finite, and b, x, y, xi and t2_data's
+v and w finite vectors of T's dimension. T's finiteness is found once
+per matrix, so checking every time step of a run scans T once.
 
 The active mask P starts empty and is rebuilt from the signs of each
 iterate: component i is active iff x_i >= 0, so an exact zero is active.
@@ -128,8 +130,8 @@ class SolverOptions:
 
 def _operands(T, *vectors):
     """The vectors as float64 arrays, once T is found square and finite
-    and each vector finite and of T's dimension: every solve's operand
-    check."""
+    and each vector finite and of T's dimension: the operand check of
+    every solve and of residual_nonsmooth and lcp_check."""
     if T.n_rows != T.n_cols:
         raise DimensionError(f"matrix is {T.shape}, expected square")
     _require_finite(T)
@@ -334,16 +336,12 @@ def solve_shifted(T, b, xi, form, opts=None):
 def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):
     """Max-norm residual of the nonsmooth equation at x. The shift xi and
     the MaxPlusTMin form are elliptic only; the parabolic kind rejects
-    them rather than return the residual of another equation. A given xi
-    must be a finite vector of T's dimension. MaxPlusTMin is the
-    MinPlusTMax residual at -b, -x and -xi, whose r is the negated r of
-    the form: negation is exact, so max |r| keeps its bits."""
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    base = 0.0 if xi is None else as_vector(xi)
-    if (b.shape != x.shape or x.size != T.n_rows
-            or np.shape(base) not in ((), (T.n_rows,))):
-        raise DimensionError("operand lengths must match the matrix")
+    them rather than return the residual of another equation. T, b, x and
+    a given xi are checked as every solve's operands are. MaxPlusTMin is
+    the MinPlusTMax residual at -b, -x and -xi, whose r is the negated r
+    of the form: negation is exact, so max |r| keeps its bits."""
+    b, x, *shift = _operands(T, b, x, *(() if xi is None else (xi,)))
+    base = shift[0] if shift else 0.0
     if kind not in (ELLIPTIC, PARABOLIC):
         raise ValueError(f"unknown kind {kind!r}")
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
@@ -383,12 +381,10 @@ def lcp_check(T, b, y, kind=ELLIPTIC, tol=1e-8):
     Elliptic: y >= 0, T y >= b, y^T (T y - b) = 0; the parabolic slack is
     y + T y - b. Inequalities are tested against tol scaled by
     max(1, ||b||_inf); the complementarity product against tol ||y|| ||b||.
-    A b or y that does not match T, or an unknown kind, raises.
+    T, b and y are checked as every solve's operands are, and an unknown
+    kind raises.
     """
-    y = np.asarray(y, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != y.shape or y.size != T.n_rows:
-        raise DimensionError("operand lengths must match the matrix")
+    b, y = _operands(T, b, y)
     if kind not in (ELLIPTIC, PARABOLIC):
         raise ValueError(f"unknown kind {kind!r}")
     slack = spmv(T, y) - b

@@ -1,6 +1,8 @@
-"""Shared builders for the test suite, and the per-node loops that the
-vectorized assembly and connectivity check are compared against."""
+"""Shared builders for the test suite, the per-node loops that the
+vectorized assembly and connectivity check are compared against, and a
+probe of traced peak memory."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -179,3 +181,15 @@ def queue_is_connected(matrix):
         if not seen.all():
             return False
     return True
+
+
+def traced_peak(call):
+    """The peak of traced memory that call() allocates, in bytes, beyond
+    what was live when it started, and call()'s result."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - live, result
+    finally:
+        tracemalloc.stop()

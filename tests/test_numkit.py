@@ -3,9 +3,10 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import csr_from_dense
+from helpers import csr_from_dense, traced_peak
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from plskit import (
     DimensionError,
@@ -234,6 +235,64 @@ def test_is_symmetric_is_exact():
     a[0, 1] = 0.0  # same values, different pattern
     assert not csr_from_dense(a).is_symmetric()
     assert not csr_from_triplets([(0, 0, 1.0)], 2, 3).is_symmetric()
+
+
+_SYMMETRY_CASES = ("any", "zero", "symmetric", "missing mirror",
+                   "unequal mirror")
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """(case, dense matrix): any shape with any entries, the zero matrix,
+    or a square symmetric matrix with some empty rows and columns, as it
+    is or with one mirror entry dropped or changed. The values repeat,
+    so unrelated entries often match."""
+    case = draw(st.sampled_from(_SYMMETRY_CASES))
+    values = st.sampled_from([0.0, 0.0, -1.0, 2.0, 0.5]) | _floats
+    if case == "any":
+        shape = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+        return case, draw(arrays(np.float64, shape, elements=values))
+    n = draw(st.integers(0 if case in ("zero", "symmetric") else 2, 7))
+    if case == "zero":
+        return case, np.zeros((n, n))
+    upper = np.triu(draw(arrays(np.float64, (n, n), elements=values)))
+    a = upper + np.triu(upper, 1).T
+    empty = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                     dtype=bool)
+    a[empty] = 0.0
+    a[:, empty] = 0.0
+    if case != "symmetric":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        v = draw(values.filter(lambda v: v != 0.0))
+        a[i, j] = a[j, i] = v
+        a[i, j] = 0.0 if case == "missing mirror" else np.nextafter(v, np.inf)
+    return case, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_symmetry_cases())
+def test_is_symmetric_property_agrees_with_the_dense_test(drawn):
+    case, a = drawn
+    event(case)
+    m = csr_from_dense(a)
+    dense = a.shape[0] == a.shape[1] and bool((a == a.T).all())
+    assert m.is_symmetric() == dense
+    if case in ("zero", "symmetric"):
+        assert dense
+    elif case != "any":
+        assert not dense
+
+
+def test_is_symmetric_needs_little_scratch():
+    # the test reads A^T's order from one argsort and builds no A^T; a
+    # transpose made to compare with A took 3.2 times 8 nnz bytes
+    t = _obstacle_matrix("tent-neumann", 200)
+    fresh = SparseMatrix(t.n_rows, t.n_cols, t.row_offsets, t.col_indices,
+                         t.values)
+    peak, symmetric = traced_peak(fresh.is_symmetric)
+    assert symmetric
+    assert peak <= 2.5 * 8 * t.nnz
 
 
 def _uncached_copy(m, values):

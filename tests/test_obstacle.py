@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import loop_assembly
+from helpers import loop_assembly, traced_peak
 
 from plskit import (
     PARABOLIC,
@@ -529,6 +530,66 @@ def test_assembly_matches_the_node_loop_bit_for_bit(n):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), spec.name
             assert np.array_equal(np.signbit(got), np.signbit(want)), spec.name
+
+
+# the first 16 hex digits of the sha256 of T's three arrays, b, f_vec,
+# psi_vec and t2_data (dtype and shape included) of each problem, torsion
+# at C = _PINNED_C; a rewrite of the assembly must keep every bit
+_PINNED_C = -17.251034037566676
+_ASSEMBLY_DIGESTS = {
+    ("tent", 2): "f3f7c025f1d9494c",
+    ("tent", 3): "41fc483543866478",
+    ("tent", 8): "a8fc70823fc44960",
+    ("tent", 25): "b301cbd8fe78dea5",
+    ("tent", 200): "10d645b0846b7a59",
+    ("tent-neumann", 2): "88d288a277f0739f",
+    ("tent-neumann", 3): "60ebfd01868b97bb",
+    ("tent-neumann", 8): "822a04e618426249",
+    ("tent-neumann", 25): "c1f977fb717ac085",
+    ("tent-neumann", 200): "e264b01f4022cb32",
+    ("torsion", 2): "6a564024f007c34a",
+    ("torsion", 3): "195d852a2486a4fc",
+    ("torsion", 8): "cfde90a8a7502226",
+    ("torsion", 25): "a62648b871367867",
+    ("torsion", 200): "4e57c7a4eb987e1e",
+    ("torsion-neumann", 2): "49e6c60cecb5b269",
+    ("torsion-neumann", 3): "622d90349dfe84c7",
+    ("torsion-neumann", 8): "1bdd650e16c0a1b4",
+    ("torsion-neumann", 25): "b496d3d23d1e9e35",
+    ("torsion-neumann", 200): "c55e4b9b30ff671a",
+}
+
+
+def _assembly_digest(d):
+    h = hashlib.sha256()
+    arrays = [d.T.row_offsets, d.T.col_indices, d.T.values, d.b, d.f_vec,
+              d.psi_vec, *(d.t2_data or ())]
+    h.update(f"{d.T.shape}{len(arrays)}".encode())
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 25, 200])
+def test_assembly_bits_are_pinned(n):
+    for name in obs.PROBLEM_NAMES:
+        c = _PINNED_C if name.startswith("torsion") else None
+        d = obs.assemble_elliptic(obs.problem_spec(name, c), n)
+        assert _assembly_digest(d) == _ASSEMBLY_DIGESTS[name, n], name
+
+
+def test_assembly_needs_little_scratch_beyond_its_arrays():
+    # the arrays come straight from the grid: an (n, 5) int64 column table
+    # and float64 value table, with a second gather for b's scale, once
+    # took the peak to 2.9 times the bytes assembly returns
+    spec = obs.problem_spec("tent-neumann")
+    obs.assemble_elliptic(spec, 8)  # first calls are paid before tracing
+    peak, d = traced_peak(lambda: obs.assemble_elliptic(spec, 200))
+    returned = sum(a.nbytes for a in (d.T.row_offsets, d.T.col_indices,
+                                      d.T.values, d.b, d.f_vec, d.psi_vec,
+                                      *d.t2_data))
+    assert peak <= 2.0 * returned
 
 
 def test_corner_rules_differ_for_varying_flux():

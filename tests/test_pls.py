@@ -77,6 +77,42 @@ def test_every_solver_checks_its_operands(solver, case):
         _SOLVES[solver](csr_from_dense(dense), b, u)
 
 
+_CHECKS = {  # u is the third vector: x, or y
+    "residual": lambda t, b, u: residual_nonsmooth(t, b, u),
+    "lcp": lambda t, b, u: lcp_check(t, b, u),
+}
+
+
+@pytest.mark.parametrize("check", _CHECKS)
+@pytest.mark.parametrize("case", _BAD_OPERANDS)
+def test_the_residual_and_lcp_checks_refuse_what_the_solvers_refuse(check, case):
+    # unchecked, a NaN b gave a nan residual and an LCP report with
+    # slack_min = nan, with no error
+    (dense, b, u), error, match = _BAD_OPERANDS[case]
+    with pytest.raises(error, match=match):
+        _CHECKS[check](csr_from_dense(dense), b, u)
+
+
+def test_t_is_scanned_for_non_finite_entries_once(monkeypatch):
+    # a time-stepped run solves and checks every step on one matrix, so
+    # T's finiteness is found once, not once per solve or check
+    t = csr_from_dense(T22)
+    isfinite, scans = np.isfinite, []
+
+    def counting(a, *args, **kwargs):
+        if a is t.values:
+            scans.append(a)
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    b = np.array([1.0, -1.0])
+    for _ in range(3):
+        sol = solve_parabolic_pls(t, b)
+        assert residual_nonsmooth(t, b, sol.x, kind=PARABOLIC) <= 1e-12
+        assert lcp_check(t, b, sol.y, kind=PARABOLIC).passed
+    assert len(scans) == 1
+
+
 def test_t2_data_of_another_dimension_is_refused():
     # unchecked, a w of another length would come back as a 5-entry
     # family direction of a 2 x 2 system; a v of another length is
