@@ -5,21 +5,35 @@ systems; `bicgstab_solve` is Bi-CGSTAB for nonsymmetric ones. Each
 supplies only its recurrence, run from a true residual; both share one
 restart loop, `_restarted`, and KrylovOptions and KrylovStats.
 
-The loop copies x0 and tests it first: with r = b - op x0 and the
-tolerance tol = rel_tol ||b|| + abs_tol, a start with ||r|| <= tol is the
-result as it is, bit for bit, with 0 iterations. Otherwise it builds
-Jacobi's D^-1 (always applied; it is the only preconditioner) and runs
-the recurrence from r, within a budget of max_iters iterations, 10 n by
-default. Every run ends by forming the true residual, and convergence is
-confirmed there, never on the recurrence estimate alone; the next run
-starts from it. The solve ends with NotConverged when the budget is spent
-or when _STALLS runs in a row find no better true residual, and with
-Breakdown when a CG run breaks down short of the tolerance; both carry
-the best iterate and its stats. A residual that is not <= tol, NaN
-included, is never converged. Each solve needs products with the
-operator alone, and every product runs through numkit.reused_product, on
-buffers that the solve allocates once; between runs the first pair's
-vector carries x for the true residual.
+The loop refuses a b or x0 that is not a vector of the operator's
+dimension with DimensionError, then copies x0 and tests it first: with
+r = b - op x0 and the tolerance tol = rel_tol ||b|| + abs_tol, a start
+with ||r|| <= tol is the result as it is, bit for bit, with 0
+iterations. Otherwise it builds Jacobi's D^-1 (always applied; it is the
+only preconditioner) and runs the recurrence from r, within a budget of
+max_iters iterations, 10 n by default. Every run ends by forming the
+true residual, and convergence is confirmed there, never on the
+recurrence estimate alone; the next run starts from it. The solve ends
+with NotConverged when the budget is spent or when _STALLS runs in a row
+find no better true residual, and with Breakdown when a CG run breaks
+down short of the tolerance; both carry the best iterate and its stats.
+A residual that is not <= tol, NaN included, is never converged. Each
+solve needs products with the operator alone, and every product runs
+through numkit.reused_product, on buffers that the solve allocates once;
+between runs the first pair's vector carries x for the true residual.
+
+Every norm and inner product is ndarray.dot, taken as a Python float, so
+scalar division and overflow behave as for any float. It ends in the
+same BLAS ddot as v @ w without the matmul ufunc's dispatch, about 0.5
+against 0.9 us at n = 884, and each run binds np.multiply, math.sqrt and
+its vectors' .dot once. The two differ only in the sign of an exactly
+zero product of length-1 vectors, which .dot gives as -0.0 and @ as
++0.0; no such zero reaches x, r or the stats. A self-product (a norm,
+t^T t, Bi-CGSTAB's first r^T r) is never -0.0. A zero curvature, CG
+r^T z or Bi-CGSTAB pivot ends the run before x or r takes a step with
+it; a zero r^T z may scale the direction first, which the next run
+rebuilds. At n = 1, Bi-CGSTAB reaches t^T r only with t^T t > 0 and
+r^T r > 0, so neither square underflows and their product is not zero.
 """
 
 import math
@@ -27,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import reused_product
+from .numkit import DimensionError, reused_product
 
 _STALLS = 2  # restarts in a row without a new best residual
 _GROWTH = 1e4  # a Bi-CGSTAB run ends once its residual grows this much
@@ -75,8 +89,10 @@ class Breakdown(RuntimeError):
 
 def _norm(v):
     # what np.linalg.norm computes for a 1-d float vector, without its
-    # argument handling
-    return math.sqrt(v @ v)
+    # argument handling: v @ v's BLAS ddot through ndarray.dot. The two
+    # differ only in the sign of a zero product of length-1 vectors, and
+    # v.dot(v) is never -0.0
+    return math.sqrt(v.dot(v))
 
 
 def _inverse_diagonal(op):
@@ -87,7 +103,9 @@ def _inverse_diagonal(op):
 
 def _restarted(op, b, x0, opts, runs, fatal=None):
     """The restart loop of both solvers (see the module docstring);
-    returns (x, KrylovStats).
+    returns (x, KrylovStats). b and a given x0 must be vectors of the
+    operator's dimension, the size of its diagonal, or DimensionError is
+    raised before any product.
 
     runs(op, x, r, tol, inv_d, v, apply), called once after the entry
     test, allocates a solver's scratch and returns run(left, res): one run
@@ -98,9 +116,13 @@ def _restarted(op, b, x0, opts, runs, fatal=None):
     true residual misses tol, or None; stats.breakdown then stays False.
     """
     opts = opts or KrylovOptions()
+    n = op.diagonal().size
     b = np.asarray(b, dtype=np.float64)
-    n = b.size
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    for name, vector in (("b", b), ("x0", x)):
+        if vector.shape != (n,):
+            raise DimensionError(
+                f"operator is {n} x {n}, {name} has shape {vector.shape}")
     v, apply = reused_product(op, n)
     np.copyto(v, x)  # v is free until a run starts, so it carries x
     tol = opts.rel_tol * _norm(b) + opts.abs_tol
@@ -158,36 +180,38 @@ def bicgstab_solve(op, b, x0=None, opts=None):
 
 def _bicgstab_runs(op, x, r, tol, inv_d, p_hat, apply_p):
     s_hat, apply_s = reused_product(op, x.size)
+    multiply, sqrt, r_dot = np.multiply, math.sqrt, r.dot
 
     def run(left, res):
         nonlocal x, r  # updated in place
         r_hat = r.copy()
-        rho = float(r_hat @ r)
+        r_hat_dot = r_hat.dot
+        rho = float(r_hat_dot(r))
         p = r.copy()
         limit = _GROWTH * res
         used = 0
         while used < left:
-            np.multiply(p, inv_d, out=p_hat)
+            multiply(p, inv_d, out=p_hat)
             v = apply_p()
-            sigma = float(r_hat @ v)
+            sigma = float(r_hat_dot(v))
             if sigma == 0.0:
                 return used, True
             alpha = rho / sigma
             x += alpha * p_hat
             r -= alpha * v
             used += 1
-            if _norm(r) <= tol:
+            if sqrt(r_dot(r)) <= tol:
                 break
-            np.multiply(r, inv_d, out=s_hat)
+            multiply(r, inv_d, out=s_hat)
             t = apply_s()
-            tt = float(t @ t)
-            omega = float(t @ r) / tt if tt > 0.0 else 0.0
+            tt = float(t.dot(t))
+            omega = float(t.dot(r)) / tt if tt > 0.0 else 0.0
             x += omega * s_hat
             r -= omega * t
-            estimate = _norm(r)
+            estimate = sqrt(r_dot(r))
             if estimate <= tol or not estimate <= limit:
                 break
-            rho_next = float(r_hat @ r)
+            rho_next = float(r_hat_dot(r))
             if omega == 0.0 or rho_next == 0.0:
                 return used, True
             p -= omega * v
@@ -223,26 +247,27 @@ def cg_solve(op, b, x0=None, opts=None):
 def _cg_runs(op, x, r, tol, inv_d, p, apply):
     z = np.empty(x.size)
     step = np.empty(x.size)  # alpha p, then alpha q
+    multiply, sqrt, r_dot, p_dot = np.multiply, math.sqrt, r.dot, p.dot
 
     def run(left, res):
         nonlocal x, r, p  # updated in place
-        np.multiply(r, inv_d, out=z)
+        multiply(r, inv_d, out=z)
         np.copyto(p, z)
-        rz = float(r @ z)
+        rz = float(r_dot(z))
         used = 0
         while used < left:
             q = apply()
-            curvature = float(p @ q)
+            curvature = float(p_dot(q))
             if not (curvature > 0.0 and rz > 0.0):
                 return used, True
             alpha = rz / curvature
-            x += np.multiply(p, alpha, out=step)
-            r -= np.multiply(q, alpha, out=step)
+            x += multiply(p, alpha, out=step)
+            r -= multiply(q, alpha, out=step)
             used += 1
-            if _norm(r) <= tol:
+            if sqrt(r_dot(r)) <= tol:
                 break
-            np.multiply(r, inv_d, out=z)
-            rz_next = float(r @ z)
+            multiply(r, inv_d, out=z)
+            rz_next = float(r_dot(z))
             p *= rz_next / rz
             p += z
             rz = rz_next

@@ -23,7 +23,9 @@ is the only holder of the layout: a slice with a row longer than 8
 stays on CSR, as do T itself, every `SparseMatrix` and every one-shot
 product (`spmv`). `reused_product` is the only way a step operator is
 applied: a Krylov loop runs the operator's kernel on reused buffers
-through it, and the operator has no product method of its own.
+through it, as one closure over bound take, multiply and add.reduce,
+so each product runs one Python frame, and the operator has no product
+method of its own.
 
 A matrix caches what it finds about itself by one rule: each item is
 made by `_cached`, once, on first use, on the matrix it describes, and
@@ -359,32 +361,34 @@ def spmv(matrix, x):
     return _row_sums(prod, matrix)
 
 
-def _ell_product(values, cols, padded, prod, out):
-    """out = A x for A in the ELL layout (values, cols), with padded =
-    (x, -0.0, 0.0) and prod a scratch array of the layout's shape.
-
-    The layout rows in order from -0.0: the rest of each row, then its
-    first entry, which the last layout row holds. That is reduceat's order
-    for rows of at most 8 entries, as s + p0 == p0 + s bit for bit."""
-    padded.take(cols, mode="wrap", out=prod)  # "wrap" writes out unbuffered
-    prod *= values
-    return np.add.reduce(prod, axis=0, initial=-0.0, out=out)
-
-
 def reused_product(op, n):
     """(v, apply) for the many products of one Krylov solve: fill the
     length-n vector v, and apply() returns op v in a buffer that the next
     call overwrites. An EllOperator keeps v inside its padded direction
-    vector and runs its kernel on reused scratch; any other operator, such
-    as a CSR slice, takes op.matvec(v). This is the only way a step
-    operator is applied."""
+    vector (v, -0.0, 0.0) and runs its kernel on reused scratch, in one
+    Python frame over bound methods; any other operator, such as a CSR
+    slice, takes op.matvec(v). This is the only way a step operator is
+    applied."""
     if not isinstance(op, EllOperator):
         v = np.empty(n)
         return v, lambda: op.matvec(v)
     values, cols = op._values, op._cols
     padded = np.concatenate((np.empty(n), _ELL_PAD))
     prod, out = np.empty(values.shape), np.empty(n)
-    return padded[:n], lambda: _ell_product(values, cols, padded, prod, out)
+    take, multiply, reduce = padded.take, np.multiply, np.add.reduce
+
+    def apply():
+        """out = A x for A in the ELL layout (values, cols).
+
+        The layout rows in order from -0.0: the rest of each row, then its
+        first entry, which the last layout row holds. That is reduceat's
+        order for rows of at most 8 entries, as s + p0 == p0 + s bit for
+        bit."""
+        take(cols, mode="wrap", out=prod)  # "wrap" writes out unbuffered
+        multiply(prod, values, out=prod)
+        return reduce(prod, axis=0, initial=-0.0, out=out)
+
+    return padded[:n], apply
 
 
 def _row_sums(prod, matrix):

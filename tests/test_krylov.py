@@ -13,7 +13,12 @@ from plskit import (
     cg_solve,
 )
 from plskit import obstacle
-from plskit.numkit import EllOperator, active_operator, principal_submatrix
+from plskit.numkit import (
+    DimensionError,
+    EllOperator,
+    active_operator,
+    principal_submatrix,
+)
 from plskit.pls import _step
 
 # runs a test on both solvers; the restart loop they share (its entry
@@ -215,6 +220,22 @@ def test_spent_budget_carries_best_iterate(solve):
         stats.final_residual_norm
     )
     assert stats.final_residual_norm <= np.linalg.norm(b)
+
+
+@SOLVERS
+@pytest.mark.parametrize("b, x0", [
+    ([1.0, 1.0, 2.0], [1.0]),
+    ([1.0, 1.0, 2.0], [1.0, 1.0, 2.0, 0.0]),
+    ([1.0, 1.0], None),
+    ([[1.0, 1.0, 2.0]], None),
+], ids=["x0-short", "x0-long", "b-short", "b-2d"])
+def test_wrong_length_operands_are_refused_before_any_product(solve, b, x0):
+    # a one-entry x0 would broadcast over the product's vector and pass
+    # the entry test; every wrong shape is refused before a product
+    op = _CountingOperator(path_laplacian(3).add_diagonal(1.0))
+    with pytest.raises(DimensionError, match="operator is 3 x 3"):
+        solve(op, b, x0=x0)
+    assert op.matvecs == 0
 
 
 @pytest.mark.parametrize("scaling", [None, "jacobi"])
