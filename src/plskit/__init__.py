@@ -20,8 +20,6 @@ from .matprops import (
 )
 from .numkit import (
     BACKEND,
-    ELLIPTIC,
-    PARABOLIC,
     DimensionError,
     SparseMatrix,
     csr_from_triplets,
@@ -42,8 +40,10 @@ from .obstacle import (
 from .oracle import Family, OracleResult, TooLarge, enumerate_solutions
 from .pls import (
     CONVERGED,
+    ELLIPTIC,
     MAX_OUTER_EXCEEDED,
     NO_SOLUTION_CERTIFIED,
+    PARABOLIC,
     CheckReport,
     IterationReport,
     PlsSolution,

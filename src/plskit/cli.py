@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -18,11 +18,13 @@ import numpy as np
 from . import obstacle as obs
 from .krylov import Breakdown, KrylovOptions, NotConverged
 from .matprops import PROVEN, check_t1, check_t2, classify_solvability
-from .numkit import ELLIPTIC, PARABOLIC, csr_from_triplets, load_matrix_market
+from .numkit import csr_from_triplets, load_matrix_market
 from .oracle import TooLarge, _on_family, enumerate_solutions
 from .pls import (
     CONVERGED,
+    ELLIPTIC,
     NO_SOLUTION_CERTIFIED,
+    PARABOLIC,
     SolverOptions,
     solve_elliptic_pls,
 )
@@ -105,10 +107,9 @@ def _build_parser():
 
 
 def _solver_options(args):
-    opts = SolverOptions()
-    if args.krylov_tol is not None:
-        opts.krylov = KrylovOptions(rel_tol=args.krylov_tol)
-    return opts
+    if args.krylov_tol is None:
+        return SolverOptions()
+    return SolverOptions(KrylovOptions(rel_tol=args.krylov_tol))
 
 
 def _g(value):
@@ -364,10 +365,8 @@ def cmd_check(args):
     report = check_t1(matrix)
     if report.t1_verdict != PROVEN:
         t2 = check_t2(matrix)
-        report.t2_verdict = t2.t2_verdict
-        report.left_null = t2.left_null
-        report.right_null = t2.right_null
-        report.notes = report.notes + t2.notes
+        report = replace(report, t2_verdict=t2.t2_verdict, left_null=t2.left_null,
+                         right_null=t2.right_null, notes=report.notes + t2.notes)
     _print_class_report(report)
     if report.t2_verdict == PROVEN and b is not None:
         cls = classify_solvability(report.left_null, b)

@@ -4,6 +4,8 @@
 systems; `bicgstab_solve` is Bi-CGSTAB for nonsymmetric ones. Each
 supplies only its recurrence, run from a true residual; both share one
 restart loop, `_restarted`, and KrylovOptions and KrylovStats.
+KrylovOptions is frozen, so its values keep the checks they passed when
+it was made.
 
 The loop refuses a b or x0 that is not a vector of the operator's
 dimension with DimensionError, then copies x0 and tests it first: with
@@ -47,7 +49,7 @@ _STALLS = 2  # restarts in a row without a new best residual
 _GROWTH = 1e4  # a Bi-CGSTAB run ends once its residual grows this much
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrylovOptions:
     rel_tol: float = 1e-12
     abs_tol: float = 0.0

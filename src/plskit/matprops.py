@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    DimensionError, SparseMatrix, _require_finite, active_operator, as_vector,
+    DimensionError, SparseMatrix, active_operator, as_vector, operands,
     principal_submatrix, spmv,
 )
 from .krylov import KrylovOptions, NotConverged, bicgstab_solve
@@ -69,7 +69,7 @@ class InvalidNullVector(ValueError):
     """A null vector that must be strictly positive is not."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixClassReport:
     is_z_matrix: bool
     is_irreducible: bool
@@ -86,18 +86,16 @@ class Solvability:
     vtb: float
 
 
-def _class_report(matrix):
-    """The Z-sign and irreducibility report both checks start from; a
-    non-finite entry is refused before either."""
-    if matrix.n_rows != matrix.n_cols:
-        raise DimensionError(f"matrix is {matrix.shape}, expected square")
-    _require_finite(matrix)
+def _class_facts(matrix):
+    """(is_z_matrix, is_irreducible), which both checks start from; the
+    matrix is checked as every solve's is, so a non-finite entry is
+    refused before either."""
+    operands(matrix)
     above = matrix.values > 0.0
     slots = matrix.diagonal_slots()
     stored = slots >= 0
     above[matrix.row_offsets[:-1][stored] + slots[stored]] = False
-    return MatrixClassReport(is_z_matrix=not above.any(),
-                             is_irreducible=matrix.is_irreducible())
+    return not above.any(), matrix.is_irreducible()
 
 
 def check_t1(matrix):
@@ -107,19 +105,18 @@ def check_t1(matrix):
     diagonal dominance), then on one solve of T x = 1. The same products
     disprove it: T y ~ 0 or T y < 0 for a y >= 0, the solution's |x|, or
     up to _DENSE_SOLVE_LIMIT the Perron vector of s I - T."""
-    report = _class_report(matrix)
-    report.t1_verdict, note = _t1_verdict(matrix, report)
-    report.notes = (note,)
-    return report
+    facts = _class_facts(matrix)
+    verdict, note = _t1_verdict(matrix, *facts)
+    return MatrixClassReport(*facts, t1_verdict=verdict, notes=(note,))
 
 
-def _t1_verdict(matrix, report):
+def _t1_verdict(matrix, is_z_matrix, is_irreducible):
     n = matrix.n_rows
     if n == 0:
         return DISPROVEN, "empty matrix"
-    if not report.is_z_matrix:
+    if not is_z_matrix:
         return DISPROVEN, "positive off-diagonal entry"
-    if not report.is_irreducible:
+    if not is_irreducible:
         return DISPROVEN, "matrix is reducible"
     if matrix.diagonal().min() <= 0.0:
         return DISPROVEN, "nonpositive diagonal entry"
@@ -233,24 +230,24 @@ def check_t2(matrix):
     from one node-deletion solve each (v = w for symmetric T), or equal
     to 1 with no solve when T's (T^T's) row sums already meet its
     tolerance."""
-    report = _class_report(matrix)
-    report.t2_verdict, note = _t2_verdict(matrix, report)
-    report.notes = (note,)
-    return report
+    facts = _class_facts(matrix)
+    verdict, note, left, right = _t2_verdict(matrix, *facts)
+    return MatrixClassReport(*facts, t2_verdict=verdict, left_null=left,
+                             right_null=right, notes=(note,))
 
 
-def _t2_verdict(matrix, report):
-    """(verdict, note) of check_t2; sets the report's null vectors once
-    both are found."""
+def _t2_verdict(matrix, is_z_matrix, is_irreducible):
+    """(verdict, note, v, w) of check_t2: the left and right null vectors
+    once both are found, else None."""
     if matrix.n_rows == 0:
-        return DISPROVEN, "empty matrix"
-    if not report.is_z_matrix or not report.is_irreducible:
-        return DISPROVEN, "needs an irreducible Z-pattern"
+        return DISPROVEN, "empty matrix", None, None
+    if not is_z_matrix or not is_irreducible:
+        return DISPROVEN, "needs an irreducible Z-pattern", None, None
     tnorm, row_sums, _, dominant = _ones_test(matrix)
     if tnorm == 0.0:
-        return DISPROVEN, "zero matrix"
+        return DISPROVEN, "zero matrix", None, None
     if dominant:
-        return DISPROVEN, "nonsingular: " + _DOMINANT
+        return DISPROVEN, "nonsingular: " + _DOMINANT, None, None
     transpose = matrix if matrix.is_symmetric() else matrix.transpose()
     try:
         w = _positive_null_vector(matrix, tnorm, row_sums)
@@ -258,31 +255,31 @@ def _t2_verdict(matrix, report):
              else _positive_null_vector(transpose, transpose.norm_inf(),
                                         transpose.row_sums()))
     except _SOLVE_FAILED:
-        return INCONCLUSIVE, "solve for the null vectors failed"
-    report.right_null, report.left_null = w, v
+        return INCONCLUSIVE, "solve for the null vectors failed", None, None
 
     resid_w = float(np.abs(spmv(matrix, w)).max())
     resid_v = (resid_w if v is w
                else float(np.abs(spmv(transpose, v)).max()))
     relative = max(resid_w, resid_v) / tnorm
     if relative > 1e-4:
-        return DISPROVEN, "no null space found; matrix appears nonsingular"
+        return DISPROVEN, "no null space found; matrix appears nonsingular", v, w
     if relative > _NULL_RESIDUAL:
-        return INCONCLUSIVE, "null-space residual between the decision thresholds"
+        return (INCONCLUSIVE, "null-space residual between the decision thresholds",
+                v, w)
     if min(w.min(), v.min()) <= -1e-8:
-        return DISPROVEN, "null vector is not strictly positive"
+        return DISPROVEN, "null vector is not strictly positive", v, w
     if min(w.min(), v.min()) <= 0.0:
-        return INCONCLUSIVE, "null vector positivity is borderline"
+        return INCONCLUSIVE, "null vector positivity is borderline", v, w
     return PROVEN, (f"positive null vectors, residual {relative:.1e} ||T||_inf "
-                    f"<= threshold {_NULL_RESIDUAL:.0e}")
+                    f"<= threshold {_NULL_RESIDUAL:.0e}"), v, w
 
 
-def classify_solvability(v, b, class_tol=None):
+def classify_solvability(v, b):
     """Classify a singular system by the sign of v^T b.
 
-    Negative means a unique solution, zero (within class_tol) a family
-    along the right null vector, positive no solution. The default
-    class_tol is 1e-10 ||v||_2 ||b||_2.
+    Negative means a unique solution, zero a family along the right null
+    vector, positive no solution. Zero means within the band
+    1e-10 ||v||_2 ||b||_2 of zero.
     """
     v = as_vector(v)
     b = as_vector(b)
@@ -291,11 +288,7 @@ def classify_solvability(v, b, class_tol=None):
     if v.size == 0 or v.min() <= 0.0:
         raise InvalidNullVector("left null vector must be strictly positive")
     vtb = float(v @ b)
-    tol = (
-        class_tol
-        if class_tol is not None
-        else 1e-10 * float(np.linalg.norm(v)) * float(np.linalg.norm(b))
-    )
+    tol = 1e-10 * float(np.linalg.norm(v)) * float(np.linalg.norm(b))
     if vtb < -tol:
         return Solvability(UNIQUE, vtb)
     if vtb > tol:

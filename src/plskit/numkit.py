@@ -62,9 +62,6 @@ import numpy as np
 
 BACKEND = "numpy"
 
-ELLIPTIC = "elliptic"
-PARABOLIC = "parabolic"
-
 _INDEX_DTYPE = np.int64  # must hold n up to 1e6 and nnz well beyond
 # reduceat adds a row's first entry to the sum of the rest, and that sum
 # runs in order while it has fewer than 8 terms
@@ -92,11 +89,20 @@ def as_vector(values):
     return v
 
 
-def _require_finite(matrix):
-    """Reject a NaN or infinite entry of a matrix, as as_vector does for
-    a vector. Whether every entry is finite is found once per matrix."""
+def operands(matrix, *vectors):
+    """The vectors as float64 arrays, once the matrix is found square and
+    finite and each vector finite and of its dimension: the operand check
+    of every solve, of residual_nonsmooth and lcp_check, of the oracle
+    and of matprops' checks. Whether every entry of the matrix is finite
+    is found once per matrix."""
+    if matrix.n_rows != matrix.n_cols:
+        raise DimensionError(f"matrix is {matrix.shape}, expected square")
     if not matrix._cached("finite", lambda: bool(np.isfinite(matrix.values).all())):
         raise ValueError("matrix entries must be finite")
+    vectors = [as_vector(v) for v in vectors]
+    if any(v.size != matrix.n_rows for v in vectors):
+        raise DimensionError("operand lengths must match the matrix")
+    return vectors
 
 
 class SparseMatrix:

@@ -1,5 +1,9 @@
 """Brute-force reference solver for small piecewise linear systems.
 
+It solves the elliptic form min{0,x} + T max{0,x} = b only. The
+parabolic form x + T max{0,x} = b is min{0,x} + (I + T) max{0,x} = b,
+so its reference is enumerate_solutions(T.add_diagonal(1.0), b).
+
 Enumerates all 2^n sign patterns in chunks of 4096 masks. Each chunk is
 one stacked (k, n, n) array of masked matrices: patterns whose smallest
 singular value falls below 1e-12 of their largest are singular, and the
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import ELLIPTIC, PARABOLIC, DimensionError, _require_finite
+from .numkit import operands
 
 _MAX_N = 20
 _SING_TOL = 1e-12  # smallest singular value relative to the largest
@@ -79,27 +83,21 @@ def _singular_family(m, b, bits):
     return Family(x0, d, lo, hi)
 
 
-def enumerate_solutions(matrix, b, kind=ELLIPTIC):
-    """All solutions of the piecewise linear system by pattern enumeration.
+def enumerate_solutions(matrix, b):
+    """All solutions of min{0,x} + T max{0,x} = b by pattern enumeration.
 
-    For each boolean mask P the dense masked system is solved; a candidate
+    matrix and b are checked as every solve's operands are. For each
+    boolean mask P the dense masked system is solved; a candidate
     is accepted iff its signs reproduce P under the inclusive >= 0 rule.
     Singular consistent patterns yield families restricted to their
     sign-consistent parameter range. Masks are walked in code order, bit i
     of the code being entry i of P, so results come in that order. A point
     that lies on a reported family is not reported again as a point.
     """
-    if matrix.n_rows != matrix.n_cols:
-        raise DimensionError(f"matrix is {matrix.shape}, expected square")
-    _require_finite(matrix)
+    b, = operands(matrix, b)
     n = matrix.n_rows
     if n > _MAX_N:
         raise TooLarge(f"n = {n} exceeds the enumeration limit {_MAX_N}")
-    if kind not in (ELLIPTIC, PARABOLIC):
-        raise ValueError(f"unknown kind {kind!r}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
-        raise DimensionError("right-hand side length must match the matrix")
     if n == 0:  # one empty mask, solved by the empty vector
         return OracleResult([np.zeros(0)], [], 1)
     t_dense = matrix.to_dense()
@@ -111,7 +109,7 @@ def enumerate_solutions(matrix, b, kind=ELLIPTIC):
         bits = (codes[:, None] >> positions) & 1 == 1
         p = bits.astype(np.float64)
         m = t_dense * p[:, None, :]
-        m[:, positions, positions] += 1.0 - p if kind == ELLIPTIC else 1.0
+        m[:, positions, positions] += 1.0 - p
         s = np.linalg.svd(m, compute_uv=False)
         singular = s[:, -1] <= _SING_TOL * s[:, 0]
         x = np.linalg.solve(m[~singular], b[None, :, None])[:, :, 0]

@@ -7,19 +7,25 @@ Each form has its own solver, which takes its operands directly:
 solve_elliptic_pls(T, b, opts, t2_data), solve_parabolic_pls(T, b,
 opts, trail) and, for thresholds xi, solve_shifted(T, b, xi, form, opts).
 All three, and the checks residual_nonsmooth and lcp_check, check them
-in one place: T must be square and finite, and b, x, y, xi and t2_data's
-v and w finite vectors of T's dimension. T's finiteness is found once
-per matrix, so checking every time step of a run scans T once.
+in one place, numkit.operands, as the oracle and matprops' checks do: T
+must be square and finite, and b, x, y, xi and t2_data's v and w finite
+vectors of T's dimension. T's finiteness is found once per matrix, so
+checking every time step of a run scans T once.
 
 The active mask P starts empty and is rebuilt from the signs of each
 iterate: component i is active iff x_i >= 0, so an exact zero is active.
 For an M-matrix T the paper's theorem makes it grow monotonically with
 exact inner solves, so it grows at most n times and stabilizes within
-n + 1 linear solves. Nothing enforces that: each
+n + 1 linear solves. Nothing enforces monotone growth: each
 report counts the components that left the mask at every step, so a
 step that breaks the theorem shows. Termination: the mask repeats, or it
 changes only at components whose value is exactly zero (both cases leave
-the iterate satisfying the nonsmooth system).
+the iterate satisfying the nonsmooth system). The theorem's n + 1 solves
+are also the loop's cap, which is not a setting: a matrix outside the
+theorem whose mask still moves after them gets MaxOuterExceeded. Nor is
+the residual gate, res_tol = 1e-8 relative to ||b||_inf: it is a
+constant of SolverOptions, whose one field is the inner solves'
+KrylovOptions.
 
 Each step is solved on the active set A only. With I the inactive set,
 (I - P + T P) x = b splits into T_AA x_A = b_A and (I + T P) x = b into
@@ -51,27 +57,21 @@ own operator, and a wrong final iterate cannot pass the nonsmooth
 residual gate. A step makes one product of T for its lift unless its
 mask is empty, and one for its residual unless its mask repeats.
 
-Results are immutable: KrylovStats, IterationReport, PlsSolution and
-the report's matprops.Solvability are frozen, a report's per-step
-sequences are tuples, and a solution's x and y and a report's
-family_direction (a copy of the caller's w) are read-only. So a caller
-may hand one result to many readers, as obstacle.run_parabolic does for
-its settled time steps, with no copy.
+Results are immutable: KrylovStats, IterationReport, PlsSolution,
+lcp_check's CheckReport and the report's matprops.Solvability are
+frozen, a report's per-step sequences are tuples, and a solution's x
+and y and a report's family_direction (a copy of the caller's w) are
+read-only. So a caller may hand one result to many readers, as
+obstacle.run_parabolic does for its settled time steps, with no copy.
+The options SolverOptions and KrylovOptions are frozen too, so no
+value changes after its check.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numkit import (
-    ELLIPTIC,
-    PARABOLIC,
-    DimensionError,
-    _require_finite,
-    as_vector,
-    active_operator,
-    spmv,
-)
+from .numkit import active_operator, operands, spmv
 from .krylov import (
     Breakdown,
     KrylovOptions,
@@ -88,6 +88,11 @@ MAX_OUTER_EXCEEDED = "MaxOuterExceeded"
 
 MIN_PLUS_TMAX = "MinPlusTMax"
 MAX_PLUS_TMIN = "MaxPlusTMin"
+
+ELLIPTIC = "elliptic"
+PARABOLIC = "parabolic"
+
+_LCP_TOL = 1e-8  # lcp_check's tolerance; its docstring gives the scaling
 
 
 @dataclass(frozen=True)
@@ -115,30 +120,10 @@ class PlsSolution:
         self.y.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
-    res_tol: float = 1e-8  # relative to ||b||_inf
-    max_outer: int | None = None  # defaults to n + 1
     krylov: KrylovOptions = field(default_factory=KrylovOptions)
-
-    def __post_init__(self):
-        if not 0.0 <= self.res_tol < np.inf:
-            raise ValueError("res_tol must be finite and nonnegative")
-        if self.max_outer is not None and self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
-
-
-def _operands(T, *vectors):
-    """The vectors as float64 arrays, once T is found square and finite
-    and each vector finite and of T's dimension: the operand check of
-    every solve and of residual_nonsmooth and lcp_check."""
-    if T.n_rows != T.n_cols:
-        raise DimensionError(f"matrix is {T.shape}, expected square")
-    _require_finite(T)
-    vectors = [as_vector(v) for v in vectors]
-    if any(v.size != T.n_rows for v in vectors):
-        raise DimensionError("operand lengths must match the matrix")
-    return vectors
+    res_tol = 1e-8  # the residual gate, relative to ||b||_inf; not a field
 
 
 def _lift(T, b, mask, x_active):
@@ -178,7 +163,8 @@ def _picard(T, b, kind, opts, trail=None):
 
     The operator mask starts empty and each step is rebuilt from the signs
     of the new iterate, x >= 0, and the report counts the components each
-    step drops. Stops when the mask repeats or flips only at exact zeros.
+    step drops. Stops when the mask repeats or flips only at exact zeros,
+    or with MaxOuterExceeded after n + 1 steps.
     Each linear solve is warm-started from the previous iterate, or, given
     a trail, from the trail's x_A for this step when its mask equals this
     step's: trail is a list of (mask, x_A) entries, entry j from step j of
@@ -216,10 +202,9 @@ def _picard(T, b, kind, opts, trail=None):
     left_counts = []
     inner_stats = []
     residual_history = []
-    max_outer = opts.max_outer if opts.max_outer is not None else n + 1
     stable = False
     outer = 0
-    for _ in range(max_outer):
+    for _ in range(n + 1):  # n mask growths and one confirming solve
         carried = trail[outer] if trail is not None and outer < len(trail) else None
         start = (carried[1] if carried is not None
                  and np.array_equal(carried[0], opmask) else None)
@@ -273,7 +258,7 @@ def solve_elliptic_pls(T, b, opts=None, t2_data=None):
     certifies an empty solution set without iterating, and v^T b = 0
     flags the one-parameter family x + alpha w (alpha >= 0) in the report.
     """
-    b, *t2 = _operands(T, b, *(t2_data or ()))
+    b, *t2 = operands(T, b, *(t2_data or ()))
     opts = opts or SolverOptions()
     solvability = None
     family = None
@@ -301,7 +286,7 @@ def solve_parabolic_pls(T, b, opts=None, trail=None):
     sequence repeats the last one's starts each inner solve from there. A
     wrong final iterate cannot pass the nonsmooth residual gate.
     """
-    b, = _operands(T, b)
+    b, = operands(T, b)
     return _picard(T, b, PARABOLIC, opts or SolverOptions(), trail=trail)
 
 
@@ -320,7 +305,7 @@ def solve_shifted(T, b, xi, form, opts=None):
     """
     if form not in (MIN_PLUS_TMAX, MAX_PLUS_TMIN):
         raise ValueError(f"unknown shift form {form!r}")
-    b, xi = _operands(T, b, xi)
+    b, xi = operands(T, b, xi)
     opts = opts or SolverOptions()
     b2 = b - xi - spmv(T, xi)
     sign = 1.0 if form == MIN_PLUS_TMAX else -1.0  # z, or w = -z
@@ -340,7 +325,7 @@ def residual_nonsmooth(T, b, x, kind=ELLIPTIC, xi=None, form=MIN_PLUS_TMAX):
     a given xi are checked as every solve's operands are. MaxPlusTMin is
     the MinPlusTMax residual at -b, -x and -xi, whose r is the negated r
     of the form: negation is exact, so max |r| keeps its bits."""
-    b, x, *shift = _operands(T, b, x, *(() if xi is None else (xi,)))
+    b, x, *shift = operands(T, b, x, *(() if xi is None else (xi,)))
     base = shift[0] if shift else 0.0
     if kind not in (ELLIPTIC, PARABOLIC):
         raise ValueError(f"unknown kind {kind!r}")
@@ -367,7 +352,7 @@ def _residual(T, b, x, kind, base=0.0, product=None):
     return float(np.abs(r).max()) if r.size else 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     passed: bool
     y_min: float
@@ -375,16 +360,16 @@ class CheckReport:
     complementarity: float
 
 
-def lcp_check(T, b, y, kind=ELLIPTIC, tol=1e-8):
+def lcp_check(T, b, y, kind=ELLIPTIC):
     """Verify the complementarity conditions satisfied by y = max{0,x}.
 
     Elliptic: y >= 0, T y >= b, y^T (T y - b) = 0; the parabolic slack is
-    y + T y - b. Inequalities are tested against tol scaled by
-    max(1, ||b||_inf); the complementarity product against tol ||y|| ||b||.
+    y + T y - b. Inequalities are tested against 1e-8 max(1, ||b||_inf),
+    and the complementarity product against 1e-8 ||y|| ||b||.
     T, b and y are checked as every solve's operands are, and an unknown
     kind raises.
     """
-    b, y = _operands(T, b, y)
+    b, y = operands(T, b, y)
     if kind not in (ELLIPTIC, PARABOLIC):
         raise ValueError(f"unknown kind {kind!r}")
     slack = spmv(T, y) - b
@@ -395,8 +380,8 @@ def lcp_check(T, b, y, kind=ELLIPTIC, tol=1e-8):
     slack_min = float(slack.min()) if slack.size else 0.0
     comp = abs(float(y @ slack))
     passed = (
-        y_min >= -tol * scale
-        and slack_min >= -tol * scale
-        and comp <= tol * float(np.linalg.norm(y)) * float(np.linalg.norm(b))
+        y_min >= -_LCP_TOL * scale
+        and slack_min >= -_LCP_TOL * scale
+        and comp <= _LCP_TOL * float(np.linalg.norm(y)) * float(np.linalg.norm(b))
     )
     return CheckReport(passed, y_min, slack_min, comp)

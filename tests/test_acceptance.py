@@ -9,8 +9,8 @@ than be widened; see the tent entries in the benchmark tables, whose
 counts come from a right-hand side with its exact zeros kept exact (see
 obstacle.assemble_elliptic). The finiteness criterion asserts the sharp
 bound K <= n+1 on the solve count (at most n mask growths plus the
-confirming solve) and that no run stops on max_outer without a stable
-mask. One more test, which records no line, compares the CSV of all four
+confirming solve) and that no run stops at the n + 1 cap without a
+stable mask. One more test, which records no line, compares the CSV of all four
 sweeps byte for byte with tests/data/bench_tables.csv, so every K is
 pinned exactly, not only within the tolerances.
 """
@@ -271,7 +271,7 @@ def test_monotone_active_sets_and_finite_termination(sweeps):
         if k > t.n_rows + 1:
             bad.append(f"K={k} > n+1={t.n_rows + 1}")
         if result.status == MAX_OUTER_EXCEEDED:
-            bad.append(f"stopped by max_outer at K={k} without a stable mask")
+            bad.append(f"stopped at the n + 1 cap, K={k}, without a stable mask")
         if k == t.n_rows + 1:
             at_bound += 1
         checked += 1
@@ -290,7 +290,7 @@ def test_complementarity_on_converged_runs(sweeps):
     for t, b, kind, result in ALL_RUNS:
         if result is None or result.status != CONVERGED:
             continue
-        if not lcp_check(t, b, result.y, kind=kind, tol=1e-8).passed:
+        if not lcp_check(t, b, result.y, kind=kind).passed:
             bad += 1
         checked += 1
     _verdict(

@@ -312,10 +312,14 @@ def test_classify_solvability_trichotomy():
 
 
 def test_classify_solvability_tolerance_band():
+    # v^T b = 4 delta, and the band is 1e-10 ||v|| ||b|| = 4e-10 at
+    # ||v|| = ||b|| = 2, so v^T b is zero for |delta| below 1e-10
     v = np.ones(4)
-    b = np.array([1.0, -1.0, 1.0, -1.0]) + 1e-14
-    assert classify_solvability(v, b).verdict == FAMILY_ALONG_W
-    assert classify_solvability(v, b, class_tol=1e-16).verdict == NO_SOLUTION
+    pattern = np.array([1.0, -1.0, 1.0, -1.0])
+    for delta, verdict in ((1e-14, FAMILY_ALONG_W), (-1e-14, FAMILY_ALONG_W),
+                           (0.9e-10, FAMILY_ALONG_W), (-0.9e-10, FAMILY_ALONG_W),
+                           (1.1e-10, NO_SOLUTION), (-1.1e-10, UNIQUE)):
+        assert classify_solvability(v, pattern + delta).verdict == verdict, delta
 
 
 def test_classify_solvability_rejects_nonpositive_v():

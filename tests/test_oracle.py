@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from plskit import (
     CONVERGED,
-    PARABOLIC,
     csr_from_triplets,
     enumerate_solutions,
     residual_nonsmooth,
@@ -61,8 +60,9 @@ def test_inconsistent_system_has_empty_result():
 
 
 def test_parabolic_enumeration():
+    # x + T max{0,x} = min{0,x} + (I + T) max{0,x}
     res = enumerate_solutions(
-        csr_from_dense(T22), np.array([1.0, -1.0]), kind=PARABOLIC
+        csr_from_dense(T22).add_diagonal(1.0), np.array([1.0, -1.0])
     )
     assert len(res.point_solutions) == 1
     assert np.allclose(res.point_solutions[0], [1.0 / 3.0, -2.0 / 3.0])
@@ -74,8 +74,6 @@ def test_enumeration_guards():
         enumerate_solutions(big, np.ones(21))
     with pytest.raises(DimensionError):
         enumerate_solutions(csr_from_dense(T22), np.ones(3))
-    with pytest.raises(ValueError):
-        enumerate_solutions(csr_from_dense(T22), np.ones(2), kind="weird")
 
 
 def test_every_pattern_solution_is_kept_in_code_order():
@@ -117,7 +115,7 @@ def _assert_oracle_agrees_with_solvers(t, b):
     err = np.abs(sol.x - x_ref).max()
     assert err <= 1e-9 * max(np.abs(x_ref).max(), 1.0)
 
-    res_p = enumerate_solutions(t, b, kind=PARABOLIC)
+    res_p = enumerate_solutions(t.add_diagonal(1.0), b)
     assert len(res_p.point_solutions) == 1
     sol_p = solve_parabolic_pls(t, b)
     ref_p = res_p.point_solutions[0]
@@ -189,7 +187,7 @@ def test_iteration_on_irreducible_m_matrices_matches_the_oracle(t, seed):
     runs = [
         (lambda: solve_elliptic_pls(t, b), enumerate_solutions(t, b), 0.0, 1.0),
         (lambda: solve_parabolic_pls(t, b),
-         enumerate_solutions(t, b, kind=PARABOLIC), 0.0, 1.0),
+         enumerate_solutions(t.add_diagonal(1.0), b), 0.0, 1.0),
         (lambda: solve_shifted(t, b, xi, MIN_PLUS_TMAX), enumerate_solutions(t, b2), xi, 1.0),
         (lambda: solve_shifted(t, b, xi, MAX_PLUS_TMIN), enumerate_solutions(t, -b2), xi, -1.0),
     ]

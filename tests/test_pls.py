@@ -52,6 +52,7 @@ _SOLVES = {  # u is the third vector: t2_data's w, or xi
     "elliptic": lambda t, b, u: solve_elliptic_pls(t, b, t2_data=(np.ones(2), u)),
     "parabolic": lambda t, b, u: solve_parabolic_pls(t, b),
     "shifted": lambda t, b, u: solve_shifted(t, b, u, MIN_PLUS_TMAX),
+    "oracle": lambda t, b, u: enumerate_solutions(t, b),
 }
 _FINITE = "entries must be finite"
 _BAD_OPERANDS = {  # (T, b, u), and the error and message it raises
@@ -61,6 +62,7 @@ _BAD_OPERANDS = {  # (T, b, u), and the error and message it raises
     "non-finite-t": (([[np.nan, -1.0], [-1.0, 2.0]], [1.0, -1.0], [1.0, 1.0]),
                      ValueError, "^matrix " + _FINITE),
     "non-finite-b": ((T22, [np.inf, -1.0], [1.0, 1.0]), ValueError, "^vector " + _FINITE),
+    "nan-b": ((T22, [np.nan, 1.0], [1.0, 1.0]), ValueError, "^vector " + _FINITE),
     "long-u": ((T22, [1.0, -1.0], [1.0, 1.0, 1.0]), DimensionError, None),
     "non-finite-u": ((T22, [1.0, -1.0], [np.nan, 1.0]), ValueError, "^vector " + _FINITE),
 }
@@ -68,10 +70,12 @@ _BAD_OPERANDS = {  # (T, b, u), and the error and message it raises
 
 @pytest.mark.parametrize("solver, case", [
     (solver, case) for solver in _SOLVES for case in _BAD_OPERANDS
-    if solver != "parabolic" or not case.endswith("-u")])
+    if solver in ("elliptic", "shifted") or not case.endswith("-u")])
 def test_every_solver_checks_its_operands(solver, case):
-    # one check for all three: T square and finite, and b, xi and
-    # t2_data's vectors finite and of T's dimension
+    # one check for all four: T square and finite, and b, xi and
+    # t2_data's vectors finite and of T's dimension. Unchecked, the oracle
+    # gave b = [nan, 1] the point solution [nan, nan], and b = [inf, 1]
+    # the points [nan, nan] and [inf, inf]
     (dense, b, u), error, match = _BAD_OPERANDS[case]
     with pytest.raises(error, match=match):
         _SOLVES[solver](csr_from_dense(dense), b, u)
@@ -124,11 +128,21 @@ def test_t2_data_of_another_dimension_is_refused():
 
 
 def test_solver_options_validation():
+    # the checks run at construction, so no field may change after them;
+    # the residual gate is a constant of the class, not a field
     with pytest.raises(ValueError):
-        SolverOptions(max_outer=0)
-    for tol in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            SolverOptions(res_tol=tol)
+        SolverOptions(KrylovOptions(rel_tol=-1.0))
+    opts = SolverOptions(KrylovOptions(rel_tol=1e-10))
+    assert [f.name for f in fields(opts)] == ["krylov"]
+    assert opts.res_tol == SolverOptions.res_tol == 1e-8
+    for record, name, value in ((opts, "krylov", KrylovOptions()),
+                                (opts.krylov, "rel_tol", -1.0),
+                                (opts.krylov, "abs_tol", -1.0),
+                                (opts.krylov, "max_iters", 0)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, value)
+    with pytest.raises(FrozenInstanceError):
+        opts.res_tol = -1.0
 
 
 def test_elliptic_all_negative_rhs_is_one_step():
@@ -423,14 +437,32 @@ def test_a_right_hand_side_whose_norm_overflows_is_refused(solve, b, smaller):
     assert sol.status == CONVERGED
 
 
+# a matrix outside the theorem (T_22 < 0), on which the mask cycles and no
+# solution exists: the loop stops at the n + 1 cap
+_CYCLING = (np.array([[2.3, -1.6], [-2.3, -1.3]]), [0.5, 0.3])
+
+
 def test_max_outer_cap_reports_instead_of_looping():
-    sol = solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0],
-                             SolverOptions(max_outer=1))
+    dense, b = _CYCLING
+    t = csr_from_dense(dense)
+    sol = solve_elliptic_pls(t, b)
     assert sol.status == MAX_OUTER_EXCEEDED
-    assert sol.report.outer_iterations == 1
+    assert sol.report.outer_iterations == 3  # n + 1
+    assert sol.report.active_counts == (0, 2, 1, 2)
+    res = enumerate_solutions(t, b)
+    assert not res.point_solutions and not res.families
 
 
 _SINGULAR = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def test_every_check_report_is_frozen():
+    # each check builds its report once; none is changed after it
+    t = csr_from_dense(_SINGULAR)
+    for report in (check_t1(t), check_t2(t), lcp_check(t, [1.0, -1.0], [1.0, 0.0])):
+        for f in fields(report):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, f.name, getattr(report, f.name))
 
 
 @pytest.mark.parametrize("solve, status", [
@@ -442,8 +474,7 @@ _SINGULAR = np.array([[1.0, -1.0], [-1.0, 1.0]])
     (lambda w: solve_elliptic_pls(csr_from_dense(_SINGULAR), [1.0, -1.0],
                                   t2_data=(np.ones(2), w)),
      CONVERGED),
-    (lambda w: solve_elliptic_pls(csr_from_dense(T22), [1.0, -1.0],
-                                  SolverOptions(max_outer=1)),
+    (lambda w: solve_elliptic_pls(csr_from_dense(_CYCLING[0]), _CYCLING[1]),
      MAX_OUTER_EXCEEDED),
     (lambda w: solve_parabolic_pls(csr_from_dense(T22), [1.0, -1.0]),
      CONVERGED),

@@ -112,7 +112,8 @@ def test_krylov_family_reaches_both_solvers_and_their_exits():
 
 def test_bench_pairs_writes_a_pair_of_one_checkout(tmp_path):
     # the directory form on one checkout twice: one certify pair, each
-    # side's traced peak, and the claim's verdict, well within 10 s
+    # side's traced peak, every metric's no-regression verdict, and the
+    # claim's verdict, well within 10 s
     start = time.perf_counter()
     run = subprocess.run(
         [sys.executable, str(_TOOLS / "bench_pairs.py"), "--label", "smoke",
@@ -136,6 +137,12 @@ def test_bench_pairs_writes_a_pair_of_one_checkout(tmp_path):
         assert lower + higher <= 1
         if parent != change:  # pairs keep 6 digits, the counts all of them
             assert (lower, higher) == (change < parent, change > parent)
+        # one pair has no spread, so no metric is unresolved; each that
+        # does not hold is printed
+        verdict = entry[metric]["verdict"]
+        assert verdict in ("holds", "worse")
+        assert (f"certify {metric}: worse" in run.stdout) == (verdict == "worse")
+    assert entry["passed_share"]["verdict"] == "holds"
     assert entry["passed_share"]["parent"][0] == 1.0
     assert entry["correct"] == {"parent": True, "change": True}
     peaks = entry["tracemalloc_peak_mib"]

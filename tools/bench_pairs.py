@@ -21,10 +21,17 @@ and higher on the change, and every pair's values. It also holds each
 side's tracemalloc peak for one seed-1 pass of each workload, run in a
 fresh interpreter after a warm-up pass, as tools/solver_bits.py runs its
 cases: a peak_rss_mb move that the traced peak does not share comes from
-where the allocator lands, not from the change. With --claim WORKLOAD
-METRIC it says whether the change's gain on it holds: better in at least
-nine tenths of the pairs, and a median gap wider than the parent's
-interquartile range.
+where the allocator lands, not from the change.
+
+Each end-to-end metric of BENCHMARK.json gets a no-regression verdict,
+from its bound and which way is better, relative to the parent's median:
+"holds" when the change's median is worse by at most the bound, "worse"
+when it is worse by more, and "unresolved" when the parent's
+interquartile range exceeds the bound, unless every change run beats
+every parent run, which reads "holds". The metrics that do not hold are
+printed. With --claim WORKLOAD METRIC it also says whether the change's
+gain on it holds: better in at least nine tenths of the pairs, and a
+median gap wider than the parent's interquartile range.
 """
 
 import argparse
@@ -41,7 +48,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("certify", "stationary", "flux", "parabolic")
 SIDES = ("parent", "change")
-HIGHER_IS_BETTER = {"passed_share"}  # every other metric: lower is better
 
 # run in a fresh interpreter from one side's tree: the traced peak of one
 # seed-1 pass of each workload named in argv, after an untraced warm-up pass
@@ -99,13 +105,33 @@ def traced_peaks(tree, workloads):
     return json.loads(run.stdout.splitlines()[-1])
 
 
+def end_to_end():
+    """BENCHMARK.json's end-to-end metrics by name, each with its bound
+    and which way is better."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in spec["end_to_end"]}
+
+
 def _quartiles(values):
     return [float(f"{v:.4g}") for v in np.percentile(values, [50, 25, 75])]
 
 
-def summarize(runs, seeds):
+def no_regression(parent, change, metric):
+    """The no-regression verdict of one metric from each side's runs (see
+    the module docstring); metric is its BENCHMARK.json entry."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0  # worse: sign * rise
+    median, q1, q3 = np.percentile(parent, [50, 25, 75])
+    allowed = metric["bound"] * abs(median)
+    if q3 - q1 > allowed:
+        beats = max(sign * c for c in change) < min(sign * p for p in parent)
+        return "holds" if beats else "unresolved"
+    return "holds" if sign * (np.median(change) - median) <= allowed else "worse"
+
+
+def summarize(runs, seeds, metrics):
     """One workload's entry: runs[side] is that side's list of
-    (metrics, correct, attempted, failed) in pair order."""
+    (metrics, correct, attempted, failed) in pair order, and metrics the
+    end-to-end metrics that get a verdict."""
     entry = {"pairs": len(seeds), "seeds": [seeds[0], seeds[-1]]}
     for name in runs["parent"][0][0]:
         pairs = list(zip(*(
@@ -114,6 +140,8 @@ def summarize(runs, seeds):
                        for side, values in zip(SIDES, zip(*pairs))}
         entry[name]["change_lower"] = sum(c < p for p, c in pairs)
         entry[name]["change_higher"] = sum(c > p for p, c in pairs)
+        if name in metrics:
+            entry[name]["verdict"] = no_regression(*zip(*pairs), metrics[name])
         entry[f"{name}_pairs"] = [[float(f"{v:.6g}") for v in pair]
                                   for pair in pairs]
     entry["attempted_failed"] = {side: [sum(r[2] for r in runs[side]),
@@ -123,12 +151,11 @@ def summarize(runs, seeds):
     return entry
 
 
-def claim(entry, workload, metric):
-    """Whether the change's gain on metric holds, and the sentence that
-    says so."""
+def claim(entry, workload, metric, direction):
+    """Whether the change's gain on metric, whose better direction is
+    "lower" or "higher", holds, and the sentence that says so."""
     stats = entry[metric]
     parent, change = stats["parent"], stats["change"]
-    direction = "higher" if metric in HIGHER_IS_BETTER else "lower"
     pairs, better = entry["pairs"], stats[f"change_{direction}"]
     gap, spread = abs(parent[0] - change[0]), parent[2] - parent[1]
     holds = 10 * better >= 9 * pairs and gap > spread
@@ -140,7 +167,7 @@ def claim(entry, workload, metric):
         f"the parent's interquartile range {spread:.3g}")
 
 
-def bench(trees, workloads, pairs, first_seed, seconds):
+def bench(trees, workloads, pairs, first_seed, seconds, metrics):
     """(workloads entry, stamp) over the alternating pairs."""
     result, stamp = {}, None
     seeds = list(range(first_seed, first_seed + pairs))
@@ -158,7 +185,7 @@ def bench(trees, workloads, pairs, first_seed, seconds):
             print(f"{workload} pair {k} seed {seed}: wall_s parent "
                   f"{runs['parent'][-1][0]['wall_s']:.4f} change "
                   f"{runs['change'][-1][0]['wall_s']:.4f}")
-        result[workload] = summarize(runs, seeds)
+        result[workload] = summarize(runs, seeds, metrics)
     peaks = {side: traced_peaks(trees[side], workloads) for side in SIDES}
     for workload in workloads:
         result[workload]["tracemalloc_peak_mib"] = {
@@ -186,6 +213,10 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
     if args.claim and args.claim[0] not in args.workloads:
         parser.error(f"--claim names {args.claim[0]}, which is not benched")
+    metrics = end_to_end()
+    if args.claim and args.claim[1] not in metrics:
+        parser.error(f"--claim names {args.claim[1]}, which is not an end-to-end "
+                     "metric")
     with tempfile.TemporaryDirectory() as scratch:
         if args.dirs:
             trees = dict(zip(SIDES, (d.resolve() for d in args.dirs)))
@@ -194,7 +225,7 @@ def main(argv=None):
             for side, rev in zip(SIDES, args.revs):
                 export(rev, trees[side])
         entries, stamp = bench(trees, args.workloads, args.pairs, args.first_seed,
-                               args.seconds)
+                               args.seconds, metrics)
     seconds = f"{args.seconds:g}"
     out = {
         "label": args.label,
@@ -211,16 +242,25 @@ def main(argv=None):
         "format": "metric: parent and change as [median, q1, q3] over the pairs "
                   "(numpy linear percentiles); change_lower/change_higher count "
                   "the pairs; <metric>_pairs holds [parent, change] per pair; "
+                  "verdict is the no-regression verdict against the metric's "
+                  "BENCHMARK.json bound: holds, worse or unresolved; "
                   "tracemalloc_peak_mib is each side's traced peak over one "
                   "seed-1 pass after a warm-up pass",
     }
     if args.claim:
         workload, metric = args.claim
-        out["claim_holds"], out["claim"] = claim(entries[workload], workload, metric)
+        out["claim_holds"], out["claim"] = claim(entries[workload], workload, metric,
+                                                 metrics[metric]["better"])
     out["workloads"] = entries
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
+    for workload, entry in entries.items():
+        for name in metrics:
+            if entry[name]["verdict"] != "holds":
+                parent, change = entry[name]["parent"][0], entry[name]["change"][0]
+                print(f"{workload} {name}: {entry[name]['verdict']}, median "
+                      f"{parent:.4g} -> {change:.4g}")
     if args.claim:
         print(out["claim"], "(holds)" if out["claim_holds"] else "(does not hold)")
     return 0
